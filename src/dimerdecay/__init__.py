@@ -35,6 +35,7 @@ from .excitons import (
     basis_map,
     exciton_frame,
     exciton_frequencies,
+    exciton_splitting,
     lambda2_from_eta,
     mixing_angle,
     renormalized_gap,
@@ -76,6 +77,7 @@ __all__ = [
     "lambda2_from_eta",
     "renormalized_gap",
     "mixing_angle",
+    "exciton_splitting",
     "exciton_frequencies",
     "exciton_frame",
     "basis_map",

@@ -1,29 +1,41 @@
 """Inverse analyses of the attenuation factor.
 
 Three questions, all about 1/alpha as a function of the asymmetry
-magnitude |eta| at fixed phase theta:
+magnitude x = |eta| at fixed phase theta:
 
 * how does the attenuation curve look over an |eta| grid (sweep),
-* where is its interior minimum (golden-section bracket search),
-* which |eta| reproduces a measured lifetime ratio gamma_d/gamma
-  (smallest positive root of a quartic, by scan plus bisection).
+* where is its interior minimum,
+* which |eta| reproduces a measured lifetime ratio gamma_d/gamma.
 
-1/alpha diverges at both |eta| -> 0 and |eta| -> infinity, so an
-interior minimum always exists; a target ratio below that minimum has
-no solution and is reported as such.
+With the dressed gap D(x) = gap + 4 lambda1 cos(theta) x + 2 lambda1 x^2,
+
+    1/alpha = (D^2 + 4 j12^2) / (x^2 j12^2)
+
+is a rational function of x, so both inverse questions are exact
+polynomial problems.  Its interior minimum is a positive real root of
+the quartic 4 lambda1 x (cos(theta) + x) D - D^2 - 4 j12^2, and a
+lifetime ratio r is reached at the positive real roots of
+D^2 + 4 j12^2 - r x^2 j12^2.  The roots are the eigenvalues of the
+companion matrix (numpy.roots), each polished by one Newton step and
+checked by back-substitution into the attenuation factor.
+
+For lambda1 > 0, 1/alpha diverges at both x -> 0 and x -> infinity, so
+an interior minimum always exists; a target ratio below that minimum
+has no solution and is reported as such.  For lambda1 = 0, 1/alpha
+falls monotonically and has no interior minimum.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
 from .excitons import DimerParams, lambda2_from_eta
-from .rates import attenuation_factor
+from .rates import _attenuation
 
 __all__ = [
     "NoSolutionError",
@@ -38,19 +50,11 @@ __all__ = [
     "SWEEP_CSV_HEADER",
 ]
 
-# search interval for the |eta| minimum; generous around the O(1) physics
-ETA_SEARCH_LO = 1e-6
-ETA_SEARCH_HI = 50.0
-# root scan covers the largest asymmetries the weak-coupling limit produces
-ETA_SCAN_HI = 100.0
-
 SWEEP_CSV_HEADER = ("theta_rad", "eta_abs", "inverse_alpha")
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
 
 
 class NoSolutionError(ValueError):
-    """The requested lifetime ratio is not attainable for any |eta|."""
+    """The requested extremum or lifetime ratio does not exist for any |eta|."""
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,39 @@ class EtaEstimate:
     all_roots: tuple[float, ...]
 
 
-def _inverse_alpha_at(p: DimerParams, theta: float, eta_abs: float) -> float:
-    alpha = attenuation_factor(replace(p, eta_abs=eta_abs, theta=theta))
-    return 1.0 / alpha
+def _inverse_alpha(p: DimerParams, theta: float, eta_abs: np.ndarray) -> np.ndarray:
+    """1/alpha over an array of |eta| at phase theta.
+
+    Where alpha underflows to 0 (|eta| j12 below about 1e-154), 1/alpha
+    is inf, its correctly rounded value.
+    """
+    with np.errstate(divide="ignore"):
+        return 1.0 / _attenuation(p.gap, p.j12, p.lambda1, eta_abs, math.cos(theta))
+
+
+def _gap_polynomial(p: DimerParams, theta: float) -> np.ndarray:
+    """Coefficients of D(x) = 2 lambda1 x^2 + 4 lambda1 cos(theta) x + gap."""
+    if not -math.pi <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
+    return np.array([2.0 * p.lambda1, 4.0 * p.lambda1 * math.cos(theta), p.gap])
+
+
+def _positive_roots(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted positive real roots of A(x) D(x) + B(x), Newton-polished once.
+
+    Both inverse problems take this form with D the dressed gap.  The
+    expanded coefficients lose accuracy where D nearly cancels, so the
+    Newton step evaluates the residual in the factored form.  A root
+    whose imaginary part is below 1e-6 of its real part counts as real:
+    a double root splits into such a pair under round-off.
+    """
+    coeffs = np.polyadd(np.polymul(a, d), b)
+    roots = np.roots(coeffs)
+    x = roots.real[(roots.real > 0.0) & (np.abs(roots.imag) <= 1e-6 * roots.real)]
+    residual = np.polyval(a, x) * np.polyval(d, x) + np.polyval(b, x)
+    slope = np.polyval(np.polyder(coeffs), x)
+    step = np.divide(residual, slope, out=np.zeros_like(x), where=slope != 0.0)
+    return np.unique(x - step)
 
 
 def sweep_inverse_alpha(
@@ -97,67 +131,59 @@ def sweep_inverse_alpha(
 ) -> SweepResult:
     """Evaluate 1/alpha over eta_grid at phase theta.
 
-    The template's eta_abs/theta are overridden point by point.  Grid
-    points where alpha vanishes are excluded from the result.
+    The template's eta_abs/theta are overridden by the grid and theta.
     """
-    grid = [float(x) for x in eta_grid]
-    if not grid:
+    grid = np.asarray(eta_grid, dtype=float)
+    if grid.size == 0:
         raise ValueError("eta_grid must not be empty")
-    if any(x <= 0.0 for x in grid):
+    if not np.all(grid > 0.0):
         raise ValueError("eta_grid values must be > 0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not np.all(np.diff(grid) > 0.0):
         raise ValueError("eta_grid must be strictly increasing")
-
-    points = []
-    for x in grid:
-        alpha = attenuation_factor(replace(p, eta_abs=x, theta=theta))
-        if alpha > 0.0:
-            points.append((x, 1.0 / alpha))
-    if not points:
-        raise ValueError(
+    if p.j12 == 0.0:
+        raise NoSolutionError(
             "attenuation vanishes on the whole grid (zero coupling?)"
         )
+    values = _inverse_alpha(p, theta, grid)
     minimum = find_alpha_minimum(p, theta)
-    return SweepResult(theta=theta, points=tuple(points), minimum=minimum)
+    return SweepResult(
+        theta=theta,
+        points=tuple(zip(grid.tolist(), values.tolist())),
+        minimum=minimum,
+    )
 
 
 def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
     """Interior minimum of 1/alpha over |eta|, as (eta_min, inv_alpha_min).
 
-    Coarse geometric scan over (1e-6, 50] to bracket, then golden-section
-    refinement until the bracket is shorter than 1e-6.
+    The stationary points of 1/alpha are the positive real roots of
+    x D'(x) D(x) - D(x)^2 - 4 j12^2, with D'(x) = 4 lambda1 (cos(theta) + x);
+    the one with the smallest 1/alpha is returned, after checking that
+    its neighbours at a relative distance of 1e-6 lie no lower.
     """
     if p.j12 == 0.0:
-        raise ValueError("j12 must be nonzero: 1/alpha is infinite without coupling")
-
-    def f(x: float) -> float:
-        return _inverse_alpha_at(p, theta, x)
-
-    grid = np.geomspace(ETA_SEARCH_LO, ETA_SEARCH_HI, 400)
-    values = [f(x) for x in grid]
-    i = int(np.argmin(values))
-    if i == 0 or i == len(grid) - 1:
-        raise ValueError(
-            "no interior minimum of 1/alpha in the search interval "
-            f"({ETA_SEARCH_LO}, {ETA_SEARCH_HI}]"
+        raise NoSolutionError(
+            "j12 must be nonzero: 1/alpha is infinite without coupling"
         )
-    a, b = float(grid[i - 1]), float(grid[i + 1])
-
-    # golden-section: keep two interior probes, shrink to tolerance
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > 1e-6:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    xmin = 0.5 * (a + b)
-    return xmin, f(xmin)
+    d = _gap_polynomial(p, theta)
+    # x D' D - D^2 - 4 j12^2 = (x D' - D) D - 4 j12^2
+    a = np.polysub(np.polymul([1.0, 0.0], np.polyder(d)), d)
+    roots = _positive_roots(a, d, [-4.0 * p.j12 * p.j12])
+    if roots.size == 0:
+        raise NoSolutionError(
+            f"no interior minimum of 1/alpha at lambda1 = {p.lambda1:.6g} "
+            "(1/alpha decreases monotonically in |eta|)"
+        )
+    values = _inverse_alpha(p, theta, roots)
+    k = int(np.argmin(values))
+    xmin, inv_min = float(roots[k]), float(values[k])
+    lower, upper = _inverse_alpha(p, theta, xmin * np.array([1.0 - 1e-6, 1.0 + 1e-6]))
+    if min(lower, upper) < inv_min:
+        raise ArithmeticError(
+            f"stationary point {xmin} fails back-substitution: 1/alpha = "
+            f"{inv_min} is not below its neighbours {lower}, {upper}"
+        )
+    return xmin, inv_min
 
 
 def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:
@@ -165,12 +191,11 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
 
     The condition is a quartic in x = |eta|:
 
-        [gap0 + 2 lambda1 x (2 cos(theta) + x)]^2 + 4 j12^2
-            = target_ratio * x^2 * j12^2
+        D(x)^2 + 4 j12^2 - target_ratio * x^2 * j12^2 = 0
 
-    All positive real roots in (0, 100] are located by a sign-change
-    scan and polished by bisection to 1e-12 in x; each root is verified
-    by back-substitution into the attenuation factor.
+    with D(x) = gap + 2 lambda1 x (2 cos(theta) + x).  Every positive
+    real root is found and verified by back-substitution into the
+    attenuation factor.
     """
     if not target_ratio > 0.0:
         raise ValueError(f"target_ratio must be > 0, got {target_ratio}")
@@ -179,61 +204,30 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
             "attenuation vanishes identically for zero coupling; "
             "no |eta| can reach a finite lifetime ratio"
         )
-
-    gap0 = p.gap
-    lam1 = p.lambda1
-    ctheta = math.cos(theta)
+    d = _gap_polynomial(p, theta)
     j2 = p.j12 * p.j12
-
-    def residual(x):
-        dressed = gap0 + 2.0 * lam1 * x * (2.0 * ctheta + x)
-        return dressed * dressed + 4.0 * j2 - target_ratio * x * x * j2
-
-    xs = np.linspace(0.0, ETA_SCAN_HI, 100001)[1:]
-    rs = residual(xs)
-
-    roots: list[float] = []
-    exact = xs[rs == 0.0]
-    roots.extend(float(x) for x in exact)
-    sign_flip = np.nonzero(rs[:-1] * rs[1:] < 0.0)[0]
-    for i in sign_flip:
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        flo = residual(lo)
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            fmid = residual(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0.0) == (fmid < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-
-    roots = sorted(set(roots))
-    if not roots:
+    roots = _positive_roots(d, d, [-target_ratio * j2, 0.0, 4.0 * j2])
+    if roots.size == 0:
         eta_min, inv_min = find_alpha_minimum(p, theta)
         raise NoSolutionError(
             f"target ratio {target_ratio:.6g} is below the attainable "
             f"minimum 1/alpha = {inv_min:.6g} (at |eta| = {eta_min:.6g})"
         )
 
-    for x in roots:
-        back = _inverse_alpha_at(p, theta, x)
+    for x, back in zip(roots, _inverse_alpha(p, theta, roots)):
         if abs(back - target_ratio) > 1e-8 * target_ratio:
             raise ArithmeticError(
                 f"root {x} fails back-substitution: 1/alpha = {back} "
                 f"vs target {target_ratio}"
             )
 
-    eta_abs = roots[0]
+    eta_abs = float(roots[0])
     return EtaEstimate(
         target_ratio=target_ratio,
         theta=theta,
         eta_abs=eta_abs,
-        lambda2=lambda2_from_eta(lam1, eta_abs, theta),
-        all_roots=tuple(roots),
+        lambda2=lambda2_from_eta(p.lambda1, eta_abs, theta),
+        all_roots=tuple(roots.tolist()),
     )
 
 

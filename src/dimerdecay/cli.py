@@ -14,7 +14,8 @@ Configuration comes from an INI file (flat sections, see DEFAULTS)
 with every value overridable by a command-line flag.  All file output
 is deterministic: same config, same bytes.
 
-Exit codes: 0 ok, 2 config error, 3 I/O error, 4 no solution.
+Exit codes: 0 ok, 2 config error, 3 I/O error, 4 no solution (no
+interior minimum, or an unattainable lifetime ratio).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .analysis import (
 from .dynamics import (
     EvolutionParams,
     OneExcitationState,
+    StepSizeError,
     analytic_evolve,
     from_site_basis,
     numeric_evolve,
@@ -56,7 +58,6 @@ from .rates import (
     helix_attenuation,
     load_modes_csv,
     rate_set,
-    renormalized_frequencies,
 )
 
 PRESETS = ("site1", "site2", "exciton1", "exciton2", "custom")
@@ -288,6 +289,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"sweep.theta_list: not a comma-separated float list: {raw_thetas!r}") from None
     if not theta_list:
         raise ConfigError("sweep.theta_list: must not be empty")
+    for theta in theta_list:
+        if not -math.pi <= theta <= math.pi:
+            raise ConfigError(f"sweep.theta_list: theta must lie in [-pi, pi], got {theta}")
     eta_lo = _parse_float("sweep", "eta_lo", merged["sweep"]["eta_lo"])
     eta_hi = _parse_float("sweep", "eta_hi", merged["sweep"]["eta_hi"])
     if not 0.0 < eta_lo < eta_hi:
@@ -538,9 +542,7 @@ def cmd_renorm(cfg: RunConfig) -> int:
     delta_plus, delta_minus = frequency_renormalization(
         cfg.bath.modes, frame.omega0, cfg.bath.temperature
     )
-    bar_plus, bar_minus = renormalized_frequencies(
-        frame.omega_plus, frame.omega_minus, cfg.bath.modes, cfg.bath.temperature
-    )
+    bar_plus, bar_minus = frame.omega_plus - delta_plus, frame.omega_minus - delta_minus
     items = [
         ("omega_plus_cm1", _fmt(frame.omega_plus)),
         ("omega_minus_cm1", _fmt(frame.omega_minus)),
@@ -696,6 +698,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except ResonantModeError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except StepSizeError as exc:
+        print(f"config error: time.dt: {exc}", file=sys.stderr)
         return 2
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)

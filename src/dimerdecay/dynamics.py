@@ -357,9 +357,10 @@ def numeric_evolve(
     # increment matrix of the classical 4-stage scheme for a linear
     # autonomous system: hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, exactly
     # the k1..k4 combination collapsed onto rho' = M rho.  Applied as
-    # y += D y rather than y = (I + D) y: keeping the identity out of
-    # the matvec keeps the per-step round-off unbiased, so conserved
-    # quantities only random-walk at machine precision
+    # y += D y rather than y = (I + D) y to keep the identity out of
+    # the matvec.  The trace error is not an unbiased random walk: for
+    # the default dimer at dt = 0.01 fs it stays near 1e-14 up to about
+    # 16 ps, then jumps, and fails the state's 1e-12 check at 18.9 ps
     incr = hm @ (eye + hm @ (eye / 2.0 + hm @ (eye / 6.0 + hm / 24.0)))
 
     y = state.rho.reshape(9).astype(complex)

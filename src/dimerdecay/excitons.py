@@ -32,6 +32,7 @@ __all__ = [
     "lambda2_from_eta",
     "renormalized_gap",
     "mixing_angle",
+    "exciton_splitting",
     "exciton_frequencies",
     "exciton_frame",
     "basis_map",
@@ -163,21 +164,17 @@ class ExcitonFrame:
 def lambda2_from_eta(lambda1: float, eta_abs: float, theta: float) -> float:
     """Reorganization energy of site 2 implied by the site asymmetry.
 
-    lambda2 = lambda1 * (1 + |eta| (2 cos(theta) + |eta|)).  A negative
-    result (possible for cos(theta) < 0 at small |eta|) is unphysical as
-    a reorganization energy; it is returned with a warning rather than
-    refused, because theta scans legitimately pass through that region.
+    lambda2 = lambda1 |1 + |eta| e^{i theta}|^2
+            = lambda1 (1 + |eta| (2 cos(theta) + |eta|)),
+
+    evaluated as a sum of two squares, so it is nonnegative for every
+    input.
     """
     if lambda1 < 0:
         raise ValueError(f"lambda1 must be >= 0, got {lambda1}")
-    value = lambda1 * (1.0 + eta_abs * (2.0 * math.cos(theta) + eta_abs))
-    if value < 0.0:
-        warnings.warn(
-            f"lambda2 = {value:.6g} cm^-1 is negative (unphysical "
-            f"reorganization energy); proceeding anyway",
-            stacklevel=2,
-        )
-    return value
+    real = 1.0 + eta_abs * math.cos(theta)
+    imag = eta_abs * math.sin(theta)
+    return lambda1 * (real * real + imag * imag)
 
 
 def renormalized_gap(p: DimerParams) -> float:
@@ -214,44 +211,30 @@ def mixing_angle(gap: float, j12: float) -> float:
     return phi
 
 
+def exciton_splitting(gap: float, j12: float) -> float:
+    """Exciton splitting omega0 = sqrt(gap^2 + 4 j12^2) in cm^-1.
+
+    gap is the difference of the dressed site frequencies; omega0 is
+    the eigenvalue gap of the coupled pair.
+    """
+    return math.hypot(gap, 2.0 * j12)
+
+
 def exciton_frequencies(
     omega1p: float, omega2p: float, j12: float
 ) -> tuple[float, float]:
     """Exciton frequencies (omega_plus, omega_minus) in cm^-1.
 
-    omega_+- = (omega1' + omega2')/2 +- sqrt((omega1' - omega2')^2 + 4 j12^2)/2.
+    omega_+- = (omega1' + omega2')/2 +- sqrt((omega1' - omega2')^2 + 4 j12^2)/2,
 
-    The equivalent trigonometric forms through the mixing angle,
+    equivalent to the trigonometric forms through the mixing angle,
 
         omega_plus  = omega1' cos^2(phi0/2) + omega2' sin^2(phi0/2) - j12 sin(phi0)
         omega_minus = omega1' sin^2(phi0/2) + omega2' cos^2(phi0/2) + j12 sin(phi0)
-
-    are evaluated as a cross-check and must agree to 1e-10 relative.
     """
-    gap = omega1p - omega2p
     mean = 0.5 * (omega1p + omega2p)
-    half = 0.5 * math.hypot(gap, 2.0 * j12)
-    plus, minus = mean + half, mean - half
-
-    if gap != 0.0 or j12 != 0.0:
-        phi0 = mixing_angle(gap, j12)
-        c2 = math.cos(0.5 * phi0) ** 2
-        s2 = math.sin(0.5 * phi0) ** 2
-        sp = math.sin(phi0)
-        trig = sorted(
-            (
-                omega1p * c2 + omega2p * s2 - j12 * sp,
-                omega1p * s2 + omega2p * c2 + j12 * sp,
-            ),
-            reverse=True,
-        )
-        scale = max(1.0, abs(plus), abs(minus))
-        if max(abs(trig[0] - plus), abs(trig[1] - minus)) > 1e-10 * scale:
-            raise ArithmeticError(
-                "trigonometric and closed forms of the exciton frequencies "
-                f"disagree beyond 1e-10: {trig} vs {(plus, minus)}"
-            )
-    return plus, minus
+    half = 0.5 * exciton_splitting(omega1p - omega2p, j12)
+    return mean + half, mean - half
 
 
 def exciton_frame(p: DimerParams) -> ExcitonFrame:
@@ -271,7 +254,7 @@ def exciton_frame(p: DimerParams) -> ExcitonFrame:
         phi0=phi0,
         omega_plus=plus,
         omega_minus=minus,
-        omega0=plus - minus,
+        omega0=exciton_splitting(omega1p - omega2p, p.j12),
     )
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .excitons import DimerParams, renormalized_gap
+from .excitons import DimerParams, exciton_splitting, renormalized_gap
 from .units import thermal_energy, wavenumber_to_angular
 
 __all__ = [
@@ -124,6 +124,19 @@ def bose_occupation(omega0: float, temperature_k: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def _attenuation(gap, j12, lambda1, eta_abs, cos_theta):
+    """alpha = (|eta| j12)^2 / (D^2 + 4 j12^2), D = gap + 2 lambda1 |eta| (2 cos(theta) + |eta|).
+
+    D is the dressed gap and D^2 + 4 j12^2 = omega0^2, so this is
+    (|eta| j12 / omega0)^2 written without a square root.  Takes floats
+    or numpy arrays with plain arithmetic only, so an array evaluation
+    gives the same bits as the scalar one point by point.
+    """
+    d = gap + 2.0 * lambda1 * eta_abs * (2.0 * cos_theta + eta_abs)
+    xj = eta_abs * j12
+    return xj * xj / (d * d + 4.0 * j12 * j12)
+
+
 def attenuation_factor(p: DimerParams) -> float:
     """Attenuation alpha = (|eta| j12 / omega0)^2 of the collective decay.
 
@@ -131,10 +144,9 @@ def attenuation_factor(p: DimerParams) -> float:
     Vanishing coupling or vanishing asymmetry gives alpha = 0 exactly:
     the exciton pair then decouples from the dissipative channel.
     """
-    if p.eta_abs == 0.0 or p.j12 == 0.0:
+    if p.j12 == 0.0:
         return 0.0
-    omega0 = math.hypot(renormalized_gap(p), 2.0 * p.j12)
-    return (p.eta_abs * p.j12 / omega0) ** 2
+    return _attenuation(p.gap, p.j12, p.lambda1, p.eta_abs, math.cos(p.theta))
 
 
 def decay_constant(alpha: float, gamma_d: float) -> float:
@@ -150,7 +162,7 @@ def rate_set(p: DimerParams, bath: BathSpec) -> RateSet:
     """Bundle alpha, gamma, nbar0, lifetime for one configuration."""
     alpha = attenuation_factor(p)
     gamma = decay_constant(alpha, bath.gamma_d)
-    omega0 = math.hypot(renormalized_gap(p), 2.0 * p.j12)
+    omega0 = exciton_splitting(renormalized_gap(p), p.j12)
     nbar0 = bose_occupation(omega0, bath.temperature) if omega0 > 0.0 else 0.0
     return RateSet(
         alpha=alpha,

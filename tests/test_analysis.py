@@ -45,6 +45,30 @@ ESTIMATES_AT_22 = {
 
 LIMIT_ETA_200_5_14 = 10.690449676496975
 
+# every positive |eta| with 1/alpha = ratio at theta = 0, far outside the
+# O(1) physics, frozen from 40-digit evaluations
+WIDE_ROOTS = {
+    1e5: (0.0074766169988804565, 431.67982215074415),
+    1e12: (2.3584971059361797e-6, 1371426.5714273214),
+}
+
+# global minima a fixed scan window or grid misses, frozen from 40-digit
+# evaluations: (dimer, theta, (eta_min, inv_alpha_min))
+GLOBAL_MINIMA = {
+    # weak reorganization pushes the optimum far beyond |eta| ~ 1
+    "weak_lambda1": (
+        DimerParams(60.0, -60.0, -96.0, 0.01, 0.71, 0.0),
+        0.0,
+        (106.16607458100101, 0.0015319660455314035),
+    ),
+    # j12 << lambda1 with cos(theta) < 0: a narrow dip where D(x) ~ 0
+    "narrow_dip": (
+        DimerParams(50.0, -50.0, 0.2, 900.0, 0.5, 0.0),
+        2.8,
+        (1.854487323167951, 1.1630871439204454),
+    ),
+}
+
 
 # --------------------------------------------------------------- containers
 
@@ -73,6 +97,13 @@ def test_sweep_without_coupling_is_rejected():
     p = DimerParams(60.0, -60.0, 0.0, 35.0, 0.71, 0.0)
     with pytest.raises(ValueError, match="vanishes on the whole grid"):
         sweep_inverse_alpha(p, 0.0, [0.5, 1.0, 2.0])
+
+
+def test_sweep_reports_overflowing_inverse_alpha_as_inf():
+    # alpha underflows to 0 at |eta| j12 ~ 1e-198; 1/alpha is then inf
+    res = sweep_inverse_alpha(FMO, 0.0, [1e-200, 1.0])
+    assert res.points[0] == (1e-200, math.inf)
+    assert math.isfinite(res.points[1][1])
 
 
 def test_sweep_points_match_direct_evaluation():
@@ -125,6 +156,25 @@ def test_find_alpha_minimum_is_local_minimum():
         assert neighbour > inv_min
 
 
+@pytest.mark.parametrize("case", sorted(GLOBAL_MINIMA))
+def test_find_alpha_minimum_global_values(case):
+    from dataclasses import replace
+
+    p, theta, (ref_eta, ref_inv) = GLOBAL_MINIMA[case]
+    eta_min, inv_min = find_alpha_minimum(p, theta)
+    assert eta_min == pytest.approx(ref_eta, rel=1e-9)
+    assert inv_min == pytest.approx(ref_inv, rel=1e-9)
+    for x in (0.99 * eta_min, 1.01 * eta_min):
+        assert 1.0 / attenuation_factor(replace(p, eta_abs=x, theta=theta)) > inv_min
+
+
+def test_find_alpha_minimum_without_reorganization():
+    # at lambda1 = 0, 1/alpha = (gap^2 + 4 j12^2) / (|eta| j12)^2 only falls
+    p = DimerParams(60.0, -60.0, -96.0, 0.0, 0.71, 0.0)
+    with pytest.raises(NoSolutionError, match="no interior minimum"):
+        find_alpha_minimum(p, 0.0)
+
+
 def test_find_alpha_minimum_needs_coupling():
     p = DimerParams(60.0, -60.0, 0.0, 35.0, 0.71, 0.0)
     with pytest.raises(ValueError, match="j12 must be nonzero"):
@@ -167,6 +217,18 @@ def test_estimate_eta_back_substitutes(theta):
         replace(FMO, eta_abs=est.eta_abs, theta=theta)
     )
     assert back == pytest.approx(22.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("ratio", sorted(WIDE_ROOTS))
+def test_estimate_eta_finds_every_root(ratio):
+    from dataclasses import replace
+
+    est = estimate_eta(FMO, 0.0, ratio)
+    assert est.all_roots == pytest.approx(WIDE_ROOTS[ratio], rel=1e-9)
+    assert est.eta_abs == est.all_roots[0]
+    for x in est.all_roots:
+        back = 1.0 / attenuation_factor(replace(FMO, eta_abs=x))
+        assert back == pytest.approx(ratio, rel=1e-8)
 
 
 def test_estimate_eta_returns_smallest_root():

@@ -156,6 +156,33 @@ def test_unattainable_ratio_exit_4(tmp_path, capsys):
     assert "no solution" in capsys.readouterr().err
 
 
+EXIT_CASES = [
+    ("sweep --j12 0", 4, "no solution: attenuation vanishes"),
+    ("minimize --j12 0", 4, "no solution: j12 must be nonzero"),
+    ("sweep --lambda1 0", 4, "no solution: no interior minimum"),
+    ("minimize --lambda1 0", 4, "no solution: no interior minimum"),
+    ("sweep --theta-list 4", 2, "config error: sweep.theta_list"),
+    ("minimize --theta-list 4", 2, "config error: sweep.theta_list"),
+    ("estimate --theta-list 4", 2, "config error: sweep.theta_list"),
+    ("evolve --dt 5", 2, "config error: time.dt: dt = 5"),
+    ("estimate --target-ratio 1e12", 0, "theta=0: |eta|=2.35849711e-06"),
+    ("minimize --lambda1 0.01", 0, "theta=0: eta_min=106.166075"),
+]
+
+
+@pytest.mark.parametrize(
+    "cmdline, code, text", EXIT_CASES, ids=[case[0] for case in EXIT_CASES]
+)
+def test_inverse_and_evolve_exit_codes(cmdline, code, text, tmp_path, capsys):
+    assert main(cmdline.split() + ["--output-dir", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        # one line on stderr, no traceback
+        assert err.startswith(text) and err.count("\n") == 1
+    else:
+        assert text in out and err == ""
+
+
 # --------------------------------------------------------------- sweep
 
 def test_sweep_small_grid_with_gnuplot(tmp_path, capsys):

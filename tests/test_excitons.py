@@ -160,15 +160,28 @@ def test_exciton_frequencies_bare_splitting():
     st.floats(min_value=-200.0, max_value=200.0),
 )
 def test_exciton_frequencies_trace_and_splitting(w1, w2, j12):
-    with warnings.catch_warnings():
-        # random draws legitimately produce out-of-order dressed frequencies
-        warnings.simplefilter("ignore", UserWarning)
-        plus, minus = exciton_frequencies(w1, w2, j12)
+    plus, minus = exciton_frequencies(w1, w2, j12)
     scale = max(1.0, abs(w1) + abs(w2))
     assert plus + minus == pytest.approx(w1 + w2, abs=1e-12 * scale)
     assert plus >= minus
     # splitting is bounded below by twice the coupling
     assert plus - minus >= 2.0 * abs(j12) - 1e-12 * scale
+    # the trigonometric forms through the mixing angle agree
+    if w1 != w2 or j12 != 0.0:
+        with warnings.catch_warnings():
+            # random draws legitimately produce out-of-order dressed frequencies
+            warnings.simplefilter("ignore", UserWarning)
+            phi0 = mixing_angle(w1 - w2, j12)
+        c2 = math.cos(0.5 * phi0) ** 2
+        s2 = math.sin(0.5 * phi0) ** 2
+        sp = math.sin(phi0)
+        trig = sorted(
+            (w1 * c2 + w2 * s2 - j12 * sp, w1 * s2 + w2 * c2 + j12 * sp),
+            reverse=True,
+        )
+        assert trig == pytest.approx(
+            [plus, minus], abs=1e-10 * max(1.0, abs(plus), abs(minus))
+        )
 
 
 def test_exciton_frequencies_splitting_floor_is_tight():

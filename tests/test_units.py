@@ -94,5 +94,7 @@ def test_thermal_energy_rejects_nonpositive():
     st.floats(min_value=1e-12, max_value=1e6),
 )
 def test_thermal_energy_strictly_increasing(t, dt):
-    assume(t + dt > t)  # skip increments below the float resolution of t
+    # skip increments below the float resolution of t: kB * t rounds
+    # both products to the same value unless dt spans a few ulps of t
+    assume(dt > 4.0 * math.ulp(t))
     assert thermal_energy(t + dt) > thermal_energy(t)

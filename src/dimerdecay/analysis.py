@@ -113,16 +113,19 @@ def _positive_roots(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Both inverse problems take this form with D the dressed gap.  The
     expanded coefficients lose accuracy where D nearly cancels, so the
-    Newton step evaluates the residual in the factored form.  A root
-    whose imaginary part is below 1e-6 of its real part counts as real:
-    a double root splits into such a pair under round-off.
+    Newton step evaluates the residual in the factored form.  A
+    conjugate pair whose imaginary part is below 1e-6 of its real part
+    is a double root split by round-off: it counts as real, and is not
+    polished, because the Newton slope vanishes there.
     """
     coeffs = np.polyadd(np.polymul(a, d), b)
     roots = np.roots(coeffs)
-    x = roots.real[(roots.real > 0.0) & (np.abs(roots.imag) <= 1e-6 * roots.real)]
+    roots = roots[(roots.real > 0.0) & (np.abs(roots.imag) <= 1e-6 * roots.real)]
+    x = roots.real
     residual = np.polyval(a, x) * np.polyval(d, x) + np.polyval(b, x)
     slope = np.polyval(np.polyder(coeffs), x)
-    step = np.divide(residual, slope, out=np.zeros_like(x), where=slope != 0.0)
+    simple = (roots.imag == 0.0) & (slope != 0.0)
+    step = np.divide(residual, slope, out=np.zeros_like(x), where=simple)
     return np.unique(x - step)
 
 

@@ -231,6 +231,14 @@ def test_estimate_eta_finds_every_root(ratio):
         assert back == pytest.approx(ratio, rel=1e-8)
 
 
+@pytest.mark.parametrize("factor", [1.0 - 1e-13, 1.0, 1.0 + 1e-13])
+def test_estimate_eta_at_the_minimum_returns_the_tangent_point(factor):
+    # a double root reaches the solver as a pair split by round-off
+    eta_min, inv_min = find_alpha_minimum(FMO, 0.0)
+    est = estimate_eta(FMO, 0.0, factor * inv_min)
+    assert est.all_roots == pytest.approx([eta_min] * len(est.all_roots), rel=1e-6)
+
+
 def test_estimate_eta_returns_smallest_root():
     est = estimate_eta(FMO, 0.5 * math.pi, 22.0)
     assert est.eta_abs == min(est.all_roots)

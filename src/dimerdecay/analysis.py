@@ -8,21 +8,11 @@ magnitude x = |eta| at fixed phase theta:
 * which |eta| reproduces a measured lifetime ratio gamma_d/gamma.
 
 With the dressed gap D(x) = gap + 4 lambda1 cos(theta) x + 2 lambda1 x^2,
-
-    1/alpha = (D^2 + 4 j12^2) / (x^2 j12^2)
-
-is a rational function of x, so both inverse questions are exact
-polynomial problems.  Its interior minimum is a positive real root of
-the quartic 4 lambda1 x (cos(theta) + x) D - D^2 - 4 j12^2, and a
-lifetime ratio r is reached at the positive real roots of
-D^2 + 4 j12^2 - r x^2 j12^2.  The roots are the eigenvalues of the
-companion matrix (numpy.roots), each polished by one Newton step and
-checked by back-substitution into the attenuation factor.
-
-For lambda1 > 0, 1/alpha diverges at both x -> 0 and x -> infinity, so
-an interior minimum always exists; a target ratio below that minimum
-has no solution and is reported as such.  For lambda1 = 0, 1/alpha
-falls monotonically and has no interior minimum.
+1/alpha = (D^2 + 4 j12^2) / (x^2 j12^2) is rational in x, so the minimum
+and the inversion are positive real roots of quartics, found as
+companion-matrix eigenvalues and checked by back-substitution.  For
+lambda1 > 0 an interior minimum always exists and a target ratio below
+it has no solution; for lambda1 = 0, 1/alpha only falls.
 """
 
 from __future__ import annotations
@@ -92,11 +82,7 @@ class EtaEstimate:
 
 
 def _inverse_alpha(p: DimerParams, theta: float, eta_abs: np.ndarray) -> np.ndarray:
-    """1/alpha over an array of |eta| at phase theta.
-
-    Where alpha underflows to 0 (|eta| j12 below about 1e-154), 1/alpha
-    is inf, its correctly rounded value.
-    """
+    """1/alpha over an array of |eta|; inf where alpha underflows to 0."""
     with np.errstate(divide="ignore"):
         return 1.0 / _attenuation(p.gap, p.j12, p.lambda1, eta_abs, math.cos(theta))
 
@@ -111,12 +97,10 @@ def _gap_polynomial(p: DimerParams, theta: float) -> np.ndarray:
 def _positive_roots(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted positive real roots of A(x) D(x) + B(x), Newton-polished once.
 
-    Both inverse problems take this form with D the dressed gap.  The
-    expanded coefficients lose accuracy where D nearly cancels, so the
-    Newton step evaluates the residual in the factored form.  A
-    conjugate pair whose imaginary part is below 1e-6 of its real part
-    is a double root split by round-off: it counts as real, and is not
-    polished, because the Newton slope vanishes there.
+    The residual is taken in this factored form: the expanded quartic
+    loses accuracy where D nearly cancels.  A conjugate pair within 1e-6
+    of the real axis is a double root split by round-off; it counts as
+    real and is not polished, since the Newton slope vanishes there.
     """
     coeffs = np.polyadd(np.polymul(a, d), b)
     roots = np.roots(coeffs)

@@ -125,12 +125,10 @@ def bose_occupation(omega0: float, temperature_k: float) -> float:
 
 
 def _attenuation(gap, j12, lambda1, eta_abs, cos_theta):
-    """alpha = (|eta| j12)^2 / (D^2 + 4 j12^2), D = gap + 2 lambda1 |eta| (2 cos(theta) + |eta|).
+    """alpha = (|eta| j12)^2 / (D^2 + 4 j12^2) with D the dressed gap.
 
-    D is the dressed gap and D^2 + 4 j12^2 = omega0^2, so this is
-    (|eta| j12 / omega0)^2 written without a square root.  Takes floats
-    or numpy arrays with plain arithmetic only, so an array evaluation
-    gives the same bits as the scalar one point by point.
+    D^2 + 4 j12^2 = omega0^2.  Floats or numpy arrays; plain arithmetic
+    only, so an array gives the same bits as the scalars point by point.
     """
     d = gap + 2.0 * lambda1 * eta_abs * (2.0 * cos_theta + eta_abs)
     xj = eta_abs * j12

@@ -94,23 +94,43 @@ def _gap_polynomial(p: DimerParams, theta: float) -> np.ndarray:
     return np.array([2.0 * p.lambda1, 4.0 * p.lambda1 * math.cos(theta), p.gap])
 
 
-def _positive_roots(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted positive real roots of A(x) D(x) + B(x), Newton-polished once.
+def _taylor(q: np.ndarray, x: float) -> tuple[float, float, float]:
+    """q(x), q'(x) and q''(x)/2 for the polynomial coefficients q."""
+    q1 = np.polyder(q)
+    return np.polyval(q, x), np.polyval(q1, x), 0.5 * np.polyval(np.polyder(q1), x)
 
-    The residual is taken in this factored form: the expanded quartic
-    loses accuracy where D nearly cancels.  A conjugate pair within 1e-6
-    of the real axis is a double root split by round-off; it counts as
-    real and is not polished, since the Newton slope vanishes there.
+
+def _positive_roots(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted positive real roots of f = A D + B.
+
+    np.roots on the expanded f places them, but the expanded
+    coefficients lose accuracy where D nearly cancels: a close pair of
+    real roots can come out complex, and a complex pair real.  So every
+    root within 1e-3 of the positive real axis is replaced by the roots
+    of the quadratic Taylor model of f at its real part, with f, f' and
+    f'' taken in the factored form: a real root by the nearer model
+    root, a complex pair by both, and either by none when the model
+    roots are complex.
     """
-    coeffs = np.polyadd(np.polymul(a, d), b)
-    roots = np.roots(coeffs)
-    roots = roots[(roots.real > 0.0) & (np.abs(roots.imag) <= 1e-6 * roots.real)]
-    x = roots.real
-    residual = np.polyval(a, x) * np.polyval(d, x) + np.polyval(b, x)
-    slope = np.polyval(np.polyder(coeffs), x)
-    simple = (roots.imag == 0.0) & (slope != 0.0)
-    step = np.divide(residual, slope, out=np.zeros_like(x), where=simple)
-    return np.unique(x - step)
+    roots = set()
+    for z in np.roots(np.polyadd(np.polymul(a, d), b)):
+        x = z.real
+        # one root of each conjugate pair
+        if not (x > 0.0 and 0.0 <= z.imag <= 1e-3 * x):
+            continue
+        (a0, a1, a2), (d0, d1, d2), (b0, b1, b2) = (_taylor(q, x) for q in (a, d, b))
+        f0 = a0 * d0 + b0
+        f1 = a1 * d0 + a0 * d1 + b1
+        f2 = a2 * d0 + a1 * d1 + a0 * d2 + b2
+        disc = f1 * f1 - 4.0 * f0 * f2
+        if disc < 0.0:
+            continue
+        # model roots f0/q and q/f2, the first the nearer one
+        q = -0.5 * (f1 + math.copysign(math.sqrt(disc), f1))
+        roots.add(x + f0 / q if q else x)
+        if z.imag > 0.0 and f2:
+            roots.add(x + q / f2)
+    return np.array(sorted(x for x in roots if x > 0.0))
 
 
 def sweep_inverse_alpha(
@@ -145,8 +165,7 @@ def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
 
     The stationary points of 1/alpha are the positive real roots of
     x D'(x) D(x) - D(x)^2 - 4 j12^2, with D'(x) = 4 lambda1 (cos(theta) + x);
-    the one with the smallest 1/alpha is returned, after checking that
-    its neighbours at a relative distance of 1e-6 lie no lower.
+    the one with the smallest 1/alpha is returned.
     """
     if p.j12 == 0.0:
         raise NoSolutionError(
@@ -163,14 +182,7 @@ def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
         )
     values = _inverse_alpha(p, theta, roots)
     k = int(np.argmin(values))
-    xmin, inv_min = float(roots[k]), float(values[k])
-    lower, upper = _inverse_alpha(p, theta, xmin * np.array([1.0 - 1e-6, 1.0 + 1e-6]))
-    if min(lower, upper) < inv_min:
-        raise ArithmeticError(
-            f"stationary point {xmin} fails back-substitution: 1/alpha = "
-            f"{inv_min} is not below its neighbours {lower}, {upper}"
-        )
-    return xmin, inv_min
+    return float(roots[k]), float(values[k])
 
 
 def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:

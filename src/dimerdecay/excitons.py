@@ -177,12 +177,17 @@ def lambda2_from_eta(lambda1: float, eta_abs: float, theta: float) -> float:
     return lambda1 * (real * real + imag * imag)
 
 
+def _dressed_gap(gap, lambda1, eta_abs, cos_theta):
+    """gap + 2 lambda1 |eta| (2 cos(theta) + |eta|) for floats or numpy arrays."""
+    return gap + 2.0 * lambda1 * eta_abs * (2.0 * cos_theta + eta_abs)
+
+
 def renormalized_gap(p: DimerParams) -> float:
     """Gap between the phonon-dressed site frequencies, in cm^-1.
 
     omega1' - omega2' = (omega1 - omega2) + 2 lambda1 |eta| (2 cos(theta) + |eta|).
     """
-    return p.gap + 2.0 * p.lambda1 * p.eta_abs * (2.0 * math.cos(p.theta) + p.eta_abs)
+    return _dressed_gap(p.gap, p.lambda1, p.eta_abs, math.cos(p.theta))
 
 
 def mixing_angle(gap: float, j12: float) -> float:
@@ -254,7 +259,7 @@ def exciton_frame(p: DimerParams) -> ExcitonFrame:
         phi0=phi0,
         omega_plus=plus,
         omega_minus=minus,
-        omega0=exciton_splitting(omega1p - omega2p, p.j12),
+        omega0=plus - minus,
     )
 
 

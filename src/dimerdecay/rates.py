@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .excitons import DimerParams, exciton_splitting, renormalized_gap
+from .excitons import DimerParams, _dressed_gap, exciton_splitting, renormalized_gap
 from .units import thermal_energy, wavenumber_to_angular
 
 __all__ = [
@@ -130,7 +130,7 @@ def _attenuation(gap, j12, lambda1, eta_abs, cos_theta):
     D^2 + 4 j12^2 = omega0^2.  Floats or numpy arrays; plain arithmetic
     only, so an array gives the same bits as the scalars point by point.
     """
-    d = gap + 2.0 * lambda1 * eta_abs * (2.0 * cos_theta + eta_abs)
+    d = _dressed_gap(gap, lambda1, eta_abs, cos_theta)
     xj = eta_abs * j12
     return xj * xj / (d * d + 4.0 * j12 * j12)
 

@@ -45,14 +45,31 @@ ESTIMATES_AT_22 = {
 
 LIMIT_ETA_200_5_14 = 10.690449676496975
 
-# every positive |eta| with 1/alpha = ratio at theta = 0, far outside the
-# O(1) physics, frozen from 40-digit evaluations
-WIDE_ROOTS = {
-    1e5: (0.0074766169988804565, 431.67982215074415),
-    1e12: (2.3584971059361797e-6, 1371426.5714273214),
+# every positive |eta| with 1/alpha = ratio, frozen from 40-digit
+# evaluations: (dimer, theta, ratio, roots)
+ALL_ROOTS = {
+    # far outside the O(1) physics
+    "ratio_1e5": (FMO, 0.0, 1e5, (0.0074766169988804565, 431.67982215074415)),
+    "ratio_1e12": (FMO, 0.0, 1e12, (2.3584971059361797e-6, 1371426.5714273214)),
+    # 1e-12 above the minimum at theta = 0: a pair 2.3e-6 apart
+    "near_minimum": (
+        FMO,
+        0.0,
+        13.158734514537828,
+        (1.6409547864776985, 1.6409585797714513),
+    ),
+    # j12 ~ 5e-7 lambda1: a pair 9e-7 apart where D nearly cancels
+    "weak_coupling": (
+        DimerParams.from_gap(
+            143.6325037627572, 0.0023294772971787564, 4801.480673880798, 0.5, 0.0
+        ),
+        -2.44382949835983,
+        9.79136045026081,
+        (1.5227393878298283, 1.5227407746832106),
+    ),
 }
 
-# global minima a fixed scan window or grid misses, frozen from 40-digit
+# interior minima besides the FMO phases, frozen from 40-digit
 # evaluations: (dimer, theta, (eta_min, inv_alpha_min))
 GLOBAL_MINIMA = {
     # weak reorganization pushes the optimum far beyond |eta| ~ 1
@@ -68,7 +85,6 @@ GLOBAL_MINIMA = {
         (1.854487323167951, 1.1630871439204454),
     ),
 }
-
 
 # --------------------------------------------------------------- containers
 
@@ -137,12 +153,21 @@ def test_sweep_is_unimodal_around_minimum():
 
 # --------------------------------------------------------------- minima
 
-@pytest.mark.parametrize("theta", sorted(MINIMA))
-def test_find_alpha_minimum_frozen_values(theta):
-    eta_min, inv_min = find_alpha_minimum(FMO, theta)
-    ref_eta, ref_inv = MINIMA[theta]
+@pytest.mark.parametrize(
+    "p, theta, ref",
+    [(FMO, theta, MINIMA[theta]) for theta in sorted(MINIMA)]
+    + list(GLOBAL_MINIMA.values()),
+    ids=[str(theta) for theta in sorted(MINIMA)] + list(GLOBAL_MINIMA),
+)
+def test_find_alpha_minimum_frozen_values(p, theta, ref):
+    from dataclasses import replace
+
+    eta_min, inv_min = find_alpha_minimum(p, theta)
+    ref_eta, ref_inv = ref
     assert eta_min == pytest.approx(ref_eta, abs=2e-6)
     assert inv_min == pytest.approx(ref_inv, rel=1e-9)
+    for x in (0.99 * eta_min, 1.01 * eta_min):
+        assert 1.0 / attenuation_factor(replace(p, eta_abs=x, theta=theta)) > inv_min
 
 
 def test_find_alpha_minimum_is_local_minimum():
@@ -156,28 +181,13 @@ def test_find_alpha_minimum_is_local_minimum():
         assert neighbour > inv_min
 
 
-@pytest.mark.parametrize("case", sorted(GLOBAL_MINIMA))
-def test_find_alpha_minimum_global_values(case):
-    from dataclasses import replace
-
-    p, theta, (ref_eta, ref_inv) = GLOBAL_MINIMA[case]
-    eta_min, inv_min = find_alpha_minimum(p, theta)
-    assert eta_min == pytest.approx(ref_eta, rel=1e-9)
-    assert inv_min == pytest.approx(ref_inv, rel=1e-9)
-    for x in (0.99 * eta_min, 1.01 * eta_min):
-        assert 1.0 / attenuation_factor(replace(p, eta_abs=x, theta=theta)) > inv_min
-
-
-def test_find_alpha_minimum_without_reorganization():
-    # at lambda1 = 0, 1/alpha = (gap^2 + 4 j12^2) / (|eta| j12)^2 only falls
-    p = DimerParams(60.0, -60.0, -96.0, 0.0, 0.71, 0.0)
-    with pytest.raises(NoSolutionError, match="no interior minimum"):
-        find_alpha_minimum(p, 0.0)
-
-
 def test_find_alpha_minimum_needs_coupling():
     p = DimerParams(60.0, -60.0, 0.0, 35.0, 0.71, 0.0)
     with pytest.raises(ValueError, match="j12 must be nonzero"):
+        find_alpha_minimum(p, 0.0)
+    # at lambda1 = 0, 1/alpha = (gap^2 + 4 j12^2) / (|eta| j12)^2 only falls
+    p = DimerParams(60.0, -60.0, -96.0, 0.0, 0.71, 0.0)
+    with pytest.raises(NoSolutionError, match="no interior minimum"):
         find_alpha_minimum(p, 0.0)
 
 
@@ -219,24 +229,18 @@ def test_estimate_eta_back_substitutes(theta):
     assert back == pytest.approx(22.0, rel=1e-8)
 
 
-@pytest.mark.parametrize("ratio", sorted(WIDE_ROOTS))
-def test_estimate_eta_finds_every_root(ratio):
+@pytest.mark.parametrize(
+    "p, theta, ratio, roots", list(ALL_ROOTS.values()), ids=list(ALL_ROOTS)
+)
+def test_estimate_eta_finds_every_root(p, theta, ratio, roots):
     from dataclasses import replace
 
-    est = estimate_eta(FMO, 0.0, ratio)
-    assert est.all_roots == pytest.approx(WIDE_ROOTS[ratio], rel=1e-9)
+    est = estimate_eta(p, theta, ratio)
+    assert est.all_roots == pytest.approx(roots, rel=1e-9)
     assert est.eta_abs == est.all_roots[0]
     for x in est.all_roots:
-        back = 1.0 / attenuation_factor(replace(FMO, eta_abs=x))
+        back = 1.0 / attenuation_factor(replace(p, eta_abs=x, theta=theta))
         assert back == pytest.approx(ratio, rel=1e-8)
-
-
-@pytest.mark.parametrize("factor", [1.0 - 1e-13, 1.0, 1.0 + 1e-13])
-def test_estimate_eta_at_the_minimum_returns_the_tangent_point(factor):
-    # a double root reaches the solver as a pair split by round-off
-    eta_min, inv_min = find_alpha_minimum(FMO, 0.0)
-    est = estimate_eta(FMO, 0.0, factor * inv_min)
-    assert est.all_roots == pytest.approx([eta_min] * len(est.all_roots), rel=1e-6)
 
 
 def test_estimate_eta_returns_smallest_root():
@@ -256,6 +260,15 @@ def test_estimate_eta_unattainable_ratio():
     # the attainable floor at theta = 0 is about 13.16
     with pytest.raises(NoSolutionError, match="13.15"):
         estimate_eta(FMO, 0.0, 10.0)
+    # 1e-12 below it
+    with pytest.raises(NoSolutionError, match="13.15"):
+        estimate_eta(FMO, 0.0, 13.15873451451151)
+    # j12 ~ 1e-6 lambda1: a complex root pair within 1e-6 of the real axis
+    p = DimerParams.from_gap(
+        0.005221769572350904, -0.011769289172988358, 8573.481013712311, 0.5, 0.0
+    )
+    with pytest.raises(NoSolutionError, match="1.8756"):
+        estimate_eta(p, -2.3893797339403404, 0.48032721955858054)
 
 
 def test_estimate_eta_without_coupling():

@@ -26,6 +26,7 @@ from .dynamics import (
     from_site_basis,
     lindblad_generator,
     numeric_evolve,
+    numeric_trajectory,
     to_site_basis,
 )
 from .excitons import (
@@ -99,6 +100,7 @@ __all__ = [
     "StepSizeError",
     "analytic_evolve",
     "numeric_evolve",
+    "numeric_trajectory",
     "to_site_basis",
     "from_site_basis",
     "lindblad_generator",

@@ -250,11 +250,12 @@ def _fmt(x: float) -> str:
 
 def write_sweep_csv(fh: IO[str], results: Sequence[SweepResult]) -> None:
     """Serialize sweep curves: one row per (theta, eta) sample."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
+    # formatted numbers hold no separator or quote, so rows need no csv quoting
+    lines = [",".join(SWEEP_CSV_HEADER) + "\n"]
     for res in results:
-        for eta, inv_alpha in res.points:
-            writer.writerow([_fmt(res.theta), _fmt(eta), _fmt(inv_alpha)])
+        theta = _fmt(res.theta)
+        lines.extend(f"{theta},{_fmt(eta)},{_fmt(inv_alpha)}\n" for eta, inv_alpha in res.points)
+    fh.write("".join(lines))
 
 
 def write_theta_table_csv(

@@ -46,7 +46,7 @@ from .dynamics import (
     StepSizeError,
     analytic_evolve,
     from_site_basis,
-    numeric_evolve,
+    numeric_trajectory,
     to_site_basis,
     write_trajectory_csv,
 )
@@ -273,14 +273,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"initial_state.file: file not found: {state_file}")
 
     t_max = _parse_float("time", "t_max", merged["time"]["t_max"])
-    if not t_max > 0.0:
-        raise ConfigError(f"time.t_max: must be > 0 fs, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ConfigError(f"time.t_max: must be finite and > 0 fs, got {t_max}")
     time_points = _parse_int("time", "n_points", merged["time"]["n_points"])
     if time_points < 2:
         raise ConfigError(f"time.n_points: must be >= 2, got {time_points}")
     dt = _parse_float("time", "dt", merged["time"]["dt"])
     if not dt > 0.0:
         raise ConfigError(f"time.dt: must be > 0 fs, got {dt}")
+    if not math.isfinite(t_max / dt):
+        raise ConfigError(f"time.t_max: t_max/dt must be finite, got {t_max} fs / {dt} fs")
 
     raw_thetas = merged["sweep"]["theta_list"]
     try:
@@ -488,11 +490,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     times = np.linspace(0.0, cfg.t_max, cfg.time_points)
 
     analytic = [analytic_evolve(rho0, float(t), params) for t in times]
-    numeric = [rho0]
-    for t_prev, t_next in zip(times[:-1], times[1:]):
-        numeric.append(
-            numeric_evolve(numeric[-1], float(t_next - t_prev), cfg.dt, params)
-        )
+    numeric = numeric_trajectory(rho0, times, cfg.dt, params)
 
     if cfg.basis == "site":
         analytic = [to_site_basis(st, params.phi0) for st in analytic]

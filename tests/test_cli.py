@@ -165,6 +165,8 @@ EXIT_CASES = [
     ("minimize --theta-list 4", 2, "config error: sweep.theta_list"),
     ("estimate --theta-list 4", 2, "config error: sweep.theta_list"),
     ("evolve --dt 5", 2, "config error: time.dt: dt = 5"),
+    ("evolve --t-max inf", 2, "config error: time.t_max: must be finite"),
+    ("evolve --t-max 1e307 --time-points 2", 2, "config error: time.t_max: t_max/dt must be finite"),
 ]
 
 

@@ -2,10 +2,12 @@
 
 import io
 import math
+import time
 
 import numpy as np
 import pytest
 
+from dimerdecay.cli import main
 from dimerdecay.dynamics import (
     TRAJECTORY_CSV_HEADER,
     EvolutionParams,
@@ -15,9 +17,11 @@ from dimerdecay.dynamics import (
     from_site_basis,
     lindblad_generator,
     numeric_evolve,
+    numeric_trajectory,
     to_site_basis,
     write_trajectory_csv,
 )
+from dimerdecay.dynamics import _generator_matrix, _powered_increment, _rk4_increment
 from dimerdecay.excitons import DimerParams
 from dimerdecay.rates import BathSpec
 from dimerdecay.units import wavenumber_to_angular
@@ -424,7 +428,67 @@ def test_generator_freezes_populations_without_dissipation():
     assert np.all(act(rho).diagonal() == 0.0)
 
 
+def test_generator_matrix_equals_probe_of_generator():
+    rng = np.random.default_rng(53)
+    cases = [FMO_PARAMS] + [
+        EvolutionParams(
+            gamma=10.0 ** rng.uniform(-6.0, 1.0),
+            nbar0=10.0 ** rng.uniform(-4.0, 2.0),
+            omega_plus=rng.normal(scale=300.0),
+            omega_minus=rng.normal(scale=300.0),
+        )
+        for _ in range(20)
+    ]
+    for p in cases:
+        act = lindblad_generator(p)
+        probe = np.zeros((9, 9), dtype=complex)
+        for k in range(9):
+            unit = np.zeros(9, dtype=complex)
+            unit[k] = 1.0
+            probe[:, k] = act(unit.reshape(3, 3)).reshape(9)
+        assert np.array_equal(_generator_matrix(p), probe)
+
+
 # --------------------------------------------------------------- propagator
+
+def test_powered_increment_matches_step_loop():
+    y0 = coherent_state().rho.reshape(9)
+    incr = _rk4_increment(0.01 * _generator_matrix(FMO_PARAMS))
+    for n in list(range(1, 34)) + [1000]:
+        y = y0.copy()
+        for _ in range(n):
+            y = y + incr @ y
+        assert supnorm(y0 + _powered_increment(incr, n) @ y0, y) <= 1e-14, n
+
+
+def test_numeric_trajectory_equals_chained_evolve():
+    # nine distinct intervals, all of the same step count
+    times = np.linspace(0.0, 1234.5, 201)
+    traj = numeric_trajectory(coherent_state(), times, 0.01, FMO_PARAMS)
+    assert len(traj) == len(times)
+    chained = [coherent_state()]
+    for t_prev, t_next in zip(times[:-1], times[1:]):
+        chained.append(numeric_evolve(chained[-1], float(t_next - t_prev), 0.01, FMO_PARAMS))
+    for a, b in zip(traj, chained):
+        assert np.array_equal(a.rho, b.rho)
+
+
+@pytest.mark.parametrize("t_max", [2e4, 1e9])
+def test_long_horizons_keep_trace_and_closed_forms(t_max, tmp_path):
+    start = time.perf_counter()
+    code = main(["evolve", "--t-max", str(t_max), "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert time.perf_counter() - start < 5.0
+    with open(tmp_path / "trajectory_numeric.csv", encoding="utf-8") as fh:
+        supnorms = [float(line.rsplit(",", 1)[1]) for line in fh.readlines()[1:]]
+    assert max(supnorms) <= 1e-8
+
+    s = coherent_state()
+    times = np.linspace(0.0, t_max, 201)
+    for t, out in zip(times, numeric_trajectory(s, times, 0.01, FMO_PARAMS)):
+        assert abs(out.rho.trace() - 1.0) <= 1e-12
+        assert supnorm(out.rho, analytic_evolve(s, float(t), FMO_PARAMS).rho) <= 1e-8
+
 
 def test_numeric_evolve_validation():
     s = coherent_state()
@@ -434,6 +498,13 @@ def test_numeric_evolve_validation():
         numeric_evolve(s, -1.0, 0.01, FMO_PARAMS)
     with pytest.raises(ValueError, match="dt must be"):
         numeric_evolve(s, 1.0, 0.0, FMO_PARAMS)
+    with pytest.raises(ValueError, match="t must be"):
+        numeric_trajectory(s, [0.0, 2.0, 1.0], 0.01, FMO_PARAMS)
+    with pytest.raises(ValueError, match="t must be"):
+        numeric_trajectory(s, [0.0, math.inf], 0.01, FMO_PARAMS)
+    with pytest.raises(ValueError, match="t/dt must be finite"):
+        numeric_trajectory(s, [0.0, 1e307], 0.01, FMO_PARAMS)
+    assert numeric_trajectory(s, [5.0], 0.01, FMO_PARAMS) == [s]
 
 
 def test_numeric_evolve_rejects_coarse_step():

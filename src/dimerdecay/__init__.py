@@ -7,6 +7,8 @@ alpha = (|eta| j12 / omega0)^2.  The package provides the exciton
 transformation, the rate algebra, closed-form and numerical dynamics
 of the one-excitation density matrix, and the inverse analyses that
 recover |eta| from measured lifetime ratios.
+
+The names imported below are the package's top-level API.
 """
 
 from .analysis import (
@@ -23,11 +25,13 @@ from .dynamics import (
     OneExcitationState,
     StepSizeError,
     analytic_evolve,
+    analytic_trajectory,
     from_site_basis,
     lindblad_generator,
     numeric_evolve,
     numeric_trajectory,
     to_site_basis,
+    trajectory_to_site,
 )
 from .excitons import (
     DegenerateDimerError,
@@ -65,51 +69,3 @@ from .units import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "C_CM_PER_FS",
-    "KB_CM1_PER_K",
-    "wavenumber_to_angular",
-    "angular_to_wavenumber",
-    "thermal_energy",
-    "DimerParams",
-    "ExcitonFrame",
-    "DegenerateDimerError",
-    "lambda2_from_eta",
-    "renormalized_gap",
-    "mixing_angle",
-    "exciton_splitting",
-    "exciton_frequencies",
-    "exciton_frame",
-    "basis_map",
-    "su2_identity_check",
-    "BathSpec",
-    "RateSet",
-    "ResonantModeError",
-    "bose_occupation",
-    "attenuation_factor",
-    "decay_constant",
-    "rate_set",
-    "limit_inverse_alpha",
-    "helix_attenuation",
-    "frequency_renormalization",
-    "renormalized_frequencies",
-    "load_modes_csv",
-    "OneExcitationState",
-    "EvolutionParams",
-    "StepSizeError",
-    "analytic_evolve",
-    "numeric_evolve",
-    "numeric_trajectory",
-    "to_site_basis",
-    "from_site_basis",
-    "lindblad_generator",
-    "SweepResult",
-    "EtaEstimate",
-    "NoSolutionError",
-    "sweep_inverse_alpha",
-    "find_alpha_minimum",
-    "estimate_eta",
-    "estimate_eta_limit",
-    "__version__",
-]

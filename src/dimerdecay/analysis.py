@@ -26,6 +26,7 @@ import numpy as np
 
 from .excitons import DimerParams, lambda2_from_eta
 from .rates import _attenuation
+from .units import _fmt
 
 __all__ = [
     "NoSolutionError",
@@ -241,11 +242,6 @@ def estimate_eta_limit(gap0: float, j12: float, target_ratio: float) -> float:
     if j12 == 0.0:
         raise ValueError("j12 must be nonzero")
     return (gap0 / abs(j12)) / math.sqrt(target_ratio)
-
-
-def _fmt(x: float) -> str:
-    # 9 significant digits; +0.0 folds negative zero for stable bytes
-    return f"{x + 0.0:.9g}"
 
 
 def write_sweep_csv(fh: IO[str], results: Sequence[SweepResult]) -> None:

@@ -44,10 +44,10 @@ from .dynamics import (
     EvolutionParams,
     OneExcitationState,
     StepSizeError,
-    analytic_evolve,
+    analytic_trajectory,
     from_site_basis,
     numeric_trajectory,
-    to_site_basis,
+    trajectory_to_site,
     write_trajectory_csv,
 )
 from .excitons import DimerParams, exciton_frame, lambda2_from_eta
@@ -59,6 +59,7 @@ from .rates import (
     load_modes_csv,
     rate_set,
 )
+from .units import _fmt
 
 PRESETS = ("site1", "site2", "exciton1", "exciton2", "custom")
 
@@ -129,11 +130,6 @@ class RunConfig:
     helix_j12: float
     outdir: Path
     basis: str
-
-
-def _fmt(x: float) -> str:
-    # 9 significant digits; +0.0 folds negative zero for stable bytes
-    return f"{x + 0.0:.9g}"
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -489,27 +485,25 @@ def cmd_evolve(cfg: RunConfig) -> int:
     rho0 = _initial_state(cfg, params.phi0)
     times = np.linspace(0.0, cfg.t_max, cfg.time_points)
 
-    analytic = [analytic_evolve(rho0, float(t), params) for t in times]
+    analytic = analytic_trajectory(rho0, times, params)
     numeric = numeric_trajectory(rho0, times, cfg.dt, params)
 
     if cfg.basis == "site":
-        analytic = [to_site_basis(st, params.phi0) for st in analytic]
-        numeric = [to_site_basis(st, params.phi0) for st in numeric]
+        analytic = trajectory_to_site(analytic, params.phi0)
+        numeric = trajectory_to_site(numeric, params.phi0)
 
-    supnorm = [
-        float(np.max(np.abs(a.rho - n.rho))) for a, n in zip(analytic, numeric)
-    ]
+    supnorm = np.abs(analytic - numeric).reshape(len(times), 9).max(axis=1)
     with _open_out(cfg, "trajectory_analytic.csv") as fh:
-        write_trajectory_csv(fh, [float(t) for t in times], analytic)
+        write_trajectory_csv(fh, times, analytic)
     with _open_out(cfg, "trajectory_numeric.csv") as fh:
         write_trajectory_csv(
             fh,
-            [float(t) for t in times],
+            times,
             numeric,
             extra_header=("supnorm_vs_analytic",),
-            extra_rows=[(v,) for v in supnorm],
+            extra_rows=supnorm[:, None],
         )
-    print(f"max |analytic - numeric| over the grid: {max(supnorm):.3e}")
+    print(f"max |analytic - numeric| over the grid: {supnorm.max():.3e}")
     return 0
 
 

@@ -30,26 +30,26 @@ powering, so its cost grows with log n rather than n.
 
 from __future__ import annotations
 
-import cmath
-import csv
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
-from .excitons import DimerParams, exciton_frame
+from .excitons import DimerParams, basis_map, exciton_frame
 from .rates import BathSpec, attenuation_factor, bose_occupation, decay_constant, renormalized_frequencies
-from .units import wavenumber_to_angular
+from .units import _fmt, wavenumber_to_angular
 
 __all__ = [
     "StepSizeError",
     "OneExcitationState",
     "EvolutionParams",
     "analytic_evolve",
+    "analytic_trajectory",
     "numeric_evolve",
     "numeric_trajectory",
     "to_site_basis",
+    "trajectory_to_site",
     "from_site_basis",
     "lindblad_generator",
     "write_trajectory_csv",
@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 BASES = ("exciton", "site")
+
+# (row, column) indices of rho01, rho02, rho12
+_UPPER = ((0, 0, 1), (1, 2, 2))
 
 TRAJECTORY_CSV_HEADER = (
     "t_fs",
@@ -76,14 +79,41 @@ class StepSizeError(ValueError):
     """Integration step too coarse for the fastest system timescale."""
 
 
+def _check_states(rhos: np.ndarray) -> None:
+    """Raise ValueError at the first state of a (T, 3, 3) stack that breaks a rule.
+
+    The rules, in order: finite, Hermitian to 1e-12, unit trace to 1e-12,
+    smallest eigenvalue >= -1e-10 (one stacked eigvalsh for the stack).
+    """
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    if not finite.all():
+        rhos = np.where(finite[:, None, None], rhos, 0.0)
+    adj = rhos.conj().transpose(0, 2, 1)
+    asym = np.abs(rhos - adj).max(axis=(1, 2))
+    trace = rhos.trace(axis1=1, axis2=2)
+    eigmin = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0]
+    ok = finite & (asym <= 1e-12) & (np.abs(trace - 1.0) <= 1e-12) & (eigmin >= -1e-10)
+    if ok.all():
+        return
+    i = int(ok.argmin())
+    if not finite[i]:
+        raise ValueError("rho must be finite")
+    if not asym[i] <= 1e-12:
+        raise ValueError("rho must be Hermitian to 1e-12")
+    if not abs(trace[i] - 1.0) <= 1e-12:
+        raise ValueError(f"rho must have unit trace to 1e-12, got {trace[i]}")
+    raise ValueError(f"rho must be positive semidefinite, eigmin={float(eigmin[i])}")
+
+
 @dataclass(frozen=True, eq=False)
 class OneExcitationState:
     """Density matrix on {|e0>,|e1>,|e2>} (exciton) or {|0>,|1>,|2>} (site).
 
     Index 0 is the shared vacuum; indices 1, 2 are the two excitons or
     the two sites depending on the basis tag.  Validated on
-    construction: Hermitian to 1e-12, unit trace to 1e-12, smallest
-    eigenvalue >= -1e-10.
+    construction by the rules trajectories are checked with: finite,
+    Hermitian to 1e-12, unit trace to 1e-12, smallest eigenvalue
+    >= -1e-10.
     """
 
     rho: np.ndarray
@@ -95,16 +125,7 @@ class OneExcitationState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (3, 3):
             raise ValueError(f"rho must be 3x3, got shape {rho.shape}")
-        if not np.all(np.isfinite(rho.view(float))):
-            raise ValueError("rho must be finite")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("rho must be Hermitian to 1e-12")
-        trace = rho.trace()
-        if abs(trace - 1.0) > 1e-12:
-            raise ValueError(f"rho must have unit trace to 1e-12, got {trace}")
-        eigmin = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-        if eigmin < -1e-10:
-            raise ValueError(f"rho must be positive semidefinite, eigmin={eigmin}")
+        _check_states(rho[None])
         rho = rho.copy()
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
@@ -213,46 +234,59 @@ class EvolutionParams:
         )
 
 
-def analytic_evolve(
-    state: OneExcitationState, t: float, p: EvolutionParams
-) -> OneExcitationState:
-    """Propagate an exciton-basis state by the closed-form solutions."""
-    if state.basis != "exciton":
-        raise ValueError("analytic_evolve requires an exciton-basis state")
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError(f"t must be >= 0 fs, got {t}")
+def analytic_trajectory(
+    state: OneExcitationState, times: Sequence[float], p: EvolutionParams
+) -> np.ndarray:
+    """Closed-form states at each of ``times`` as a checked (T, 3, 3) stack.
 
+    ``state`` is the exciton-basis state at t = 0.  The real decay factors
+    come from math.exp and the complex products are written out, since
+    np.exp and numpy's vectorized complex multiply can move the last bit
+    of the scalar closed forms.
+    """
+    if state.basis != "exciton":
+        raise ValueError("analytic_trajectory requires an exciton-basis state")
+    ts = np.asarray(times, dtype=float)
+    bad = ~(np.isfinite(ts) & (ts >= 0.0))
+    if bad.any():
+        raise ValueError(f"t must be >= 0 fs, got {ts[bad][0]}")
     g_pop = p.gamma * (1.0 + 2.0 * p.nbar0)
-    wp = wavenumber_to_angular(p.omega_plus)
-    wm = wavenumber_to_angular(p.omega_minus)
+    wp, wm = wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)
+    # exponents of the population and of the rho01, rho02, rho12 moduli
+    rates = (-g_pop, -0.5 * p.gamma * (1.0 + p.nbar0), -0.5 * p.gamma * p.nbar0, -0.5 * g_pop)
+    tl = ts.tolist()
+    decay = np.array([[math.exp(k * t) for t in tl] for k in rates]).T
+    phase = np.exp(1j * np.multiply.outer(ts, (wp, wm, -(wp - wm))))
 
     r = state.rho
     rho00 = r[0, 0].real
-    decay = math.exp(-g_pop * t)
     eq11 = p.nbar0 * (1.0 - rho00) / (1.0 + 2.0 * p.nbar0)
-    rho11 = r[1, 1].real * decay + eq11 * (1.0 - decay)
-    rho22 = 1.0 - rho00 - rho11
-    rho01 = r[0, 1] * math.exp(-0.5 * p.gamma * (1.0 + p.nbar0) * t) * cmath.exp(1j * wp * t)
-    rho02 = r[0, 2] * math.exp(-0.5 * p.gamma * p.nbar0 * t) * cmath.exp(1j * wm * t)
-    rho12 = r[1, 2] * math.exp(-0.5 * g_pop * t) * cmath.exp(-1j * (wp - wm) * t)
-
-    out = np.array(
-        [
-            [rho00, rho01, rho02],
-            [rho01.conjugate(), rho11, rho12],
-            [rho02.conjugate(), rho12.conjugate(), rho22],
-        ],
-        dtype=complex,
-    )
-    return OneExcitationState(rho=out, basis="exciton")
+    rho11 = r[1, 1].real * decay[:, 0] + eq11 * (1.0 - decay[:, 0])
+    re, im = r[_UPPER].real * decay[:, 1:], r[_UPPER].imag * decay[:, 1:]
+    out = np.empty((len(ts), 3, 3), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1], out[:, 2, 2] = rho00, rho11, 1.0 - rho00 - rho11
+    out.real[:, _UPPER[0], _UPPER[1]] = re * phase.real - im * phase.imag
+    out.imag[:, _UPPER[0], _UPPER[1]] = re * phase.imag + im * phase.real
+    out[:, _UPPER[1], _UPPER[0]] = out[:, _UPPER[0], _UPPER[1]].conj()
+    _check_states(out)
+    return out
 
 
-def _embedding(phi0: float) -> np.ndarray:
-    """3x3 orthogonal map T with rho_site = T rho_exciton T^T."""
-    c, s = math.cos(0.5 * phi0), math.sin(0.5 * phi0)
-    return np.array(
-        [[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]], dtype=complex
-    )
+def analytic_evolve(
+    state: OneExcitationState, t: float, p: EvolutionParams
+) -> OneExcitationState:
+    """Propagate an exciton-basis state by the closed-form solutions.
+
+    The one-time case of :func:`analytic_trajectory`.
+    """
+    return OneExcitationState(rho=analytic_trajectory(state, (t,), p)[0], basis="exciton")
+
+
+def _site_map(phi0: float) -> np.ndarray:
+    """T with rho_site = T rho_exciton T^T: the vacuum fixed, basis_map's R on the excitons."""
+    t = np.eye(3, dtype=complex)
+    t[1:, 1:] = basis_map(phi0)[0]
+    return t
 
 
 def to_site_basis(state: OneExcitationState, phi0: float) -> OneExcitationState:
@@ -265,15 +299,23 @@ def to_site_basis(state: OneExcitationState, phi0: float) -> OneExcitationState:
     """
     if state.basis != "exciton":
         raise ValueError("to_site_basis requires an exciton-basis state")
-    t = _embedding(phi0)
+    t = _site_map(phi0)
     return OneExcitationState(rho=t @ state.rho @ t.T, basis="site")
+
+
+def trajectory_to_site(rhos: np.ndarray, phi0: float) -> np.ndarray:
+    """:func:`to_site_basis` for a (T, 3, 3) stack, as one broadcast T rho T^T; checked."""
+    t = _site_map(phi0)
+    out = t @ rhos @ t.T
+    _check_states(out)
+    return out
 
 
 def from_site_basis(state: OneExcitationState, phi0: float) -> OneExcitationState:
     """Inverse of :func:`to_site_basis`."""
     if state.basis != "site":
         raise ValueError("from_site_basis requires a site-basis state")
-    t = _embedding(phi0)
+    t = _site_map(phi0)
     return OneExcitationState(rho=t.T @ state.rho @ t, basis="exciton")
 
 
@@ -361,8 +403,8 @@ def _powered_increment(incr: np.ndarray, n: int) -> np.ndarray:
 
 def numeric_trajectory(
     state: OneExcitationState, times: Sequence[float], dt: float, p: EvolutionParams
-) -> list[OneExcitationState]:
-    """States at each of ``times`` by classical fixed-step 4th-order integration.
+) -> np.ndarray:
+    """Checked (T, 3, 3) stack of the states at each of ``times`` by RK4.
 
     ``state`` is the state at ``times[0]``, which must be non-decreasing.
     Each interval t is covered by n = ceil(t/dt) equal steps h = t/n, and
@@ -372,7 +414,7 @@ def numeric_trajectory(
     cross-check of :func:`analytic_evolve`; the step must resolve the
     fastest timescale, dt <= 0.1 * min over the relaxation time and the
     unitary phase periods.  The trace is kept exactly; Hermiticity and
-    positivity are checked on each returned state, not enforced.
+    positivity are checked on the returned stack, not enforced.
     """
     if state.basis != "exciton":
         raise ValueError("numeric_trajectory requires an exciton-basis state")
@@ -398,18 +440,20 @@ def numeric_trajectory(
 
     m = _generator_matrix(p)
     powered: dict[tuple[int, float], np.ndarray] = {}
-    out = [state]
-    for t in intervals.tolist():
+    out = np.empty((len(intervals) + 1, 3, 3), dtype=complex)
+    out[0] = state.rho
+    for i, t in enumerate(intervals.tolist()):
         if t == 0.0:
-            out.append(out[-1])
+            out[i + 1] = out[i]
             continue
         n_steps = max(1, math.ceil(t / dt - 1e-9))
         h = t / n_steps
         e = powered.get((n_steps, h))
         if e is None:
             e = powered[(n_steps, h)] = _powered_increment(_rk4_increment(h * m), n_steps)
-        y = out[-1].rho.reshape(9)
-        out.append(OneExcitationState(rho=(y + e @ y).reshape(3, 3), basis="exciton"))
+        y = out[i].reshape(9)
+        out[i + 1] = (y + e @ y).reshape(3, 3)
+    _check_states(out)
     return out
 
 
@@ -417,40 +461,32 @@ def numeric_evolve(
     state: OneExcitationState, t: float, dt: float, p: EvolutionParams
 ) -> OneExcitationState:
     """Propagate by t fs: the one-interval case of :func:`numeric_trajectory`."""
-    return numeric_trajectory(state, (0.0, t), dt, p)[-1]
+    return OneExcitationState(rho=numeric_trajectory(state, (0.0, t), dt, p)[-1], basis="exciton")
 
 
 def write_trajectory_csv(
     fh: IO[str],
     times: Sequence[float],
-    states: Sequence[OneExcitationState],
+    rhos: np.ndarray,
     extra_header: Sequence[str] = (),
     extra_rows: Sequence[Sequence[float]] | None = None,
 ) -> None:
-    """Emit a time series of states as CSV.
+    """Emit a (T, 3, 3) stack of states, one row per time, as CSV.
 
     Columns: t_fs, the three populations, then Re/Im of the three
     independent coherences (upper triangle), optionally followed by
     extra columns supplied by the caller.  Values at 9 significant
     digits, LF line endings.
     """
-    if len(times) != len(states):
+    if len(times) != len(rhos):
         raise ValueError("times and states must have equal length")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(list(TRAJECTORY_CSV_HEADER) + list(extra_header))
-    for i, (t, st) in enumerate(zip(times, states)):
-        row = [
-            t,
-            st.rho00,
-            st.rho11,
-            st.rho22,
-            st.rho01.real,
-            st.rho01.imag,
-            st.rho02.real,
-            st.rho02.imag,
-            st.rho12.real,
-            st.rho12.imag,
-        ]
-        if extra_rows is not None:
-            row.extend(extra_rows[i])
-        writer.writerow([f"{v + 0.0:.9g}" for v in row])
+    upper = rhos[:, _UPPER[0], _UPPER[1]]
+    # populations, then Re and Im of rho01, rho02, rho12 as interleaved pairs
+    pairs = np.dstack([upper.real, upper.imag]).reshape(len(rhos), 6)
+    cols = [times, rhos.diagonal(axis1=1, axis2=2).real, pairs]
+    if extra_rows is not None:
+        cols.append(extra_rows)
+    # formatted numbers hold no separator or quote, so rows need no csv quoting
+    lines = [",".join([*TRAJECTORY_CSV_HEADER, *extra_header]) + "\n"]
+    lines.extend(",".join(map(_fmt, row.tolist())) + "\n" for row in np.column_stack(cols))
+    fh.write("".join(lines))

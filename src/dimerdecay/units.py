@@ -1,4 +1,4 @@
-"""Unit system and physical constants.
+"""Unit system, physical constants and the number format of output files.
 
 Internal unit conventions, used consistently by every other module:
 
@@ -23,6 +23,11 @@ C_CM_PER_FS = 2.99792458e-5
 KB_CM1_PER_K = 0.69503480
 
 TWO_PI = 2.0 * math.pi
+
+
+def _fmt(x: float) -> str:
+    # 9 significant digits; +0.0 folds negative zero for stable bytes
+    return f"{x + 0.0:.9g}"
 
 
 def wavenumber_to_angular(omega_cm1: float) -> float:

@@ -14,14 +14,16 @@ from dimerdecay.dynamics import (
     OneExcitationState,
     StepSizeError,
     analytic_evolve,
+    analytic_trajectory,
     from_site_basis,
     lindblad_generator,
     numeric_evolve,
     numeric_trajectory,
     to_site_basis,
+    trajectory_to_site,
     write_trajectory_csv,
 )
-from dimerdecay.dynamics import _generator_matrix, _powered_increment, _rk4_increment
+from dimerdecay.dynamics import _check_states, _generator_matrix, _powered_increment, _rk4_increment
 from dimerdecay.excitons import DimerParams
 from dimerdecay.rates import BathSpec
 from dimerdecay.units import wavenumber_to_angular
@@ -159,6 +161,37 @@ def test_component_properties():
     assert isinstance(s.rho11, float)
 
 
+def bad_state(rule):
+    """A 3x3 matrix that breaks exactly one of the state rules."""
+    rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
+    if rule == "finite":
+        rho[0, 0] = math.inf
+    elif rule == "Hermitian":
+        rho[0, 1] = 0.1
+    elif rule == "unit trace":
+        rho[0, 0] = 0.3
+    else:
+        rho = np.diag([-0.1, 0.55, 0.55]).astype(complex)
+    return rho
+
+
+@pytest.mark.parametrize("rule", ["finite", "Hermitian", "unit trace", "positive semidefinite"])
+def test_check_states_rejects_one_bad_state_in_a_stack(rule):
+    stack = analytic_trajectory(coherent_state(), np.linspace(0.0, 2000.0, 3001), FMO_PARAMS)
+    _check_states(stack)
+    stack[1777] = bad_state(rule)
+    with pytest.raises(ValueError, match=rule) as batched:
+        _check_states(stack)
+    with pytest.raises(ValueError) as single:
+        OneExcitationState(rho=stack[1777], basis="exciton")
+    assert str(batched.value) == str(single.value)
+    # the first bad state sets the message, whatever rule a later one breaks
+    stack[2500] = bad_state("finite" if rule != "finite" else "Hermitian")
+    with pytest.raises(ValueError) as first:
+        _check_states(stack)
+    assert str(first.value) == str(single.value)
+
+
 # --------------------------------------------------------------- parameters
 
 def test_evolution_params_validation():
@@ -216,6 +249,16 @@ def test_analytic_evolve_time_zero_is_identity():
     s = dyadic_state()
     out = analytic_evolve(s, 0.0, FMO_PARAMS)
     assert np.array_equal(out.rho, s.rho)
+
+
+def test_analytic_trajectory_equals_pointwise_evolve():
+    rng = np.random.default_rng(17)
+    times = np.linspace(0.0, 3000.0, 401)
+    for s in (coherent_state(), dyadic_state(), random_state(rng), random_state(rng)):
+        traj = analytic_trajectory(s, times, FMO_PARAMS)
+        assert traj.shape == (len(times), 3, 3)
+        for t, rho in zip(times, traj):
+            assert np.array_equal(rho, analytic_evolve(s, float(t), FMO_PARAMS).rho)
 
 
 def test_vacuum_population_is_conserved():
@@ -365,6 +408,24 @@ def test_site_map_checks_basis_tags():
         from_site_basis(OneExcitationState.pure(1), 0.5)
 
 
+def test_trajectory_to_site_equals_pointwise_rotation():
+    rng = np.random.default_rng(31)
+    times = np.linspace(0.0, 2000.0, 401)
+    for phi0 in (FMO_PHI0, -1.1, 0.0):
+        traj = analytic_trajectory(random_state(rng), times, FMO_PARAMS)
+        site = trajectory_to_site(traj, phi0)
+        for rho, rotated in zip(traj, site):
+            state = OneExcitationState(rho=rho, basis="exciton")
+            assert np.array_equal(rotated, to_site_basis(state, phi0).rho)
+
+
+def test_site_map_rejects_angle_outside_half_turn():
+    with pytest.raises(ValueError, match="phi0"):
+        to_site_basis(dyadic_state(), 2.0)
+    with pytest.raises(ValueError, match="phi0"):
+        from_site_basis(OneExcitationState.pure(1, basis="site"), -2.0)
+
+
 def test_equilibrium_site_coherence():
     eq = OneExcitationState.equilibrium(FMO_NBAR0)
     site = to_site_basis(eq, FMO_PHI0)
@@ -470,7 +531,7 @@ def test_numeric_trajectory_equals_chained_evolve():
     for t_prev, t_next in zip(times[:-1], times[1:]):
         chained.append(numeric_evolve(chained[-1], float(t_next - t_prev), 0.01, FMO_PARAMS))
     for a, b in zip(traj, chained):
-        assert np.array_equal(a.rho, b.rho)
+        assert np.array_equal(a, b.rho)
 
 
 @pytest.mark.parametrize("t_max", [2e4, 1e9])
@@ -486,8 +547,22 @@ def test_long_horizons_keep_trace_and_closed_forms(t_max, tmp_path):
     s = coherent_state()
     times = np.linspace(0.0, t_max, 201)
     for t, out in zip(times, numeric_trajectory(s, times, 0.01, FMO_PARAMS)):
-        assert abs(out.rho.trace() - 1.0) <= 1e-12
-        assert supnorm(out.rho, analytic_evolve(s, float(t), FMO_PARAMS).rho) <= 1e-8
+        assert abs(out.trace() - 1.0) <= 1e-12
+        assert supnorm(out, analytic_evolve(s, float(t), FMO_PARAMS).rho) <= 1e-8
+
+
+def test_evolve_builds_no_state_per_grid_point(tmp_path, monkeypatch):
+    built = []
+    post_init = OneExcitationState.__post_init__
+
+    def counted(self):
+        built.append(self.basis)
+        post_init(self)
+
+    monkeypatch.setattr(OneExcitationState, "__post_init__", counted)
+    argv = ["evolve", "--basis", "site", "--time-points", "3001", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(built) < 10
 
 
 def test_numeric_evolve_validation():
@@ -504,7 +579,7 @@ def test_numeric_evolve_validation():
         numeric_trajectory(s, [0.0, math.inf], 0.01, FMO_PARAMS)
     with pytest.raises(ValueError, match="t/dt must be finite"):
         numeric_trajectory(s, [0.0, 1e307], 0.01, FMO_PARAMS)
-    assert numeric_trajectory(s, [5.0], 0.01, FMO_PARAMS) == [s]
+    assert np.array_equal(numeric_trajectory(s, [5.0], 0.01, FMO_PARAMS), [s.rho])
 
 
 def test_numeric_evolve_rejects_coarse_step():
@@ -552,7 +627,7 @@ def test_numeric_evolve_tracks_closed_forms():
 def test_trajectory_csv_golden():
     fh = io.StringIO()
     states = [OneExcitationState.pure(1), OneExcitationState.equilibrium(0.5)]
-    write_trajectory_csv(fh, [0.0, 1.5], states)
+    write_trajectory_csv(fh, [0.0, 1.5], np.array([st.rho for st in states]))
     assert fh.getvalue() == (
         "t_fs,rho00,rho11,rho22,re_rho01,im_rho01,re_rho02,im_rho02,"
         "re_rho12,im_rho12\n"
@@ -571,7 +646,7 @@ def test_trajectory_csv_formatting():
     write_trajectory_csv(
         fh,
         [0.1234567891234],
-        [OneExcitationState.pure(0)],
+        np.array([OneExcitationState.pure(0).rho]),
         extra_header=("x",),
         extra_rows=[[-0.0]],
     )
@@ -583,4 +658,4 @@ def test_trajectory_csv_formatting():
 
 def test_trajectory_csv_length_mismatch():
     with pytest.raises(ValueError, match="equal length"):
-        write_trajectory_csv(io.StringIO(), [0.0, 1.0], [OneExcitationState.pure(0)])
+        write_trajectory_csv(io.StringIO(), [0.0, 1.0], np.array([OneExcitationState.pure(0).rho]))

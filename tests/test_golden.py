@@ -1,5 +1,7 @@
 """Golden outputs: every subcommand at its default config, byte for byte.
 
+evolve is pinned twice, in the exciton and in the site basis.
+
 Each case runs one subcommand in process and compares every file it
 writes, and its stdout, with the copies under tests/golden/<case>/.
 renorm reads the small checked-in tests/golden/modes.csv.
@@ -26,6 +28,7 @@ CASES = {
     "minimize": ["minimize"],
     "estimate": ["estimate"],
     "evolve": ["evolve"],
+    "evolve_site": ["evolve", "--basis", "site", "--preset", "site2"],
     "helix": ["helix"],
     "renorm": ["renorm", "--modes-file", str(GOLDEN / "modes.csv")],
 }

@@ -63,7 +63,6 @@ from .rates import (
 from .units import (
     C_CM_PER_FS,
     KB_CM1_PER_K,
-    angular_to_wavenumber,
     thermal_energy,
     wavenumber_to_angular,
 )

@@ -1,21 +1,14 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the analyses the library supports:
+Subcommands (see SUBCOMMANDS) map one-to-one onto the analyses the
+library supports.  Configuration comes from an INI file with flat
+sections, every value overridable by a command-line flag; one entry of
+KEYS per key gives its default, parser, flag and the subcommands that
+take the flag.  All file output is deterministic: same config, same bytes.
 
-* transform : dressed frequencies, mixing angle, rates for one config
-* sweep     : 1/alpha curves over an |eta| grid for several theta
-* minimize  : coordinates of the 1/alpha minimum per theta
-* estimate  : |eta| and lambda2 from a lifetime ratio, per theta
-* evolve    : analytic and numeric trajectories plus their difference
-* helix     : attenuation for sites on an elastic chain
-* renorm    : discrete-mode frequency shifts of the exciton pair
-
-Configuration comes from an INI file (flat sections, see DEFAULTS)
-with every value overridable by a command-line flag.  All file output
-is deterministic: same config, same bytes.
-
-Exit codes: 0 ok, 2 config error, 3 I/O error, 4 no solution (no
-interior minimum, or an unattainable lifetime ratio).
+Exit codes: 0 ok, 2 config error (a bad value or file, or any input the
+library refuses), 3 I/O error, 4 no solution (no interior minimum, or an
+unattainable lifetime ratio).
 """
 
 from __future__ import annotations
@@ -26,13 +19,14 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Any, Callable, Sequence
 
 import numpy as np
 
 from .analysis import (
+    SWEEP_CSV_HEADER,
     NoSolutionError,
     estimate_eta,
     find_alpha_minimum,
@@ -41,6 +35,7 @@ from .analysis import (
     write_theta_table_csv,
 )
 from .dynamics import (
+    TRAJECTORY_CSV_HEADER,
     EvolutionParams,
     OneExcitationState,
     StepSizeError,
@@ -53,7 +48,6 @@ from .dynamics import (
 from .excitons import DimerParams, exciton_frame, lambda2_from_eta
 from .rates import (
     BathSpec,
-    ResonantModeError,
     frequency_renormalization,
     helix_attenuation,
     load_modes_csv,
@@ -63,320 +57,269 @@ from .units import _fmt
 
 PRESETS = ("site1", "site2", "exciton1", "exciton2", "custom")
 
-DEFAULTS: dict[str, dict[str, str]] = {
-    "dimer": {
-        "omega1": "60.0",
-        "omega2": "-60.0",
-        "j12": "-96.0",
-        "lambda1": "35.0",
-        "eta_abs": "0.71",
-        "theta": "0.0",
-    },
-    "bath": {
-        "temperature": "300.0",
-        "gamma_d": "0.02",
-        "modes_file": "",
-    },
-    "initial_state": {
-        "preset": "site1",
-        "file": "",
-    },
-    "time": {
-        "t_max": "2000.0",
-        "n_points": "201",
-        "dt": "0.01",
-    },
-    "sweep": {
-        "theta_list": "0.0, 0.785398163397448, 1.5707963267949, 2.35619449019234, 3.14159265358979",
-        "eta_lo": "0.2",
-        "eta_hi": "5.0",
-        "n_points": "200",
-    },
-    "estimate": {
-        "target_ratio": "22.0",
-    },
-    "helix": {
-        "spacing_angstrom": "4.5",
-        "sound_speed_m_s": "4000.0",
-        "j12": "7.8",
-    },
-    "output": {
-        "directory": "out",
-        "basis": "exciton",
-    },
+SUBCOMMANDS = {  # name: (help, epilog naming the output columns)
+    "transform": (
+        "dressed frequencies, mixing angle, rates",
+        "transform.csv columns: key,value (keys in printed order)",
+    ),
+    "sweep": (
+        "1/alpha over an |eta| grid per theta",
+        f"sweep.csv columns: {','.join(SWEEP_CSV_HEADER)}",
+    ),
+    "minimize": (
+        "coordinates of the 1/alpha minimum per theta",
+        "minimize.csv rows: eta_min, inv_alpha_min; one column per theta",
+    ),
+    "estimate": (
+        "|eta| and lambda2 from a lifetime ratio",
+        "estimate.csv rows: eta_abs, lambda2_cm1; one column per theta",
+    ),
+    "evolve": (
+        "analytic + numeric trajectories and their difference",
+        f"trajectory_{{analytic,numeric}}.csv columns: {','.join(TRAJECTORY_CSV_HEADER)}; "
+        "the numeric file appends supnorm_vs_analytic",
+    ),
+    "helix": ("attenuation for sites on an elastic chain", "helix.csv columns: key,value"),
+    "renorm": ("discrete-mode frequency shifts of the excitons", "renorm.csv columns: key,value"),
 }
+DIMER = ("transform", "sweep", "minimize", "estimate", "evolve", "renorm")
+BATH = ("transform", "evolve", "helix", "renorm")
+INVERSE = ("sweep", "minimize", "estimate")
+EVOLVE = ("evolve",)
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
+def _thetas(raw: str) -> tuple[float, ...]:
+    thetas = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    if not thetas:
+        raise ValueError("must not be empty")
+    for theta in thetas:
+        if not -math.pi <= theta <= math.pi:
+            raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
+    return thetas
+
+
+def _modes(raw: str) -> tuple[tuple[float, float], ...] | None:
+    path = raw.strip()
+    if not path:
+        return None
+    if not Path(path).is_file():
+        raise ValueError(f"file not found: {path}")
+    return load_modes_csv(path)
+
+
+POSITIVE = (lambda v: v > 0.0, "must be > 0")
+AT_LEAST_TWO = (lambda n: n >= 2, "must be >= 2")
+
+
 @dataclass(frozen=True)
-class RunConfig:
-    dimer: DimerParams
-    bath: BathSpec
-    preset: str
-    state_file: str
-    t_max: float
-    time_points: int
-    dt: float
-    theta_list: tuple[float, ...]
-    eta_lo: float
-    eta_hi: float
-    sweep_points: int
-    target_ratio: float
-    helix_spacing: float
-    helix_speed: float
-    helix_j12: float
-    outdir: Path
-    basis: str
+class Key:
+    """One config key: INI section and name, parser of the raw string, default,
+    flag and help, the subcommands that take the flag, and an optional
+    (predicate, message) check on the parsed value.
+
+    `dest`, the flag's argparse destination, names the RunConfig attribute,
+    or the DimerParams/BathSpec argument, that the value fills."""
+
+    section: str
+    name: str
+    parse: Callable[[str], Any]
+    default: str
+    flag: str
+    help: str
+    commands: tuple[str, ...]
+    check: tuple[Callable[[Any], bool], str] | None = None
+    dest: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dest", self.flag[2:].replace("-", "_"))
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+KEYS = (
+    Key("dimer", "omega1", _float, "60.0", "--omega1", "site 1 frequency, cm^-1", DIMER),
+    Key("dimer", "omega2", _float, "-60.0", "--omega2", "site 2 frequency, cm^-1", DIMER),
+    Key("dimer", "j12", _float, "-96.0", "--j12", "intersite coupling, cm^-1", DIMER),
+    Key("dimer", "lambda1", _float, "35.0", "--lambda1", "site 1 reorganization energy, cm^-1", DIMER),
+    Key("dimer", "eta_abs", _float, "0.71", "--eta-abs", "|eta|", DIMER),
+    Key("dimer", "theta", _float, "0.0", "--theta", "phase of eta, rad", DIMER),
+    Key("bath", "temperature", _float, "300.0", "--temperature", "bath temperature, K", BATH),
+    Key("bath", "gamma_d", _float, "0.02", "--gamma-d", "site dephasing rate, fs^-1", BATH),
+    Key("bath", "modes_file", _modes, "", "--modes-file", "phonon modes CSV", BATH),
+    Key(
+        "initial_state", "preset", str.strip, "site1", "--preset",
+        f"initial state: {', '.join(PRESETS)}", EVOLVE,
+        (lambda v: v in PRESETS, f"must be one of {', '.join(PRESETS)}"),
+    ),
+    Key("initial_state", "file", str.strip, "", "--state-file", "JSON state for preset=custom", EVOLVE),
+    Key("time", "t_max", _float, "2000.0", "--t-max", "final time, fs", EVOLVE, POSITIVE),
+    Key("time", "n_points", int, "201", "--time-points", "output grid size", EVOLVE, AT_LEAST_TWO),
+    Key("time", "dt", _float, "0.01", "--dt", "integrator step, fs", EVOLVE, POSITIVE),
+    Key(
+        "sweep", "theta_list", _thetas,
+        "0.0, 0.785398163397448, 1.5707963267949, 2.35619449019234, 3.14159265358979",
+        "--theta-list", "comma-separated thetas, rad", INVERSE,
+    ),
+    Key("sweep", "eta_lo", _float, "0.2", "--eta-lo", "grid lower edge", ("sweep",)),
+    Key("sweep", "eta_hi", _float, "5.0", "--eta-hi", "grid upper edge", ("sweep",)),
+    Key("sweep", "n_points", int, "200", "--sweep-points", "grid size", ("sweep",), AT_LEAST_TWO),
+    Key(
+        "estimate", "target_ratio", _float, "22.0", "--target-ratio", "gamma_d/gamma to invert",
+        ("estimate",), POSITIVE,
+    ),
+    Key(
+        "helix", "spacing_angstrom", _float, "4.5", "--spacing", "site spacing, angstrom", ("helix",),
+        POSITIVE,
+    ),
+    Key(
+        "helix", "sound_speed_m_s", _float, "4000.0", "--sound-speed", "sound speed, m/s", ("helix",),
+        POSITIVE,
+    ),
+    Key("helix", "j12", _float, "7.8", "--helix-j12", "coupling, cm^-1", ("helix",)),
+    Key("output", "directory", Path, "out", "--output-dir", "output directory", tuple(SUBCOMMANDS)),
+    Key(
+        "output", "basis", str.strip, "exciton", "--basis", "output basis: exciton or site", EVOLVE,
+        (lambda v: v in ("exciton", "site"), "must be exciton or site"),
+    ),
+)
+
+
+class RunConfig(argparse.Namespace):
+    """A checked run configuration: `dimer` (DimerParams), `bath` (BathSpec)
+    and one typed attribute per other entry of KEYS, named by its flag
+    (`t_max`, `time_points`, `theta_list`, `spacing`, `output_dir`, ...)."""
+
+
+def _set_eta(merged: dict[str, dict[str, str]], raw: str) -> None:
+    """Expand a complex eta into dimer.eta_abs and dimer.theta."""
     try:
-        return float(raw)
+        eta = complex(raw.replace(" ", ""))
     except ValueError:
-        raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from None
+        raise ConfigError(f"dimer.eta: not a complex number: {raw!r}") from None
+    merged["dimer"]["eta_abs"] = repr(abs(eta))
+    merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
 
 
 def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
-    merged = {sec: dict(keys) for sec, keys in DEFAULTS.items()}
+    """Raw values per section: the defaults of KEYS overlaid by the INI file."""
+    merged: dict[str, dict[str, str]] = {}
+    for key in KEYS:
+        merged.setdefault(key.section, {})[key.name] = key.default
     if path is None:
         return merged
     if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # no header can name the empty section, so [DEFAULT] reads as an
+    # ordinary section and is refused below like any unknown one
+    parser = configparser.ConfigParser(default_section="")
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in merged:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key == "eta" and section == "dimer":
-                eta = _parse_complex("dimer", "eta", value)
-                merged["dimer"]["eta_abs"] = repr(abs(eta))
-                merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
-                continue
-            if key not in merged[section]:
+        for key, value in items:
+            if section == "dimer" and key == "eta":
+                _set_eta(merged, value)
+            elif key not in merged[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            merged[section][key] = value
+            else:
+                merged[section][key] = value
     return merged
-
-
-def _parse_complex(section: str, key: str, raw: str) -> complex:
-    try:
-        return complex(raw.replace(" ", ""))
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: not a complex number: {raw!r}") from None
-
-
-def _apply_overrides(merged: dict[str, dict[str, str]], args: argparse.Namespace) -> None:
-    # (attr, section, key) in application order; eta expands before eta_abs/theta
-    if getattr(args, "eta", None) is not None:
-        eta = _parse_complex("dimer", "eta", args.eta)
-        merged["dimer"]["eta_abs"] = repr(abs(eta))
-        merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
-    if getattr(args, "gap", None) is not None:
-        merged["dimer"]["omega1"] = repr(0.5 * args.gap)
-        merged["dimer"]["omega2"] = repr(-0.5 * args.gap)
-    table = [
-        ("omega1", "dimer", "omega1"),
-        ("omega2", "dimer", "omega2"),
-        ("j12", "dimer", "j12"),
-        ("lambda1", "dimer", "lambda1"),
-        ("eta_abs", "dimer", "eta_abs"),
-        ("theta", "dimer", "theta"),
-        ("temperature", "bath", "temperature"),
-        ("gamma_d", "bath", "gamma_d"),
-        ("modes_file", "bath", "modes_file"),
-        ("preset", "initial_state", "preset"),
-        ("state_file", "initial_state", "file"),
-        ("t_max", "time", "t_max"),
-        ("time_points", "time", "n_points"),
-        ("dt", "time", "dt"),
-        ("theta_list", "sweep", "theta_list"),
-        ("eta_lo", "sweep", "eta_lo"),
-        ("eta_hi", "sweep", "eta_hi"),
-        ("sweep_points", "sweep", "n_points"),
-        ("target_ratio", "estimate", "target_ratio"),
-        ("spacing", "helix", "spacing_angstrom"),
-        ("sound_speed", "helix", "sound_speed_m_s"),
-        ("helix_j12", "helix", "j12"),
-        ("output_dir", "output", "directory"),
-        ("basis", "output", "basis"),
-    ]
-    for attr, section, key in table:
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[section][key] = str(value)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     merged = _merge_config(args.config)
-    _apply_overrides(merged, args)
+    # the derived inputs expand first, so an explicit flag for a key they set wins
+    if getattr(args, "eta", None) is not None:
+        _set_eta(merged, args.eta)
+    if getattr(args, "gap", None) is not None:
+        merged["dimer"]["omega1"] = repr(0.5 * args.gap)
+        merged["dimer"]["omega2"] = repr(-0.5 * args.gap)
 
-    d = merged["dimer"]
+    values: dict[str, dict[str, Any]] = {}
+    for key in KEYS:
+        raw = getattr(args, key.dest, None)
+        try:
+            value = key.parse(merged[key.section][key.name] if raw is None else raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key.section}.{key.name}: {exc}") from None
+        if key.check is not None and not key.check[0](value):
+            raise ConfigError(f"{key.section}.{key.name}: {key.check[1]}, got {value!r}")
+        values.setdefault(key.section, {})[key.dest] = value
+
     try:
-        dimer = DimerParams(
-            omega1=_parse_float("dimer", "omega1", d["omega1"]),
-            omega2=_parse_float("dimer", "omega2", d["omega2"]),
-            j12=_parse_float("dimer", "j12", d["j12"]),
-            lambda1=_parse_float("dimer", "lambda1", d["lambda1"]),
-            eta_abs=_parse_float("dimer", "eta_abs", d["eta_abs"]),
-            theta=_parse_float("dimer", "theta", d["theta"]),
-        )
+        dimer = DimerParams(**values.pop("dimer"))
     except ValueError as exc:
         raise ConfigError(f"dimer: {exc}") from None
-
-    b = merged["bath"]
-    modes = None
-    modes_file = b["modes_file"].strip()
-    if modes_file:
-        if not Path(modes_file).is_file():
-            raise ConfigError(f"bath.modes_file: file not found: {modes_file}")
-        try:
-            modes = load_modes_csv(modes_file)
-        except ValueError as exc:
-            raise ConfigError(f"bath.modes_file: {exc}") from None
+    bath = values.pop("bath")
     try:
-        bath = BathSpec(
-            temperature=_parse_float("bath", "temperature", b["temperature"]),
-            gamma_d=_parse_float("bath", "gamma_d", b["gamma_d"]),
-            modes=modes,
-        )
+        bath = BathSpec(bath["temperature"], bath["gamma_d"], modes=bath["modes_file"])
     except ValueError as exc:
         raise ConfigError(f"bath: {exc}") from None
 
-    preset = merged["initial_state"]["preset"].strip()
-    if preset not in PRESETS:
-        raise ConfigError(
-            f"initial_state.preset: must be one of {', '.join(PRESETS)}, got {preset!r}"
-        )
-    state_file = merged["initial_state"]["file"].strip()
-    if preset == "custom":
-        if not state_file:
+    run = {dest: value for section in values.values() for dest, value in section.items()}
+    if run["preset"] == "custom":
+        if not run["state_file"]:
             raise ConfigError("initial_state.file: required for preset = custom")
-        if not Path(state_file).is_file():
-            raise ConfigError(f"initial_state.file: file not found: {state_file}")
-
-    t_max = _parse_float("time", "t_max", merged["time"]["t_max"])
-    if not 0.0 < t_max < math.inf:
-        raise ConfigError(f"time.t_max: must be finite and > 0 fs, got {t_max}")
-    time_points = _parse_int("time", "n_points", merged["time"]["n_points"])
-    if time_points < 2:
-        raise ConfigError(f"time.n_points: must be >= 2, got {time_points}")
-    dt = _parse_float("time", "dt", merged["time"]["dt"])
-    if not dt > 0.0:
-        raise ConfigError(f"time.dt: must be > 0 fs, got {dt}")
+        if not Path(run["state_file"]).is_file():
+            raise ConfigError(f"initial_state.file: file not found: {run['state_file']}")
+    t_max, dt = run["t_max"], run["dt"]
     if not math.isfinite(t_max / dt):
         raise ConfigError(f"time.t_max: t_max/dt must be finite, got {t_max} fs / {dt} fs")
-
-    raw_thetas = merged["sweep"]["theta_list"]
-    try:
-        theta_list = tuple(float(tok) for tok in raw_thetas.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"sweep.theta_list: not a comma-separated float list: {raw_thetas!r}") from None
-    if not theta_list:
-        raise ConfigError("sweep.theta_list: must not be empty")
-    for theta in theta_list:
-        if not -math.pi <= theta <= math.pi:
-            raise ConfigError(f"sweep.theta_list: theta must lie in [-pi, pi], got {theta}")
-    eta_lo = _parse_float("sweep", "eta_lo", merged["sweep"]["eta_lo"])
-    eta_hi = _parse_float("sweep", "eta_hi", merged["sweep"]["eta_hi"])
-    if not 0.0 < eta_lo < eta_hi:
-        raise ConfigError(f"sweep.eta_lo/eta_hi: need 0 < lo < hi, got {eta_lo}, {eta_hi}")
-    sweep_points = _parse_int("sweep", "n_points", merged["sweep"]["n_points"])
-    if sweep_points < 2:
-        raise ConfigError(f"sweep.n_points: must be >= 2, got {sweep_points}")
-
-    target_ratio = _parse_float("estimate", "target_ratio", merged["estimate"]["target_ratio"])
-    if not target_ratio > 0.0:
-        raise ConfigError(f"estimate.target_ratio: must be > 0, got {target_ratio}")
-
-    helix_spacing = _parse_float("helix", "spacing_angstrom", merged["helix"]["spacing_angstrom"])
-    helix_speed = _parse_float("helix", "sound_speed_m_s", merged["helix"]["sound_speed_m_s"])
-    helix_j12 = _parse_float("helix", "j12", merged["helix"]["j12"])
-    if not helix_spacing > 0.0:
-        raise ConfigError(f"helix.spacing_angstrom: must be > 0, got {helix_spacing}")
-    if not helix_speed > 0.0:
-        raise ConfigError(f"helix.sound_speed_m_s: must be > 0, got {helix_speed}")
-
-    basis = merged["output"]["basis"].strip()
-    if basis not in ("exciton", "site"):
-        raise ConfigError(f"output.basis: must be exciton or site, got {basis!r}")
-
-    return RunConfig(
-        dimer=dimer,
-        bath=bath,
-        preset=preset,
-        state_file=state_file,
-        t_max=t_max,
-        time_points=time_points,
-        dt=dt,
-        theta_list=theta_list,
-        eta_lo=eta_lo,
-        eta_hi=eta_hi,
-        sweep_points=sweep_points,
-        target_ratio=target_ratio,
-        helix_spacing=helix_spacing,
-        helix_speed=helix_speed,
-        helix_j12=helix_j12,
-        outdir=Path(merged["output"]["directory"]),
-        basis=basis,
-    )
-
-
-def _write_keyvalue_csv(fh: IO[str], items: Sequence[tuple[str, str]]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in items:
-        writer.writerow([key, value])
+    if not 0.0 < run["eta_lo"] < run["eta_hi"]:
+        raise ConfigError(
+            f"sweep.eta_lo/eta_hi: need 0 < lo < hi, got {run['eta_lo']}, {run['eta_hi']}"
+        )
+    return RunConfig(dimer=dimer, bath=bath, **run)
 
 
 def _open_out(cfg: RunConfig, name: str) -> IO[str]:
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    return open(cfg.outdir / name, "w", newline="", encoding="utf-8")
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    return open(cfg.output_dir / name, "w", newline="", encoding="utf-8")
+
+
+def _emit_pairs(cfg: RunConfig, name: str, items: Sequence[tuple[str, str]]) -> int:
+    """Print `items` as an aligned key = value block and write them to the CSV `name`."""
+    width = max(len(key) for key, _ in items)
+    for key, value in items:
+        print(f"{key:<{width}} = {value}")
+    with _open_out(cfg, name) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        writer.writerows(items)
+    return 0
 
 
 def _initial_state(cfg: RunConfig, phi0: float) -> OneExcitationState:
     """Build the configured initial state in the exciton basis."""
-    if cfg.preset == "site1":
-        return from_site_basis(OneExcitationState.pure(1, "site"), phi0)
-    if cfg.preset == "site2":
-        return from_site_basis(OneExcitationState.pure(2, "site"), phi0)
-    if cfg.preset == "exciton1":
-        return OneExcitationState.pure(1, "exciton")
-    if cfg.preset == "exciton2":
-        return OneExcitationState.pure(2, "exciton")
-    # custom: JSON {"basis": ..., "rho": 3x3 of number | [re, im]}
-    try:
-        with open(cfg.state_file, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"initial_state.file: invalid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "rho" not in payload:
-        raise ConfigError('initial_state.file: expected {"basis": ..., "rho": ...}')
-    basis = payload.get("basis", "exciton")
-    rows = payload["rho"]
-    try:
-        rho = np.array(
-            [[_json_complex(cell) for cell in row] for row in rows], dtype=complex
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"initial_state.file: bad rho entry: {exc}") from None
-    try:
-        state = OneExcitationState(rho=rho, basis=basis)
-    except ValueError as exc:
-        raise ConfigError(f"initial_state.file: {exc}") from None
+    if cfg.preset != "custom":  # a preset names a basis and the excited level in it
+        state = OneExcitationState.pure(int(cfg.preset[-1]), cfg.preset[:-1])
+    else:  # JSON {"basis": ..., "rho": 3x3 of number | [re, im]}
+        try:
+            with open(cfg.state_file, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+            raise ConfigError(f"initial_state.file: invalid JSON: {exc}") from None
+        if not isinstance(payload, dict) or "rho" not in payload:
+            raise ConfigError('initial_state.file: expected {"basis": ..., "rho": ...}')
+        try:
+            rows = payload["rho"]
+            rho = np.array([[_json_complex(cell) for cell in row] for row in rows], dtype=complex)
+            state = OneExcitationState(rho=rho, basis=payload.get("basis", "exciton"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"initial_state.file: {exc}") from None
     if state.basis == "site":
         return from_site_basis(state, phi0)
     return state
@@ -394,7 +337,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     frame = exciton_frame(cfg.dimer)
     rates = rate_set(cfg.dimer, cfg.bath)
     lam2 = lambda2_from_eta(cfg.dimer.lambda1, cfg.dimer.eta_abs, cfg.dimer.theta)
-    items = [
+    return _emit_pairs(cfg, "transform.csv", [
         ("phi0_rad", _fmt(frame.phi0)),
         ("omega1p_cm1", _fmt(frame.omega1p)),
         ("omega2p_cm1", _fmt(frame.omega2p)),
@@ -407,13 +350,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         ("inverse_alpha", _fmt(rates.inverse_alpha)),
         ("gamma_fs1", _fmt(rates.gamma)),
         ("lifetime_fs", "inf" if rates.lifetime is None else _fmt(rates.lifetime)),
-    ]
-    width = max(len(key) for key, _ in items)
-    for key, value in items:
-        print(f"{key:<{width}} = {value}")
-    with _open_out(cfg, "transform.csv") as fh:
-        _write_keyvalue_csv(fh, items)
-    return 0
+    ])
 
 
 def cmd_sweep(cfg: RunConfig, gnuplot: bool) -> int:
@@ -486,7 +423,10 @@ def cmd_evolve(cfg: RunConfig) -> int:
     times = np.linspace(0.0, cfg.t_max, cfg.time_points)
 
     analytic = analytic_trajectory(rho0, times, params)
-    numeric = numeric_trajectory(rho0, times, cfg.dt, params)
+    try:
+        numeric = numeric_trajectory(rho0, times, cfg.dt, params)
+    except StepSizeError as exc:
+        raise ConfigError(f"time.dt: {exc}") from None
 
     if cfg.basis == "site":
         analytic = trajectory_to_site(analytic, params.phi0)
@@ -508,23 +448,17 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def cmd_helix(cfg: RunConfig) -> int:
-    alpha = helix_attenuation(cfg.helix_spacing, cfg.helix_speed, cfg.helix_j12)
+    alpha = helix_attenuation(cfg.spacing, cfg.sound_speed, cfg.helix_j12)
     gamma = alpha * cfg.bath.gamma_d
-    items = [
-        ("spacing_angstrom", _fmt(cfg.helix_spacing)),
-        ("sound_speed_m_s", _fmt(cfg.helix_speed)),
+    return _emit_pairs(cfg, "helix.csv", [
+        ("spacing_angstrom", _fmt(cfg.spacing)),
+        ("sound_speed_m_s", _fmt(cfg.sound_speed)),
         ("j12_cm1", _fmt(cfg.helix_j12)),
         ("alpha", _fmt(alpha)),
         ("inverse_alpha", _fmt(1.0 / alpha) if alpha > 0.0 else "inf"),
         ("gamma_fs1", _fmt(gamma)),
         ("lifetime_fs", _fmt(1.0 / gamma) if gamma > 0.0 else "inf"),
-    ]
-    width = max(len(key) for key, _ in items)
-    for key, value in items:
-        print(f"{key:<{width}} = {value}")
-    with _open_out(cfg, "helix.csv") as fh:
-        _write_keyvalue_csv(fh, items)
-    return 0
+    ])
 
 
 def cmd_renorm(cfg: RunConfig) -> int:
@@ -535,7 +469,7 @@ def cmd_renorm(cfg: RunConfig) -> int:
         cfg.bath.modes, frame.omega0, cfg.bath.temperature
     )
     bar_plus, bar_minus = frame.omega_plus - delta_plus, frame.omega_minus - delta_minus
-    items = [
+    return _emit_pairs(cfg, "renorm.csv", [
         ("omega_plus_cm1", _fmt(frame.omega_plus)),
         ("omega_minus_cm1", _fmt(frame.omega_minus)),
         ("omega0_cm1", _fmt(frame.omega0)),
@@ -544,34 +478,7 @@ def cmd_renorm(cfg: RunConfig) -> int:
         ("omega_plus_bar_cm1", _fmt(bar_plus)),
         ("omega_minus_bar_cm1", _fmt(bar_minus)),
         ("n_modes", str(len(cfg.bath.modes))),
-    ]
-    width = max(len(key) for key, _ in items)
-    for key, value in items:
-        print(f"{key:<{width}} = {value}")
-    with _open_out(cfg, "renorm.csv") as fh:
-        _write_keyvalue_csv(fh, items)
-    return 0
-
-
-def _add_dimer_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--omega1", type=float, help="site 1 frequency, cm^-1")
-    sp.add_argument("--omega2", type=float, help="site 2 frequency, cm^-1")
-    sp.add_argument("--gap", type=float, help="omega1 - omega2, split about 0")
-    sp.add_argument("--j12", type=float, help="intersite coupling, cm^-1")
-    sp.add_argument("--lambda1", type=float, help="site 1 reorganization energy, cm^-1")
-    sp.add_argument("--eta-abs", dest="eta_abs", type=float, help="|eta|")
-    sp.add_argument("--theta", type=float, help="phase of eta, rad")
-    sp.add_argument("--eta", type=str, help="complex eta, e.g. 0.5+0.2j")
-
-
-def _add_bath_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--temperature", type=float, help="bath temperature, K")
-    sp.add_argument("--gamma-d", dest="gamma_d", type=float, help="site dephasing rate, fs^-1")
-    sp.add_argument("--modes-file", dest="modes_file", type=str, help="phonon modes CSV")
-
-
-def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--output-dir", dest="output_dir", type=str, help="output directory")
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,122 +488,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-c", "--config", type=str, default=None, help="INI config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "transform",
-        help="dressed frequencies, mixing angle, rates",
-        epilog="transform.csv columns: key,value (keys in printed order)",
-    )
-    _add_dimer_flags(sp)
-    _add_bath_flags(sp)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser(
-        "sweep",
-        help="1/alpha over an |eta| grid per theta",
-        epilog="sweep.csv columns: theta_rad,eta_abs,inverse_alpha",
-    )
-    _add_dimer_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--theta-list", dest="theta_list", type=str, help="comma-separated thetas, rad")
-    sp.add_argument("--eta-lo", dest="eta_lo", type=float, help="grid lower edge")
-    sp.add_argument("--eta-hi", dest="eta_hi", type=float, help="grid upper edge")
-    sp.add_argument("--sweep-points", dest="sweep_points", type=int, help="grid size")
-    sp.add_argument("--gnuplot", action="store_true", help="also write sweep.gp")
-
-    sp = sub.add_parser(
-        "minimize",
-        help="coordinates of the 1/alpha minimum per theta",
-        epilog="minimize.csv rows: eta_min, inv_alpha_min; one column per theta",
-    )
-    _add_dimer_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--theta-list", dest="theta_list", type=str, help="comma-separated thetas, rad")
-
-    sp = sub.add_parser(
-        "estimate",
-        help="|eta| and lambda2 from a lifetime ratio",
-        epilog="estimate.csv rows: eta_abs, lambda2_cm1; one column per theta",
-    )
-    _add_dimer_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--theta-list", dest="theta_list", type=str, help="comma-separated thetas, rad")
-    sp.add_argument("--target-ratio", dest="target_ratio", type=float, help="gamma_d/gamma to invert")
-
-    sp = sub.add_parser(
-        "evolve",
-        help="analytic + numeric trajectories and their difference",
-        epilog=(
-            "trajectory_{analytic,numeric}.csv columns: t_fs,rho00,rho11,rho22,"
-            "re_rho01,im_rho01,re_rho02,im_rho02,re_rho12,im_rho12; the numeric "
-            "file appends supnorm_vs_analytic"
-        ),
-    )
-    _add_dimer_flags(sp)
-    _add_bath_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--preset", type=str, help=f"initial state: {', '.join(PRESETS)}")
-    sp.add_argument("--state-file", dest="state_file", type=str, help="JSON state for preset=custom")
-    sp.add_argument("--t-max", dest="t_max", type=float, help="final time, fs")
-    sp.add_argument("--time-points", dest="time_points", type=int, help="output grid size")
-    sp.add_argument("--dt", type=float, help="integrator step, fs")
-    sp.add_argument("--basis", type=str, help="output basis: exciton or site")
-
-    sp = sub.add_parser(
-        "helix",
-        help="attenuation for sites on an elastic chain",
-        epilog="helix.csv columns: key,value",
-    )
-    _add_bath_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--spacing", type=float, help="site spacing, angstrom")
-    sp.add_argument("--sound-speed", dest="sound_speed", type=float, help="sound speed, m/s")
-    sp.add_argument("--helix-j12", dest="helix_j12", type=float, help="coupling, cm^-1")
-
-    sp = sub.add_parser(
-        "renorm",
-        help="discrete-mode frequency shifts of the excitons",
-        epilog="renorm.csv columns: key,value",
-    )
-    _add_dimer_flags(sp)
-    _add_bath_flags(sp)
-    _add_output_flags(sp)
-
+    for name, (help_text, epilog) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, epilog=epilog)
+        if name in DIMER:
+            sp.add_argument("--gap", type=float, help="omega1 - omega2, split about 0")
+            sp.add_argument("--eta", help="complex eta, e.g. 0.5+0.2j")
+        for key in KEYS:
+            if name in key.commands:
+                sp.add_argument(key.flag, help=key.help)
+        if name == "sweep":
+            sp.add_argument("--gnuplot", action="store_true", help="also write sweep.gp")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # built per call, so that a wrapper later bound to a cmd_* name is the one run
+    handlers = {
+        "transform": cmd_transform,
+        "sweep": lambda cfg: cmd_sweep(cfg, args.gnuplot),
+        "minimize": cmd_minimize,
+        "estimate": cmd_estimate,
+        "evolve": cmd_evolve,
+        "helix": cmd_helix,
+        "renorm": cmd_renorm,
+    }
     try:
-        cfg = build_config(args)
-        if args.command == "transform":
-            return cmd_transform(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.gnuplot)
-        if args.command == "minimize":
-            return cmd_minimize(cfg)
-        if args.command == "estimate":
-            return cmd_estimate(cfg)
-        if args.command == "evolve":
-            return cmd_evolve(cfg)
-        if args.command == "helix":
-            return cmd_helix(cfg)
-        if args.command == "renorm":
-            return cmd_renorm(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ResonantModeError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except StepSizeError as exc:
-        print(f"config error: time.dt: {exc}", file=sys.stderr)
-        return 2
+        return handlers[args.command](build_config(args))
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:  # ConfigError and every input the library refuses
+        # one line: configparser's messages span several
+        print("config error: " + str(exc).replace("\n", " "), file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -139,20 +139,6 @@ class OneExcitationState:
         rho[index, index] = 1.0
         return cls(rho=rho, basis=basis)
 
-    @classmethod
-    def equilibrium(cls, nbar0: float, rho00: float = 0.0) -> "OneExcitationState":
-        """Fixed point of the dissipative dynamics in the exciton basis.
-
-        diag(rho00, nbar0*s, (nbar0+1)*s) with s = (1-rho00)/(1+2*nbar0).
-        """
-        if nbar0 < 0.0:
-            raise ValueError(f"nbar0 must be >= 0, got {nbar0}")
-        if not 0.0 <= rho00 <= 1.0:
-            raise ValueError(f"rho00 must lie in [0, 1], got {rho00}")
-        s = (1.0 - rho00) / (1.0 + 2.0 * nbar0)
-        rho = np.diag([rho00, nbar0 * s, (nbar0 + 1.0) * s]).astype(complex)
-        return cls(rho=rho, basis="exciton")
-
     # named components (upper triangle; conjugates are implied)
     @property
     def rho00(self) -> float:

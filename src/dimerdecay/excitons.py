@@ -18,7 +18,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -94,35 +93,6 @@ class DimerParams:
     def gap(self) -> float:
         """Bare frequency gap omega1 - omega2 in cm^-1."""
         return self.omega1 - self.omega2
-
-    @classmethod
-    def from_gap(
-        cls,
-        gap: float,
-        j12: float,
-        lambda1: float,
-        eta_abs: float,
-        theta: float,
-        mean: float = 0.0,
-    ) -> "DimerParams":
-        """Build from the gap, splitting it symmetrically about `mean`.
-
-        Only frequency differences enter the model; `mean` is a pure
-        gauge choice that shifts the exciton frequencies rigidly.
-        """
-        return cls(mean + 0.5 * gap, mean - 0.5 * gap, j12, lambda1, eta_abs, theta)
-
-    @classmethod
-    def with_complex_eta(
-        cls,
-        omega1: float,
-        omega2: float,
-        j12: float,
-        lambda1: float,
-        eta: complex,
-    ) -> "DimerParams":
-        """Accept a Cartesian complex eta and store it in polar form."""
-        return cls(omega1, omega2, j12, lambda1, abs(eta), cmath.phase(eta))
 
 
 @dataclass(frozen=True)

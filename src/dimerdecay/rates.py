@@ -203,7 +203,10 @@ def helix_attenuation(a_angstrom: float, v_m_per_s: float, j12: float) -> float:
         raise ValueError(f"sound speed must be > 0 m/s, got {v_m_per_s}")
     # angstrom per (m/s) is 1e-10 s, i.e. 1e5 fs
     transit_fs = (a_angstrom / v_m_per_s) * 1.0e5
-    return (transit_fs * wavenumber_to_angular(j12)) ** 2
+    root = transit_fs * wavenumber_to_angular(j12)
+    if not math.isfinite(root * root):
+        raise ValueError(f"attenuation factor overflows: (a / v) * omega_J = {root:.6g}")
+    return root**2
 
 
 def frequency_renormalization(

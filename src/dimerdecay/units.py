@@ -41,13 +41,6 @@ def wavenumber_to_angular(omega_cm1: float) -> float:
     return TWO_PI * C_CM_PER_FS * omega_cm1
 
 
-def angular_to_wavenumber(omega_radfs: float) -> float:
-    """Inverse of :func:`wavenumber_to_angular`."""
-    if not math.isfinite(omega_radfs):
-        raise ValueError(f"angular frequency must be finite, got {omega_radfs}")
-    return omega_radfs / (TWO_PI * C_CM_PER_FS)
-
-
 def thermal_energy(temperature_k: float) -> float:
     """k_B T expressed as a wavenumber in cm^-1.
 

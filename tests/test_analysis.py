@@ -25,6 +25,12 @@ FMO = DimerParams(
     omega1=60.0, omega2=-60.0, j12=-96.0, lambda1=35.0, eta_abs=0.71, theta=0.0
 )
 
+
+def from_gap(gap, j12, lambda1, eta_abs, theta):
+    """Sites split symmetrically about 0, as the CLI's --gap does."""
+    return DimerParams(0.5 * gap, -0.5 * gap, j12, lambda1, eta_abs, theta)
+
+
 # interior minima of 1/alpha over |eta|, frozen from 40-digit evaluations
 MINIMA = {
     0.0: (1.6409566831234082, 13.158734514524669),
@@ -60,7 +66,7 @@ ALL_ROOTS = {
     ),
     # j12 ~ 5e-7 lambda1: a pair 9e-7 apart where D nearly cancels
     "weak_coupling": (
-        DimerParams.from_gap(
+        from_gap(
             143.6325037627572, 0.0023294772971787564, 4801.480673880798, 0.5, 0.0
         ),
         -2.44382949835983,
@@ -264,7 +270,7 @@ def test_estimate_eta_unattainable_ratio():
     with pytest.raises(NoSolutionError, match="13.15"):
         estimate_eta(FMO, 0.0, 13.15873451451151)
     # j12 ~ 1e-6 lambda1: a complex root pair within 1e-6 of the real axis
-    p = DimerParams.from_gap(
+    p = from_gap(
         0.005221769572350904, -0.011769289172988358, 8573.481013712311, 0.5, 0.0
     )
     with pytest.raises(NoSolutionError, match="1.8756"):
@@ -316,7 +322,7 @@ def test_estimate_eta_limit_domain():
 def test_limit_agrees_with_full_solve_in_weak_coupling(lambda1, ratio):
     # with lambda1 and j12 both small against the bare gap the closed
     # inversion tracks the quartic solve to better than 2 percent
-    p = DimerParams.from_gap(
+    p = from_gap(
         gap=200.0, j12=5.0, lambda1=lambda1, eta_abs=1.0, theta=0.0
     )
     full = estimate_eta(p, 0.0, ratio).eta_abs

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, config handling, outputs, exit codes."""
 
+import argparse
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from dimerdecay.cli import main
+from dimerdecay.cli import build_parser, main
 from dimerdecay.excitons import DimerParams, exciton_frame
 from dimerdecay.rates import frequency_renormalization
 
@@ -167,15 +170,64 @@ EXIT_CASES = [
     ("evolve --dt 5", 2, "config error: time.dt: dt = 5"),
     ("evolve --t-max inf", 2, "config error: time.t_max: must be finite"),
     ("evolve --t-max 1e307 --time-points 2", 2, "config error: time.t_max: t_max/dt must be finite"),
+    # library refusals past the per-key checks
+    (
+        "transform --gap 40 --lambda1 20 --eta-abs 1 --theta 3.141592653589793 --j12 0",
+        2, "config error: mixing angle undefined",
+    ),
+    (
+        "evolve --gap 40 --lambda1 20 --eta-abs 1 --theta 3.141592653589793 --j12 0",
+        2, "config error: mixing angle undefined",
+    ),
+    ("transform --j12 1e150", 2, "config error: exciton frequencies violate the trace identity"),
+    ("renorm --j12 1e150 --modes-file MODES", 2, "config error: exciton frequencies violate the trace identity"),
+    ("transform --j12 1e308", 2, "config error: gamma must equal alpha * gamma_d"),
+    ("minimize --j12 1e300", 2, "config error: Array must not contain infs or NaNs"),
+    ("helix --helix-j12 1e308", 2, "config error: attenuation factor overflows"),
+    # every float key is finite
+    ("helix --helix-j12 nan", 2, "config error: helix.j12: must be finite"),
+    ("helix --helix-j12 inf", 2, "config error: helix.j12: must be finite"),
+    ("sweep --eta-hi inf", 2, "config error: sweep.eta_hi: must be finite"),
+    ("estimate --target-ratio inf", 2, "config error: estimate.target_ratio: must be finite"),
+    ("helix --spacing inf", 2, "config error: helix.spacing_angstrom: must be finite"),
 ]
+MODES = Path(__file__).parent / "golden" / "modes.csv"
 
 
 @pytest.mark.parametrize(
     "cmdline, code, text", EXIT_CASES, ids=[case[0] for case in EXIT_CASES]
 )
 def test_inverse_and_evolve_exit_codes(cmdline, code, text, tmp_path, capsys):
-    assert main(cmdline.split() + ["--output-dir", str(tmp_path)]) == code
+    argv = cmdline.replace("MODES", str(MODES)).split()
+    assert main(argv + ["--output-dir", str(tmp_path)]) == code
     # one line on stderr, no traceback
+    err = capsys.readouterr().err
+    assert err.startswith(text) and err.count("\n") == 1
+
+
+FILE_CASES = {
+    # id: (the file is a config or a custom state, its bytes, start of the stderr line)
+    "ini-not-utf8": ("config", b"\xff[dimer]\n", "config error: config file"),
+    "ini-bare-percent": ("config", b"[dimer]\nj12 = 1%\n", "config error: config file"),
+    "ini-no-section-header": ("config", b"j12 = 5\n", "config error: config file"),
+    "ini-default-section": ("config", b"[DEFAULT]\nj12 = 5\n", "config error: unknown config section [DEFAULT]"),
+    "ini-default-unknown-key": (
+        "config", b"[DEFAULT]\ncoupling = 5\n", "config error: unknown config section [DEFAULT]",
+    ),
+    "state-not-utf8": ("state", b"\xff{}", "config error: initial_state.file: invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_unreadable_input_files_exit_2(case, tmp_path, capsys):
+    kind, content, text = FILE_CASES[case]
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    if kind == "config":
+        argv = ["-c", str(path), "evolve"]
+    else:
+        argv = ["evolve", "--preset", "custom", "--state-file", str(path)]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(text) and err.count("\n") == 1
 
@@ -458,3 +510,72 @@ def test_gap_flag_splits_sites_symmetrically(tmp_path):
     assert (tmp_path / "g" / "transform.csv").read_bytes() == (
         tmp_path / "s" / "transform.csv"
     ).read_bytes()
+
+
+# --------------------------------------------------------------- CLI surface
+
+DIMER_FLAGS = {"--omega1", "--omega2", "--gap", "--j12", "--lambda1", "--eta-abs", "--theta", "--eta"}
+BATH_FLAGS = {"--temperature", "--gamma-d", "--modes-file"}
+SURFACE = {
+    "transform": DIMER_FLAGS | BATH_FLAGS,
+    "sweep": DIMER_FLAGS | {"--theta-list", "--eta-lo", "--eta-hi", "--sweep-points", "--gnuplot"},
+    "minimize": DIMER_FLAGS | {"--theta-list"},
+    "estimate": DIMER_FLAGS | {"--theta-list", "--target-ratio"},
+    "evolve": DIMER_FLAGS | BATH_FLAGS
+    | {"--preset", "--state-file", "--t-max", "--time-points", "--dt", "--basis"},
+    "helix": BATH_FLAGS | {"--spacing", "--sound-speed", "--helix-j12"},
+    "renorm": DIMER_FLAGS | BATH_FLAGS,
+}
+
+
+def option_strings(parser):
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    parser = build_parser()
+    assert option_strings(parser) == {"-h", "--help", "-c", "--config"}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SURFACE)
+    for name, flags in SURFACE.items():
+        assert option_strings(sub.choices[name]) == flags | {"-h", "--help", "--output-dir"}, name
+
+
+def outputs(argv, outdir, capsys):
+    """Run one subcommand; return its stdout and the bytes of every file it wrote."""
+    assert main(argv + ["--output-dir", str(outdir)]) == 0
+    files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+    return capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize(
+    "derived, explicit",
+    [
+        ("--eta 1+1j --eta-abs 0.5", "--eta-abs 0.5 --theta 0.785398163397448"),
+        ("--gap 240 --omega2 -100", "--omega1 120 --omega2 -100"),
+    ],
+)
+def test_explicit_flags_override_derived_inputs(derived, explicit, tmp_path, capsys):
+    assert outputs(["transform"] + derived.split(), tmp_path / "d", capsys) == outputs(
+        ["transform"] + explicit.split(), tmp_path / "e", capsys
+    )
+
+
+README_INI = re.search(
+    r"```ini\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"), re.S
+).group(1)
+
+
+@pytest.mark.parametrize(
+    "command, ini",
+    [(cmd, README_INI) for cmd in ("transform", "sweep", "minimize", "estimate", "evolve", "helix")]
+    # the same with eta_abs and theta in place of the complex eta: every key is accepted
+    + [("transform", README_INI.replace("eta = 0.71+0.0j", "eta_abs = 0.71\ntheta = 0.0"))],
+    ids=[*("transform", "sweep", "minimize", "estimate", "evolve", "helix"), "transform-polar-eta"],
+)
+def test_readme_config_equals_the_defaults(command, ini, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(ini, encoding="utf-8")
+    assert outputs(["-c", str(config), command], tmp_path / "ini", capsys) == outputs(
+        [command], tmp_path / "none", capsys
+    )

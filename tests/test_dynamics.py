@@ -51,6 +51,13 @@ FMO_PARAMS = EvolutionParams(
 )
 
 
+def equilibrium(nbar0):
+    """Fixed point of the dissipative dynamics: diag(0, nbar0, nbar0 + 1) / (1 + 2 nbar0)."""
+    s = 1.0 / (1.0 + 2.0 * nbar0)
+    rho = np.diag([0.0, nbar0 * s, (nbar0 + 1.0) * s]).astype(complex)
+    return OneExcitationState(rho=rho, basis="exciton")
+
+
 def dyadic_state():
     """Mixed state whose entries are all exact binary fractions."""
     rho = np.array(
@@ -134,19 +141,8 @@ def test_pure_states():
         OneExcitationState.pure(3)
 
 
-def test_equilibrium_state_values():
-    eq = OneExcitationState.equilibrium(0.5, rho00=0.2)
-    assert eq.rho00 == 0.2
-    assert eq.rho11 == pytest.approx(0.2, rel=1e-15)
-    assert eq.rho22 == pytest.approx(0.6, rel=1e-15)
-    with pytest.raises(ValueError, match="nbar0"):
-        OneExcitationState.equilibrium(-0.1)
-    with pytest.raises(ValueError, match="rho00"):
-        OneExcitationState.equilibrium(0.3, rho00=1.5)
-
-
 def test_equilibrium_is_stationary():
-    eq = OneExcitationState.equilibrium(FMO_NBAR0)
+    eq = equilibrium(FMO_NBAR0)
     act = lindblad_generator(FMO_PARAMS)
     assert float(np.max(np.abs(act(eq.rho)))) <= 1e-12
 
@@ -427,12 +423,12 @@ def test_site_map_rejects_angle_outside_half_turn():
 
 
 def test_equilibrium_site_coherence():
-    eq = OneExcitationState.equilibrium(FMO_NBAR0)
+    eq = equilibrium(FMO_NBAR0)
     site = to_site_basis(eq, FMO_PHI0)
     assert site.rho12.real == pytest.approx(EQ_SITE_COHERENCE, rel=1e-12)
     assert site.rho12.imag == 0.0
     # general angle and occupation
-    eq2 = OneExcitationState.equilibrium(0.8)
+    eq2 = equilibrium(0.8)
     site2 = to_site_basis(eq2, -1.1)
     assert site2.rho12.real == pytest.approx(
         math.sin(-1.1) / (2.0 * (1.0 + 2.0 * 0.8)), rel=1e-12
@@ -626,7 +622,7 @@ def test_numeric_evolve_tracks_closed_forms():
 
 def test_trajectory_csv_golden():
     fh = io.StringIO()
-    states = [OneExcitationState.pure(1), OneExcitationState.equilibrium(0.5)]
+    states = [OneExcitationState.pure(1), equilibrium(0.5)]
     write_trajectory_csv(fh, [0.0, 1.5], np.array([st.rho for st in states]))
     assert fh.getvalue() == (
         "t_fs,rho00,rho11,rho22,re_rho01,im_rho01,re_rho02,im_rho02,"

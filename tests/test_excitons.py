@@ -59,19 +59,9 @@ def test_dimer_params_rejects_bad_ranges():
         DimerParams(math.nan, -60.0, -96.0, 35.0, 0.71, 0.0)
 
 
-def test_dimer_params_gap_and_from_gap():
+def test_dimer_params_gap():
     assert FMO.gap == 120.0
-    p = DimerParams.from_gap(120.0, -96.0, 35.0, 0.71, 0.0)
-    assert (p.omega1, p.omega2) == (60.0, -60.0)
-    shifted = DimerParams.from_gap(120.0, -96.0, 35.0, 0.71, 0.0, mean=1000.0)
-    assert (shifted.omega1, shifted.omega2) == (1060.0, 940.0)
-    assert shifted.gap == 120.0
-
-
-def test_dimer_params_with_complex_eta():
-    p = DimerParams.with_complex_eta(60.0, -60.0, -96.0, 35.0, 1.0 + 1.0j)
-    assert p.eta_abs == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert p.theta == pytest.approx(math.pi / 4, rel=1e-15)
+    assert DimerParams(1060.0, 940.0, -96.0, 35.0, 0.71, 0.0).gap == 120.0
 
 
 # ---------------------------------------------------------------- dressed gap

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dimerdecay.units import (
     C_CM_PER_FS,
     KB_CM1_PER_K,
-    angular_to_wavenumber,
     thermal_energy,
     wavenumber_to_angular,
 )
@@ -44,13 +43,11 @@ def test_wavenumber_to_angular_rejects_nonfinite():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             wavenumber_to_angular(bad)
-        with pytest.raises(ValueError):
-            angular_to_wavenumber(bad)
 
 
 @given(finite_wavenumbers)
 def test_angular_round_trip(x):
-    assert angular_to_wavenumber(wavenumber_to_angular(x)) == pytest.approx(
+    assert wavenumber_to_angular(x) / (2.0 * math.pi * C_CM_PER_FS) == pytest.approx(
         x, rel=1e-13, abs=1e-300
     )
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .excitons import DimerParams, lambda2_from_eta
 from .rates import _attenuation
-from .units import _fmt
+from .units import _fmt, _fmt_table
 
 __all__ = [
     "NoSolutionError",
@@ -83,8 +84,9 @@ class EtaEstimate:
 
 
 def _inverse_alpha(p: DimerParams, theta: float, eta_abs: np.ndarray) -> np.ndarray:
-    """1/alpha over an array of |eta|; inf where alpha underflows to 0."""
-    with np.errstate(divide="ignore"):
+    """1/alpha over an array of |eta|; inf where alpha underflows to 0, nan
+    where both of its squares overflow (left to the caller to refuse)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return 1.0 / _attenuation(p.gap, p.j12, p.lambda1, eta_abs, math.cos(theta))
 
 
@@ -111,26 +113,31 @@ def _positive_roots(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     of the quadratic Taylor model of f at its real part, with f, f' and
     f'' taken in the factored form: a real root by the nearer model
     root, a complex pair by both, and either by none when the model
-    roots are complex.
+    roots are complex.  Raises ValueError where f overflows at a root.
     """
     roots = set()
-    for z in np.roots(np.polyadd(np.polymul(a, d), b)):
-        x = z.real
-        # one root of each conjugate pair
-        if not (x > 0.0 and 0.0 <= z.imag <= 1e-3 * x):
-            continue
-        (a0, a1, a2), (d0, d1, d2), (b0, b1, b2) = (_taylor(q, x) for q in (a, d, b))
-        f0 = a0 * d0 + b0
-        f1 = a1 * d0 + a0 * d1 + b1
-        f2 = a2 * d0 + a1 * d1 + a0 * d2 + b2
-        disc = f1 * f1 - 4.0 * f0 * f2
-        if disc < 0.0:
-            continue
-        # model roots f0/q and q/f2, the first the nearer one
-        q = -0.5 * (f1 + math.copysign(math.sqrt(disc), f1))
-        roots.add(x + f0 / q if q else x)
-        if z.imag > 0.0 and f2:
-            roots.add(x + q / f2)
+    # an overflow is refused below; np.roots refuses inf coefficients itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in np.roots(np.polyadd(np.polymul(a, d), b)):
+            x = z.real
+            # one root of each conjugate pair
+            if not (x > 0.0 and 0.0 <= z.imag <= 1e-3 * x):
+                continue
+            (a0, a1, a2), (d0, d1, d2), (b0, b1, b2) = (_taylor(q, x) for q in (a, d, b))
+            f0 = a0 * d0 + b0
+            f1 = a1 * d0 + a0 * d1 + b1
+            f2 = a2 * d0 + a1 * d1 + a0 * d2 + b2
+            disc = f1 * f1 - 4.0 * f0 * f2
+            # disc = +inf keeps the np.roots value; nan would drop the root
+            if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)) or math.isnan(disc):
+                raise ValueError(f"the quartic in |eta| overflows at its root near |eta| = {x:.6g}")
+            if disc < 0.0:
+                continue
+            # model roots f0/q and q/f2, the first the nearer one
+            q = -0.5 * (f1 + math.copysign(math.sqrt(disc), f1))
+            roots.add(x + f0 / q if q else x)
+            if z.imag > 0.0 and f2:
+                roots.add(x + q / f2)
     return np.array(sorted(x for x in roots if x > 0.0))
 
 
@@ -140,6 +147,8 @@ def sweep_inverse_alpha(
     """Evaluate 1/alpha over eta_grid at phase theta.
 
     The template's eta_abs/theta are overridden by the grid and theta.
+    Raises OverflowError where both squares of 1/alpha overflow, which
+    would leave nan; one square overflowing reads as inf.
     """
     grid = np.asarray(eta_grid, dtype=float)
     if grid.size == 0:
@@ -152,8 +161,13 @@ def sweep_inverse_alpha(
         raise NoSolutionError(
             "attenuation vanishes on the whole grid (zero coupling?)"
         )
-    values = _inverse_alpha(p, theta, grid)
+    # the minimum first: it refuses a j12 whose square overflows, which
+    # would otherwise show as nan on the whole grid
     minimum = find_alpha_minimum(p, theta)
+    values = _inverse_alpha(p, theta, grid)
+    overflow = np.isnan(values)
+    if overflow.any():
+        raise OverflowError(f"1/alpha overflows to inf/inf from |eta| = {grid[overflow][0]:.6g}")
     return SweepResult(
         theta=theta,
         points=tuple(zip(grid.tolist(), values.tolist())),
@@ -206,6 +220,8 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
         )
     d = _gap_polynomial(p, theta)
     j2 = p.j12 * p.j12
+    if j2 < sys.float_info.min:
+        raise ValueError(f"j12^2 underflows at j12 = {p.j12:.6g}, so 1/alpha cannot be represented")
     roots = _positive_roots(d, d, [-target_ratio * j2, 0.0, 4.0 * j2])
     if roots.size == 0:
         eta_min, inv_min = find_alpha_minimum(p, theta)
@@ -246,12 +262,9 @@ def estimate_eta_limit(gap0: float, j12: float, target_ratio: float) -> float:
 
 def write_sweep_csv(fh: IO[str], results: Sequence[SweepResult]) -> None:
     """Serialize sweep curves: one row per (theta, eta) sample."""
+    table = np.array([(res.theta, *point) for res in results for point in res.points])
     # formatted numbers hold no separator or quote, so rows need no csv quoting
-    lines = [",".join(SWEEP_CSV_HEADER) + "\n"]
-    for res in results:
-        theta = _fmt(res.theta)
-        lines.extend(f"{theta},{_fmt(eta)},{_fmt(inv_alpha)}\n" for eta, inv_alpha in res.points)
-    fh.write("".join(lines))
+    fh.write(",".join(SWEEP_CSV_HEADER) + "\n" + _fmt_table(table.reshape(-1, 3)))
 
 
 def write_theta_table_csv(

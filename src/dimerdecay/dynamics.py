@@ -38,7 +38,7 @@ import numpy as np
 
 from .excitons import DimerParams, basis_map, exciton_frame
 from .rates import BathSpec, attenuation_factor, bose_occupation, decay_constant, renormalized_frequencies
-from .units import _fmt, wavenumber_to_angular
+from .units import _fmt_table, wavenumber_to_angular
 
 __all__ = [
     "StepSizeError",
@@ -473,6 +473,5 @@ def write_trajectory_csv(
     if extra_rows is not None:
         cols.append(extra_rows)
     # formatted numbers hold no separator or quote, so rows need no csv quoting
-    lines = [",".join([*TRAJECTORY_CSV_HEADER, *extra_header]) + "\n"]
-    lines.extend(",".join(map(_fmt, row.tolist())) + "\n" for row in np.column_stack(cols))
-    fh.write("".join(lines))
+    header = ",".join([*TRAJECTORY_CSV_HEADER, *extra_header]) + "\n"
+    fh.write(header + _fmt_table(np.column_stack(cols)))

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # Speed of light in cm/fs (CODATA exact value 2.99792458e10 cm/s).
 C_CM_PER_FS = 2.99792458e-5
 
@@ -28,6 +30,12 @@ TWO_PI = 2.0 * math.pi
 def _fmt(x: float) -> str:
     # 9 significant digits; +0.0 folds negative zero for stable bytes
     return f"{x + 0.0:.9g}"
+
+
+def _fmt_table(table: np.ndarray) -> str:
+    """A 2-D float array as CSV rows, each value as _fmt gives it, in one format pass."""
+    rows, cols = table.shape
+    return (",".join(["%.9g"] * cols) + "\n") * rows % tuple((table + 0.0).ravel().tolist())
 
 
 def wavenumber_to_angular(omega_cm1: float) -> float:

@@ -128,6 +128,15 @@ def test_sweep_reports_overflowing_inverse_alpha_as_inf():
     assert math.isfinite(res.points[1][1])
 
 
+def test_sweep_refuses_inverse_alpha_that_overflows_to_nan():
+    # past |eta| ~ 1e154 both D^2 and (|eta| j12)^2 overflow: inf/inf
+    with pytest.raises(OverflowError, match="from \\|eta\\| = 1e\\+300"):
+        sweep_inverse_alpha(FMO, 0.0, [1.0, 1e300])
+    # one square overflowing leaves no nan, so the sweep goes through
+    res = sweep_inverse_alpha(FMO, 0.0, [1.0, 1e150])
+    assert not any(math.isnan(v) for _, v in res.points)
+
+
 def test_sweep_points_match_direct_evaluation():
     from dataclasses import replace
 
@@ -260,6 +269,25 @@ def test_estimate_eta_decreases_with_ratio():
     lo = estimate_eta(FMO, 0.0, 30.0)
     hi = estimate_eta(FMO, 0.0, 22.0)
     assert lo.eta_abs < hi.eta_abs
+
+
+def test_estimate_eta_refuses_underflowing_coupling():
+    # D vanishes near |eta| = 0.6036; the root is there, but 1/alpha at it is inf
+    p = DimerParams(-1.0, -60.0, 1e-308, 35.0, 0.71, math.pi)
+    with pytest.raises(ValueError, match="j12\\^2 underflows at j12 = 1e-308"):
+        estimate_eta(p, math.pi, 22.0)
+
+
+@pytest.mark.parametrize(
+    "solve", [find_alpha_minimum, lambda p, th: estimate_eta(p, th, 22.0)], ids=["minimum", "estimate"]
+)
+def test_roots_past_the_float_range_are_refused(solve):
+    # the roots lie near |eta| ~ 1e74 or beyond, where the quartic overflows;
+    # they used to be dropped, which read as "no solution"
+    p = DimerParams(60.0, -60.0, 1e150, 35.0, 0.71, 0.0)
+    with pytest.raises(ValueError, match="the quartic in \\|eta\\| overflows") as exc:
+        solve(p, 0.0)
+    assert not isinstance(exc.value, NoSolutionError)
 
 
 def test_estimate_eta_unattainable_ratio():

@@ -5,11 +5,12 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
 
-from dimerdecay.cli import build_parser, main
+from dimerdecay.cli import add_command_flags, build_parser, main
 from dimerdecay.excitons import DimerParams, exciton_frame
 from dimerdecay.rates import frequency_renormalization
 
@@ -184,6 +185,13 @@ EXIT_CASES = [
     ("transform --j12 1e308", 2, "config error: gamma must equal alpha * gamma_d"),
     ("minimize --j12 1e300", 2, "config error: Array must not contain infs or NaNs"),
     ("helix --helix-j12 1e308", 2, "config error: attenuation factor overflows"),
+    (
+        "estimate --j12 1e-308 --theta 3.141592653589793 --omega1 -1 --theta-list 3.141592653589793",
+        2, "config error: j12^2 underflows at j12 = 1e-308, so 1/alpha cannot be represented",
+    ),
+    ("sweep --eta-hi 1e300", 2, "config error: sweep.eta_hi: 1/alpha overflows to inf/inf"),
+    ("estimate --j12 1e150", 2, "config error: the quartic in |eta| overflows"),
+    ("minimize --j12 1e150", 2, "config error: the quartic in |eta| overflows"),
     # every float key is finite
     ("helix --helix-j12 nan", 2, "config error: helix.j12: must be finite"),
     ("helix --helix-j12 inf", 2, "config error: helix.j12: must be finite"),
@@ -203,6 +211,19 @@ def test_inverse_and_evolve_exit_codes(cmdline, code, text, tmp_path, capsys):
     # one line on stderr, no traceback
     err = capsys.readouterr().err
     assert err.startswith(text) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "cmdline",
+    ["estimate --j12 1e150", "minimize --j12 1e150", "sweep --j12 1e308", "sweep --eta-hi 1e300", "sweep --eta-hi 1e150"],
+)
+def test_extreme_magnitudes_raise_no_numpy_warning(cmdline, tmp_path, capsys):
+    # a warning would print ahead of the refusal line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(cmdline.split() + ["--output-dir", str(tmp_path)])
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.count("\n") == (code != 0)
 
 
 FILE_CASES = {
@@ -534,6 +555,8 @@ def option_strings(parser):
 
 def test_each_subcommand_takes_exactly_its_flags():
     parser = build_parser()
+    for name in SURFACE:
+        add_command_flags(parser, name)
     assert option_strings(parser) == {"-h", "--help", "-c", "--config"}
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(SURFACE)

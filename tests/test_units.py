@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from dimerdecay.units import (
     C_CM_PER_FS,
     KB_CM1_PER_K,
+    _fmt,
+    _fmt_table,
     thermal_energy,
     wavenumber_to_angular,
 )
@@ -97,3 +100,14 @@ def test_thermal_energy_strictly_increasing(t, dt):
     # few ulps of t apart the products must differ
     if dt > 4.0 * math.ulp(t):
         assert thermal_energy(t + dt) > thermal_energy(t)
+
+
+def test_fmt_table_formats_every_value_as_fmt():
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1.0 / 3.0, 999999999.5, 9.9999999995e-5, -123456789.25]
+    rng = np.random.default_rng(7)
+    values = np.concatenate([specials, rng.normal(size=3000) * 10.0 ** rng.integers(-300, 300, 3000)])
+    table = values[: len(values) // 4 * 4].reshape(-1, 4)
+    expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in table.tolist())
+    assert _fmt_table(table) == expected
+    assert _fmt_table(np.empty((0, 3))) == ""

@@ -8,11 +8,13 @@ magnitude x = |eta| at fixed phase theta:
 * which |eta| reproduces a measured lifetime ratio gamma_d/gamma.
 
 With the dressed gap D(x) = gap + 4 lambda1 cos(theta) x + 2 lambda1 x^2,
-1/alpha = (D^2 + 4 j12^2) / (x^2 j12^2) is rational in x, so the minimum
-and the inversion are positive real roots of quartics, found as
-companion-matrix eigenvalues and checked by back-substitution.  For
-lambda1 > 0 an interior minimum always exists and a target ratio below
-it has no solution; for lambda1 = 0, 1/alpha only falls.
+1/alpha = (D^2 + 4 j12^2) / (x^2 j12^2), so the minimum and the inversion
+are positive real roots of quartics A D + B, each factor a (c2, c1, c0)
+float triple: companion-matrix eigenvalues, refined by Horner's rule on
+the factors and checked by back-substitution.  For lambda1 > 0 an
+interior minimum always exists and a target ratio below it has no
+solution; for lambda1 = 0, 1/alpha only falls.  A j12 whose square
+underflows is refused.
 """
 
 from __future__ import annotations
@@ -49,27 +51,31 @@ class NoSolutionError(ValueError):
     """The requested extremum or lifetime ratio does not exist for any |eta|."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """1/alpha sampled over an |eta| grid at one asymmetry phase.
 
-    points holds (eta_abs, inverse_alpha) pairs in increasing eta_abs;
-    minimum is the interior minimum of the continuous curve, refined
-    beyond the grid.
+    points is a read-only (n, 2) array of (eta_abs, inverse_alpha) rows
+    in increasing eta_abs; minimum is the interior minimum of the
+    continuous curve, refined beyond the grid.
     """
 
     theta: float
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray
     minimum: tuple[float, float]
 
     def __post_init__(self) -> None:
-        etas = [x for x, _ in self.points]
-        if any(b <= a for a, b in zip(etas, etas[1:])):
+        points = np.array(self.points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError(f"sweep points must have shape (n, 2), got {points.shape}")
+        if np.any(np.diff(points[:, 0]) <= 0.0):
             raise ValueError("sweep points must be strictly increasing in eta_abs")
         # the refined minimum can undercut grid samples only by round-off
         slack = 1e-9 * max(1.0, abs(self.minimum[1]))
-        if any(v < self.minimum[1] - slack for _, v in self.points):
+        if np.any(points[:, 1] < self.minimum[1] - slack):
             raise ValueError("minimum is inconsistent with sampled points")
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
@@ -90,21 +96,23 @@ def _inverse_alpha(p: DimerParams, theta: float, eta_abs: np.ndarray) -> np.ndar
         return 1.0 / _attenuation(p.gap, p.j12, p.lambda1, eta_abs, math.cos(theta))
 
 
-def _gap_polynomial(p: DimerParams, theta: float) -> np.ndarray:
-    """Coefficients of D(x) = 2 lambda1 x^2 + 4 lambda1 cos(theta) x + gap."""
+def _gap_polynomial(p: DimerParams, theta: float) -> tuple[float, float, float]:
+    """Coefficients (c2, c1, c0) of D(x) = 2 lambda1 x^2 + 4 lambda1 cos(theta) x + gap."""
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    return np.array([2.0 * p.lambda1, 4.0 * p.lambda1 * math.cos(theta), p.gap])
+    return 2.0 * p.lambda1, 4.0 * p.lambda1 * math.cos(theta), p.gap
 
 
-def _taylor(q: np.ndarray, x: float) -> tuple[float, float, float]:
-    """q(x), q'(x) and q''(x)/2 for the polynomial coefficients q."""
-    q1 = np.polyder(q)
-    return np.polyval(q, x), np.polyval(q1, x), 0.5 * np.polyval(np.polyder(q1), x)
+def _coupling_squared(p: DimerParams) -> float:
+    """j12^2, refused where it underflows: 1/alpha then reads nan or inf."""
+    j2 = p.j12 * p.j12
+    if j2 < sys.float_info.min:
+        raise ValueError(f"j12^2 underflows at j12 = {p.j12:.6g}, so 1/alpha cannot be represented")
+    return j2
 
 
-def _positive_roots(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted positive real roots of f = A D + B.
+def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) -> np.ndarray:
+    """Sorted positive real roots of f = A D + B, each factor given as (c2, c1, c0).
 
     np.roots on the expanded f places them, but the expanded
     coefficients lose accuracy where D nearly cancels: a close pair of
@@ -115,29 +123,35 @@ def _positive_roots(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     root, a complex pair by both, and either by none when the model
     roots are complex.  Raises ValueError where f overflows at a root.
     """
-    roots = set()
-    # an overflow is refused below; np.roots refuses inf coefficients itself
+    (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = a, d, b
+    # A D + B, highest power first; np.roots trims the leading zeros of lambda1 = 0
+    f = [a2 * d2, a2 * d1 + a1 * d2, a2 * d0 + a1 * d1 + a0 * d2 + b2, a1 * d0 + a0 * d1 + b1, a0 * d0 + b0]
+    # np.roots refuses inf coefficients itself, and an overflow at a root is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for z in np.roots(np.polyadd(np.polymul(a, d), b)):
-            x = z.real
-            # one root of each conjugate pair
-            if not (x > 0.0 and 0.0 <= z.imag <= 1e-3 * x):
-                continue
-            (a0, a1, a2), (d0, d1, d2), (b0, b1, b2) = (_taylor(q, x) for q in (a, d, b))
-            f0 = a0 * d0 + b0
-            f1 = a1 * d0 + a0 * d1 + b1
-            f2 = a2 * d0 + a1 * d1 + a0 * d2 + b2
-            disc = f1 * f1 - 4.0 * f0 * f2
-            # disc = +inf keeps the np.roots value; nan would drop the root
-            if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)) or math.isnan(disc):
-                raise ValueError(f"the quartic in |eta| overflows at its root near |eta| = {x:.6g}")
-            if disc < 0.0:
-                continue
-            # model roots f0/q and q/f2, the first the nearer one
-            q = -0.5 * (f1 + math.copysign(math.sqrt(disc), f1))
-            roots.add(x + f0 / q if q else x)
-            if z.imag > 0.0 and f2:
-                roots.add(x + q / f2)
+        candidates = np.roots(f).tolist()
+    roots = set()
+    for z in candidates:
+        x = z.real
+        # one root of each conjugate pair
+        if not (x > 0.0 and 0.0 <= z.imag <= 1e-3 * x):
+            continue
+        # each factor and its first derivative at x by Horner's rule; q''/2 is c2
+        av, dv, bv = (a2 * x + a1) * x + a0, (d2 * x + d1) * x + d0, (b2 * x + b1) * x + b0
+        ad, dd, bd = 2.0 * a2 * x + a1, 2.0 * d2 * x + d1, 2.0 * b2 * x + b1
+        f0 = av * dv + bv
+        f1 = ad * dv + av * dd + bd
+        f2 = a2 * dv + ad * dd + av * d2 + b2
+        disc = f1 * f1 - 4.0 * f0 * f2
+        # disc = +inf keeps the np.roots value; nan would drop the root
+        if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)) or math.isnan(disc):
+            raise ValueError(f"the quartic in |eta| overflows at its root near |eta| = {x:.6g}")
+        if disc < 0.0:
+            continue
+        # model roots f0/q and q/f2, the first the nearer one
+        q = -0.5 * (f1 + math.copysign(math.sqrt(disc), f1))
+        roots.add(x + f0 / q if q else x)
+        if z.imag > 0.0 and f2:
+            roots.add(x + q / f2)
     return np.array(sorted(x for x in roots if x > 0.0))
 
 
@@ -168,11 +182,7 @@ def sweep_inverse_alpha(
     overflow = np.isnan(values)
     if overflow.any():
         raise OverflowError(f"1/alpha overflows to inf/inf from |eta| = {grid[overflow][0]:.6g}")
-    return SweepResult(
-        theta=theta,
-        points=tuple(zip(grid.tolist(), values.tolist())),
-        minimum=minimum,
-    )
+    return SweepResult(theta=theta, points=np.column_stack((grid, values)), minimum=minimum)
 
 
 def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
@@ -180,16 +190,17 @@ def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
 
     The stationary points of 1/alpha are the positive real roots of
     x D'(x) D(x) - D(x)^2 - 4 j12^2, with D'(x) = 4 lambda1 (cos(theta) + x);
-    the one with the smallest 1/alpha is returned.
+    the one with the smallest 1/alpha is returned.  Raises ValueError
+    where j12^2 underflows.
     """
     if p.j12 == 0.0:
         raise NoSolutionError(
             "j12 must be nonzero: 1/alpha is infinite without coupling"
         )
     d = _gap_polynomial(p, theta)
-    # x D' D - D^2 - 4 j12^2 = (x D' - D) D - 4 j12^2
-    a = np.polysub(np.polymul([1.0, 0.0], np.polyder(d)), d)
-    roots = _positive_roots(a, d, [-4.0 * p.j12 * p.j12])
+    j2 = _coupling_squared(p)
+    # x D' D - D^2 - 4 j12^2 = (x D' - D) D - 4 j12^2, and x D' - D = 2 lambda1 x^2 - gap
+    roots = _positive_roots((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0 * j2))
     if roots.size == 0:
         raise NoSolutionError(
             f"no interior minimum of 1/alpha at lambda1 = {p.lambda1:.6g} "
@@ -219,10 +230,8 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
             "no |eta| can reach a finite lifetime ratio"
         )
     d = _gap_polynomial(p, theta)
-    j2 = p.j12 * p.j12
-    if j2 < sys.float_info.min:
-        raise ValueError(f"j12^2 underflows at j12 = {p.j12:.6g}, so 1/alpha cannot be represented")
-    roots = _positive_roots(d, d, [-target_ratio * j2, 0.0, 4.0 * j2])
+    j2 = _coupling_squared(p)
+    roots = _positive_roots(d, d, (-target_ratio * j2, 0.0, 4.0 * j2))
     if roots.size == 0:
         eta_min, inv_min = find_alpha_minimum(p, theta)
         raise NoSolutionError(
@@ -232,7 +241,7 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
 
     for x, back in zip(roots, _inverse_alpha(p, theta, roots)):
         if abs(back - target_ratio) > 1e-8 * target_ratio:
-            raise ArithmeticError(
+            raise ValueError(
                 f"root {x} fails back-substitution: 1/alpha = {back} "
                 f"vs target {target_ratio}"
             )
@@ -262,9 +271,9 @@ def estimate_eta_limit(gap0: float, j12: float, target_ratio: float) -> float:
 
 def write_sweep_csv(fh: IO[str], results: Sequence[SweepResult]) -> None:
     """Serialize sweep curves: one row per (theta, eta) sample."""
-    table = np.array([(res.theta, *point) for res in results for point in res.points])
+    table = np.concatenate([np.empty((0, 3)), *(np.insert(res.points, 0, res.theta, axis=1) for res in results)])
     # formatted numbers hold no separator or quote, so rows need no csv quoting
-    fh.write(",".join(SWEEP_CSV_HEADER) + "\n" + _fmt_table(table.reshape(-1, 3)))
+    fh.write(",".join(SWEEP_CSV_HEADER) + "\n" + _fmt_table(table))
 
 
 def write_theta_table_csv(

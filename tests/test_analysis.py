@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -104,6 +105,16 @@ def test_sweep_result_requires_consistent_minimum():
         SweepResult(theta=0.0, points=((1.0, 5.0),), minimum=(1.0, 6.0))
 
 
+def test_sweep_result_points_are_a_read_only_copy():
+    given = np.array([[1.0, 5.0], [2.0, 4.0]])
+    res = SweepResult(theta=0.0, points=given, minimum=(2.0, 4.0))
+    assert res.points.shape == (2, 2) and res.points is not given
+    with pytest.raises(ValueError, match="read-only"):
+        res.points[0, 1] = 0.0
+    with pytest.raises(ValueError, match="shape"):
+        SweepResult(theta=0.0, points=[1.0, 5.0], minimum=(1.0, 5.0))
+
+
 # --------------------------------------------------------------- sweeps
 
 def test_sweep_grid_validation():
@@ -124,8 +135,8 @@ def test_sweep_without_coupling_is_rejected():
 def test_sweep_reports_overflowing_inverse_alpha_as_inf():
     # alpha underflows to 0 at |eta| j12 ~ 1e-198; 1/alpha is then inf
     res = sweep_inverse_alpha(FMO, 0.0, [1e-200, 1.0])
-    assert res.points[0] == (1e-200, math.inf)
-    assert math.isfinite(res.points[1][1])
+    assert tuple(res.points[0]) == (1e-200, math.inf)
+    assert math.isfinite(res.points[1, 1])
 
 
 def test_sweep_refuses_inverse_alpha_that_overflows_to_nan():
@@ -153,7 +164,7 @@ def test_sweep_is_even_in_theta():
     grid = list(np.geomspace(0.2, 5.0, 25))
     plus = sweep_inverse_alpha(FMO, 0.75 * math.pi, grid)
     minus = sweep_inverse_alpha(FMO, -0.75 * math.pi, grid)
-    assert plus.points == minus.points
+    assert np.array_equal(plus.points, minus.points)
     assert plus.minimum == minus.minimum
 
 
@@ -278,6 +289,16 @@ def test_estimate_eta_refuses_underflowing_coupling():
         estimate_eta(p, math.pi, 22.0)
 
 
+@pytest.mark.parametrize("j12", [1e-160, 2.04887251289436e-234, 5e-324])
+def test_minimum_and_sweep_refuse_underflowing_coupling(j12):
+    # 1/alpha at the minimum read inf or nan before
+    p = DimerParams(60.0, -60.0, j12, 35.0, 0.71, 0.0)
+    with pytest.raises(ValueError, match="j12\\^2 underflows"):
+        find_alpha_minimum(p, 0.0)
+    with pytest.raises(ValueError, match="j12\\^2 underflows"):
+        sweep_inverse_alpha(p, 0.0, [0.5, 1.0])
+
+
 @pytest.mark.parametrize(
     "solve", [find_alpha_minimum, lambda p, th: estimate_eta(p, th, 22.0)], ids=["minimum", "estimate"]
 )
@@ -323,6 +344,65 @@ def test_estimate_result_is_frozen():
     assert isinstance(est, EtaEstimate)
     with pytest.raises(Exception):
         est.eta_abs = 1.0
+
+
+# --------------------------------------------------------------- mpmath oracle
+
+def _oracle_draws(n=200, seed=20140):
+    """Seeded dimers, half of them near-cancelling: there D has two positive
+    roots and |j12| is 1e-6 to 1e-4 of lambda1."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        lam = rng.uniform(5.0, 200.0)
+        if k % 2:
+            theta = rng.uniform(0.6, 1.0) * math.pi
+            gap = rng.uniform(0.05, 1.0) * 2.0 * lam * math.cos(theta) ** 2
+            j12 = rng.choice((-1.0, 1.0)) * lam * 10.0 ** rng.uniform(-6.0, -4.0)
+        else:
+            theta = rng.uniform(-math.pi, math.pi)
+            gap = rng.uniform(10.0, 400.0)
+            j12 = rng.uniform(-150.0, 150.0)
+        yield k, from_gap(gap, j12, lam, 0.71, theta), theta, 10.0 ** rng.uniform(0.0, 3.0)
+
+
+def _oracle_roots(a, d, b):
+    """Positive real roots of A D + B by mpmath.polyroots at 50 digits, the
+    float factors (c2, c1, c0) taken exactly."""
+    with mpmath.workdps(50):
+        a, d, b = ([mpmath.mpf(c) for c in q] for q in (a, d, b))
+        f = [a[0] * d[0], a[0] * d[1] + a[1] * d[0], a[0] * d[2] + a[1] * d[1] + a[2] * d[0] + b[0],
+             a[1] * d[2] + a[2] * d[1] + b[1], a[2] * d[2] + b[2]]
+        # Durand-Kerner reaches the same roots from any generic start; the
+        # float roots, nudged off the real axis so a complex pair can form,
+        # only save steps
+        start = [complex(z) * (1.0 + 1e-8j) for z in np.roots([float(c) for c in f])]
+        roots = mpmath.polyroots(f, maxsteps=100, extraprec=60, roots_init=start)
+        return sorted(r.real for r in map(mpmath.mpc, roots) if r.real > 0 and abs(r.imag) <= 1e-30 * abs(r))
+
+
+def test_solvers_match_a_50_digit_oracle():
+    # each draw checks one solver: estimate_eta on even k // 2, find_alpha_minimum on odd
+    for k, p, theta, ratio in _oracle_draws():
+        d = (2.0 * p.lambda1, 4.0 * p.lambda1 * math.cos(theta), p.gap)
+        j2 = p.j12 * p.j12
+        if k // 2 % 2 == 0:
+            # D^2 + 4 j12^2 - r x^2 j12^2
+            want = _oracle_roots(d, d, (-ratio * j2, 0.0, 4.0 * j2))
+            try:
+                got = estimate_eta(p, theta, ratio).all_roots
+            except NoSolutionError:
+                got = ()
+            assert len(got) == len(want), (p, theta, ratio)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * w, (p, theta, ratio)
+        else:
+            # (x D' - D) D - 4 j12^2; the stationary point of smallest 1/alpha
+            stationary = _oracle_roots((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0 * j2))
+            with mpmath.workdps(50):
+                inv = [((d[0] * x + d[1]) * x + d[2]) ** 2 / (x * x * j2) + 4 / (x * x) for x in stationary]
+            want = stationary[inv.index(min(inv))]
+            got = find_alpha_minimum(p, theta)[0]
+            assert abs(got - want) <= 1e-12 * want, (p, theta)
 
 
 # --------------------------------------------------------------- limit formula

@@ -189,6 +189,20 @@ EXIT_CASES = [
         "estimate --j12 1e-308 --theta 3.141592653589793 --omega1 -1 --theta-list 3.141592653589793",
         2, "config error: j12^2 underflows at j12 = 1e-308, so 1/alpha cannot be represented",
     ),
+    (
+        "minimize --omega1 0.0015806336847602389 --omega2 -0.0015806336847602389 --j12 2.04887251289436e-234 "
+        "--lambda1 0.009673724125669976 --theta-list -2.8055075071403315",
+        2, "config error: j12^2 underflows at j12 = 2.04887e-234, so 1/alpha cannot be represented",
+    ),
+    (
+        "sweep --omega1 0.0015806336847602389 --omega2 -0.0015806336847602389 --j12 2.04887251289436e-234 "
+        "--lambda1 0.009673724125669976 --theta-list -2.8055075071403315",
+        2, "config error: j12^2 underflows at j12 = 2.04887e-234, so 1/alpha cannot be represented",
+    ),
+    (
+        "estimate --j12 1e-10 --theta 3.141592653589793 --omega1 -1 --theta-list 3.141592653589793",
+        2, "config error: root 0.6035875164119329 fails back-substitution: 1/alpha = 14.43",
+    ),
     ("sweep --eta-hi 1e300", 2, "config error: sweep.eta_hi: 1/alpha overflows to inf/inf"),
     ("estimate --j12 1e150", 2, "config error: the quartic in |eta| overflows"),
     ("minimize --j12 1e150", 2, "config error: the quartic in |eta| overflows"),

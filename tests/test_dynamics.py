@@ -440,12 +440,7 @@ def test_site_population_oscillates_at_splitting_frequency():
     # period 2 pi / omega0; locate successive maxima of the population
     start = from_site_basis(OneExcitationState.pure(1, basis="site"), FMO_PHI0)
     ts = np.arange(0.0, 320.0001, 0.1)
-    pops = np.array(
-        [
-            to_site_basis(analytic_evolve(start, t, FMO_PARAMS), FMO_PHI0).rho11
-            for t in ts
-        ]
-    )
+    pops = trajectory_to_site(analytic_trajectory(start, ts, FMO_PARAMS), FMO_PHI0)[:, 1, 1].real
     interior = (pops[1:-1] > pops[:-2]) & (pops[1:-1] >= pops[2:])
     peaks = ts[1:-1][interior]
     assert len(peaks) >= 2

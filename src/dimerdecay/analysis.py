@@ -19,7 +19,6 @@ underflows is refused.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -30,19 +29,6 @@ import numpy as np
 from .excitons import DimerParams, lambda2_from_eta
 from .rates import _attenuation
 from .units import _fmt, _fmt_table
-
-__all__ = [
-    "NoSolutionError",
-    "SweepResult",
-    "EtaEstimate",
-    "sweep_inverse_alpha",
-    "find_alpha_minimum",
-    "estimate_eta",
-    "estimate_eta_limit",
-    "write_sweep_csv",
-    "write_theta_table_csv",
-    "SWEEP_CSV_HEADER",
-]
 
 SWEEP_CSV_HEADER = ("theta_rad", "eta_abs", "inverse_alpha")
 
@@ -282,9 +268,10 @@ def write_theta_table_csv(
     rows: Sequence[tuple[str, Sequence[float]]],
 ) -> None:
     """Serialize per-theta quantities as a table, one column per theta."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["quantity"] + [f"theta={_fmt(t)}" for t in theta_list])
+    lines = [["quantity", *(f"theta={_fmt(t)}" for t in theta_list)]]
     for name, values in rows:
         if len(values) != len(theta_list):
             raise ValueError(f"row {name!r} length mismatch")
-        writer.writerow([name] + [_fmt(v) for v in values])
+        lines.append([name, *map(_fmt, values)])
+    # formatted numbers hold no separator or quote, so rows need no csv quoting
+    fh.write("".join(",".join(line) + "\n" for line in lines))

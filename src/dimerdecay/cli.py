@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import sys
@@ -296,9 +295,7 @@ def _emit_pairs(cfg: RunConfig, name: str, items: Sequence[tuple[str, str]]) -> 
     for key, value in items:
         print(f"{key:<{width}} = {value}")
     with _open_out(cfg, name) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerows(items)
+        fh.write("key,value\n" + "".join(f"{key},{value}\n" for key, value in items))
     return 0
 
 

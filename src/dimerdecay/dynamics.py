@@ -21,11 +21,12 @@ Closed-form solutions, with G = gamma*(1 + 2*nbar0) and P = 1 - rho00:
 The vacuum-coherence phases rotate at the exciton frequencies
 omega_plus and omega_minus (the natural reading on this subspace; bare
 site frequencies never appear in the diagonal frame).  The numerical
-propagator integrates the same generator with a classical fixed-step
-fourth-order scheme and shares no code with the closed forms, so the
-two paths cross-validate each other.  It applies the n steps of an
-interval at once, as a power of the one-step map found by binary
-powering, so its cost grows with log n rather than n.
+propagator integrates the same generator, written out as a 9x9 matrix
+on the flattened rho, with a classical fixed-step fourth-order scheme
+and shares no code with the closed forms, so the two paths
+cross-validate each other.  It applies the n steps of an interval at
+once, as a power of the one-step map found by binary powering, so its
+cost grows with log n rather than n.
 """
 
 from __future__ import annotations
@@ -37,24 +38,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .excitons import DimerParams, basis_map, exciton_frame
-from .rates import BathSpec, attenuation_factor, bose_occupation, decay_constant, renormalized_frequencies
+from .rates import BathSpec, attenuation_factor, bose_occupation, decay_constant
 from .units import _fmt_table, wavenumber_to_angular
-
-__all__ = [
-    "StepSizeError",
-    "OneExcitationState",
-    "EvolutionParams",
-    "analytic_evolve",
-    "analytic_trajectory",
-    "numeric_evolve",
-    "numeric_trajectory",
-    "to_site_basis",
-    "trajectory_to_site",
-    "from_site_basis",
-    "lindblad_generator",
-    "write_trajectory_csv",
-    "TRAJECTORY_CSV_HEADER",
-]
 
 BASES = ("exciton", "site")
 
@@ -190,32 +175,19 @@ class EvolutionParams:
         if self.nbar0 < 0.0:
             raise ValueError(f"nbar0 must be >= 0, got {self.nbar0}")
 
-    @property
-    def omega0(self) -> float:
-        """Exciton splitting omega_plus - omega_minus in cm^-1."""
-        return self.omega_plus - self.omega_minus
-
     @classmethod
-    def for_dimer(
-        cls, p: DimerParams, bath: BathSpec, renormalize: bool = False
-    ) -> "EvolutionParams":
+    def for_dimer(cls, p: DimerParams, bath: BathSpec) -> "EvolutionParams":
         """Assemble evolution parameters from dimer and bath inputs.
 
-        renormalize=True applies the discrete-mode frequency shifts to
-        omega_plus/omega_minus; they are off by default (they do not
-        affect populations, only unitary phases).
+        The exciton frequencies are the unshifted ones: the discrete-mode
+        shifts move only unitary phases, never populations.
         """
         frame = exciton_frame(p)
-        plus, minus = frame.omega_plus, frame.omega_minus
-        if renormalize and bath.modes:
-            plus, minus = renormalized_frequencies(plus, minus, bath.modes, bath.temperature)
-        gamma = decay_constant(attenuation_factor(p), bath.gamma_d)
-        nbar0 = bose_occupation(frame.omega0, bath.temperature)
         return cls(
-            gamma=gamma,
-            nbar0=nbar0,
-            omega_plus=plus,
-            omega_minus=minus,
+            gamma=decay_constant(attenuation_factor(p), bath.gamma_d),
+            nbar0=bose_occupation(frame.omega0, bath.temperature),
+            omega_plus=frame.omega_plus,
+            omega_minus=frame.omega_minus,
             phi0=frame.phi0,
         )
 
@@ -271,7 +243,7 @@ def analytic_evolve(
 def _site_map(phi0: float) -> np.ndarray:
     """T with rho_site = T rho_exciton T^T: the vacuum fixed, basis_map's R on the excitons."""
     t = np.eye(3, dtype=complex)
-    t[1:, 1:] = basis_map(phi0)[0]
+    t[1:, 1:] = basis_map(phi0)
     return t
 
 
@@ -305,42 +277,13 @@ def from_site_basis(state: OneExcitationState, phi0: float) -> OneExcitationStat
     return OneExcitationState(rho=t.T @ state.rho @ t, basis="exciton")
 
 
-def lindblad_generator(p: EvolutionParams):
-    """Action rho -> d(rho)/dt of the exciton-frame generator.
-
-    Returns a function mapping a 3x3 complex array to the time
-    derivative: commutator with diag(0, omega_plus, omega_minus) in
-    angular units plus the two-jump dissipator.  Trace-free by
-    construction; the vacuum block is touched only through coherences.
-    """
-    h = np.diag(
-        [0.0, wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)]
-    ).astype(complex)
-    l_up = np.zeros((3, 3), dtype=complex)
-    l_up[1, 2] = 1.0  # |e1><e2|: absorption, e2 -> e1
-    l_dn = l_up.conj().T  # |e2><e1|: emission, e1 -> e2
-    rate_up = p.gamma * p.nbar0
-    rate_dn = p.gamma * (p.nbar0 + 1.0)
-    n_up = l_dn @ l_up  # |e2><e2|
-    n_dn = l_up @ l_dn  # |e1><e1|
-
-    def act(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        out = -1j * (h @ rho - rho @ h)
-        out += rate_up * (l_up @ rho @ l_dn - 0.5 * (n_up @ rho + rho @ n_up))
-        out += rate_dn * (l_dn @ rho @ l_up - 0.5 * (n_dn @ rho + rho @ n_dn))
-        return out
-
-    return act
-
-
 def _generator_matrix(p: EvolutionParams) -> np.ndarray:
     """9x9 matrix of the generator acting on row-major flattened rho.
 
-    Written out entry by entry, and bit-identical to applying
-    :func:`lindblad_generator` to the 9 unit matrices: the commutator
-    and the anticommutator terms are diagonal, and the two jumps feed
-    rho11 from rho22 and back.
+    Written out entry by entry: commutator with diag(0, omega_plus,
+    omega_minus) in angular units plus the two-jump dissipator.  The
+    commutator and the anticommutator terms are diagonal, and the two
+    jumps feed rho11 from rho22 and back, so the map is trace-free.
     """
     w = np.array(
         [0.0, wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)]
@@ -392,7 +335,8 @@ def numeric_trajectory(
 ) -> np.ndarray:
     """Checked (T, 3, 3) stack of the states at each of ``times`` by RK4.
 
-    ``state`` is the state at ``times[0]``, which must be non-decreasing.
+    ``state`` is the state at ``times[0]``; ``times`` must be non-empty
+    and non-decreasing.
     Each interval t is covered by n = ceil(t/dt) equal steps h = t/n, and
     the n steps are applied at once as I + E = (I + D)^n, with D the RK4
     increment and E found by binary powering: O(log n) 9x9 products per
@@ -404,7 +348,10 @@ def numeric_trajectory(
     """
     if state.basis != "exciton":
         raise ValueError("numeric_trajectory requires an exciton-basis state")
-    intervals = np.diff(np.asarray(times, dtype=float))
+    ts = np.asarray(times, dtype=float)
+    if ts.size == 0:
+        raise ValueError("times must not be empty: the state belongs to times[0]")
+    intervals = np.diff(ts)
     bad = ~(np.isfinite(intervals) & (intervals >= 0.0))
     if bad.any():
         raise ValueError(f"t must be finite and >= 0 fs per interval, got {intervals[bad][0]}")

@@ -24,20 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DegenerateDimerError",
-    "DimerParams",
-    "ExcitonFrame",
-    "lambda2_from_eta",
-    "renormalized_gap",
-    "mixing_angle",
-    "exciton_splitting",
-    "exciton_frequencies",
-    "exciton_frame",
-    "basis_map",
-    "su2_identity_check",
-]
-
 
 class DegenerateDimerError(ValueError):
     """Raised when the mixing angle is undefined (gap = coupling = 0)."""
@@ -233,18 +219,17 @@ def exciton_frame(p: DimerParams) -> ExcitonFrame:
     )
 
 
-def basis_map(phi0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation taking exciton coordinates to site coordinates.
+def basis_map(phi0: float) -> np.ndarray:
+    """Rotation R taking exciton coordinates to site coordinates.
 
-    Returns (R, R^-1) with R = [[cos(phi0/2), sin(phi0/2)],
-    [-sin(phi0/2), cos(phi0/2)]]; the inverse is the transpose.  The
-    columns of R are the exciton states expressed in the site basis.
+    R = [[cos(phi0/2), sin(phi0/2)], [-sin(phi0/2), cos(phi0/2)]]; its
+    inverse is the transpose.  The columns of R are the exciton states
+    expressed in the site basis.
     """
     if not -math.pi / 2 <= phi0 <= math.pi / 2:
         raise ValueError(f"phi0 must lie in [-pi/2, pi/2], got {phi0}")
     c, s = math.cos(0.5 * phi0), math.sin(0.5 * phi0)
-    r = np.array([[c, s], [-s, c]])
-    return r, r.T.copy()
+    return np.array([[c, s], [-s, c]])
 
 
 # Generators of the two-state algebra on the one-excitation subspace.

@@ -22,22 +22,6 @@ from typing import Iterable
 from .excitons import DimerParams, _dressed_gap, exciton_splitting, renormalized_gap
 from .units import thermal_energy, wavenumber_to_angular
 
-__all__ = [
-    "ResonantModeError",
-    "BathSpec",
-    "RateSet",
-    "bose_occupation",
-    "attenuation_factor",
-    "decay_constant",
-    "rate_set",
-    "limit_inverse_alpha",
-    "helix_attenuation",
-    "frequency_renormalization",
-    "renormalized_frequencies",
-    "load_modes_csv",
-    "MODES_CSV_HEADER",
-]
-
 # Required header of a phonon-mode CSV: frequency and squared coupling.
 MODES_CSV_HEADER = ("omega_k_cm1", "V2_k_cm2")
 
@@ -171,20 +155,6 @@ def rate_set(p: DimerParams, bath: BathSpec) -> RateSet:
     )
 
 
-def limit_inverse_alpha(eta_abs: float, gap0: float, j12: float) -> float:
-    """Weak-coupling limit of 1/alpha: (gap0/j12)^2 / |eta|^2.
-
-    Valid when both the reorganization energy and the coupling are small
-    against the bare gap; then omega0 ~ gap0 and the full expression
-    collapses to this ratio.
-    """
-    if eta_abs <= 0.0:
-        raise ValueError(f"eta_abs must be > 0, got {eta_abs}")
-    if j12 == 0.0:
-        raise ValueError("j12 must be nonzero")
-    return (gap0 / j12) ** 2 / eta_abs**2
-
-
 def helix_attenuation(a_angstrom: float, v_m_per_s: float, j12: float) -> float:
     """Attenuation factor for a lattice of sites on an elastic chain.
 
@@ -243,19 +213,6 @@ def frequency_renormalization(
         delta_plus += v2_k * (nbar_k + 1.0) / (omega_k - omega0)
         delta_minus -= v2_k * nbar_k / (omega_k - omega0)
     return delta_plus, delta_minus
-
-
-def renormalized_frequencies(
-    omega_plus: float,
-    omega_minus: float,
-    modes: Iterable[tuple[float, float]] | None,
-    temperature_k: float,
-) -> tuple[float, float]:
-    """Exciton frequencies with the mode shifts applied: omega_bar = omega - delta."""
-    delta_plus, delta_minus = frequency_renormalization(
-        modes, omega_plus - omega_minus, temperature_k
-    )
-    return omega_plus - delta_plus, omega_minus - delta_minus
 
 
 def load_modes_csv(path: str) -> tuple[tuple[float, float], ...]:

@@ -17,10 +17,8 @@ from dimerdecay.rates import (
     decay_constant,
     frequency_renormalization,
     helix_attenuation,
-    limit_inverse_alpha,
     load_modes_csv,
     rate_set,
-    renormalized_frequencies,
 )
 from dimerdecay.units import thermal_energy
 
@@ -28,7 +26,6 @@ from dimerdecay.units import thermal_energy
 BOSE_AT_KT = 0.58197670686932642  # occupation at omega0 = kT, i.e. 1/(e-1)
 BOSE_226_41_AT_300K = 0.50969923590544986
 FMO_ALPHA = 0.045668041844234448
-LIMIT_INV_ALPHA_10_7 = 13.975019652371386
 HELIX_INV_ALPHA = 36.601982340749211
 
 FMO = DimerParams(
@@ -193,23 +190,6 @@ def test_rate_set_decoupled():
     assert rs.inverse_alpha == math.inf
 
 
-# --------------------------------------------------------------- limit formula
-
-def test_limit_inverse_alpha_values():
-    assert limit_inverse_alpha(1.0, 200.0, 5.0) == 1600.0
-    assert limit_inverse_alpha(2.0, 200.0, 5.0) == 400.0
-    v = limit_inverse_alpha(10.7, 200.0, 5.0)
-    assert v == pytest.approx(LIMIT_INV_ALPHA_10_7, rel=1e-12)
-    assert round(v) == 14
-
-
-def test_limit_inverse_alpha_domain():
-    with pytest.raises(ValueError):
-        limit_inverse_alpha(0.0, 200.0, 5.0)
-    with pytest.raises(ValueError):
-        limit_inverse_alpha(1.0, 200.0, 0.0)
-
-
 # --------------------------------------------------------------- chain lattice
 
 def test_helix_attenuation_value():
@@ -296,16 +276,6 @@ def test_frequency_renormalization_additive(modes_a, modes_b):
     dab = frequency_renormalization(modes_a + modes_b, omega0, 300.0)
     assert dab[0] == pytest.approx(da[0] + db[0], rel=1e-12, abs=1e-12)
     assert dab[1] == pytest.approx(da[1] + db[1], rel=1e-12, abs=1e-12)
-
-
-def test_renormalized_frequencies_shift_direction():
-    # single cold mode above resonance pulls omega_plus down by delta_plus
-    plus, minus = renormalized_frequencies(50.0, -50.0, ((200.0, 10000.0),), 1e-9)
-    delta_plus, delta_minus = frequency_renormalization(
-        ((200.0, 10000.0),), 100.0, 1e-9
-    )
-    assert plus == pytest.approx(50.0 - delta_plus, rel=1e-12)
-    assert minus == pytest.approx(-50.0 - delta_minus, rel=1e-12)
 
 
 # --------------------------------------------------------------- modes CSV

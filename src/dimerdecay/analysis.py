@@ -7,14 +7,15 @@ magnitude x = |eta| at fixed phase theta:
 * where is its interior minimum,
 * which |eta| reproduces a measured lifetime ratio gamma_d/gamma.
 
-With the dressed gap D(x) = gap + 4 lambda1 cos(theta) x + 2 lambda1 x^2,
-1/alpha = (D^2 + 4 j12^2) / (x^2 j12^2), so the minimum and the inversion
-are positive real roots of quartics A D + B, each factor a (c2, c1, c0)
-float triple: companion-matrix eigenvalues, refined by Horner's rule on
-the factors and checked by back-substitution.  For lambda1 > 0 an
-interior minimum always exists and a target ratio below it has no
-solution; for lambda1 = 0, 1/alpha only falls.  A j12 whose square
-underflows is refused.
+With g = gap/|j12|, l = lambda1/|j12| and the scaled gap polynomial
+D~(x) = 2 l x^2 + 4 l cos(theta) x + g, 1/alpha = (D~^2 + 4) / x^2, so
+the minimum and the inversion are positive real roots of quartics
+A D~ + B, each factor a (c2, c1, c0) float triple: companion-matrix
+eigenvalues, refined by Horner's rule on the factors and checked by
+back-substitution.  For lambda1 > 0 an interior minimum always exists
+and a target ratio below it has no solution; for lambda1 = 0, 1/alpha
+only falls.  A quartic whose coefficients leave the float range is
+refused.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .excitons import DimerParams, lambda2_from_eta
-from .rates import _attenuation
+from .rates import _inverse_attenuation
 from .units import _fmt, _fmt_table
 
 SWEEP_CSV_HEADER = ("theta_rad", "eta_abs", "inverse_alpha")
@@ -75,46 +76,45 @@ class EtaEstimate:
     all_roots: tuple[float, ...]
 
 
-def _inverse_alpha(p: DimerParams, theta: float, eta_abs: np.ndarray) -> np.ndarray:
-    """1/alpha over an array of |eta|; inf where alpha underflows to 0, nan
-    where both of its squares overflow (left to the caller to refuse)."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return 1.0 / _attenuation(p.gap, p.j12, p.lambda1, eta_abs, math.cos(theta))
+def _inverse_alpha(p: DimerParams, theta: float, eta_abs):
+    """1/alpha at a float or an array of |eta|; inf where it exceeds the float range."""
+    with np.errstate(over="ignore"):
+        return _inverse_attenuation(p.gap / abs(p.j12), p.lambda1 / abs(p.j12), eta_abs, math.cos(theta))
 
 
 def _gap_polynomial(p: DimerParams, theta: float) -> tuple[float, float, float]:
-    """Coefficients (c2, c1, c0) of D(x) = 2 lambda1 x^2 + 4 lambda1 cos(theta) x + gap."""
+    """Coefficients (c2, c1, c0) = (2 l, 4 l cos(theta), g) of D~ = D/|j12|."""
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    return 2.0 * p.lambda1, 4.0 * p.lambda1 * math.cos(theta), p.gap
+    l = p.lambda1 / abs(p.j12)
+    return 2.0 * l, 4.0 * l * math.cos(theta), p.gap / abs(p.j12)
 
 
-def _coupling_squared(p: DimerParams) -> float:
-    """j12^2, refused where it underflows: 1/alpha then reads nan or inf."""
-    j2 = p.j12 * p.j12
-    if j2 < sys.float_info.min:
-        raise ValueError(f"j12^2 underflows at j12 = {p.j12:.6g}, so 1/alpha cannot be represented")
-    return j2
-
-
-def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) -> np.ndarray:
+def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) -> list[float]:
     """Sorted positive real roots of f = A D + B, each factor given as (c2, c1, c0).
 
-    np.roots on the expanded f places them, but the expanded
+    The companion matrix of the expanded f places them, but the expanded
     coefficients lose accuracy where D nearly cancels: a close pair of
     real roots can come out complex, and a complex pair real.  So every
     root within 1e-3 of the positive real axis is replaced by the roots
     of the quadratic Taylor model of f at its real part, with f, f' and
     f'' taken in the factored form: a real root by the nearer model
     root, a complex pair by both, and either by none when the model
-    roots are complex.  Raises ValueError where f overflows at a root.
+    roots are complex.  Raises ValueError where a coefficient of f, or
+    its ratio to the leading one, leaves the float range, where a
+    nonzero a2 d2 underflows (the trimming below would drop it) and
+    where f overflows at a root.  The constant term of f must not vanish.
     """
     (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = a, d, b
-    # A D + B, highest power first; np.roots trims the leading zeros of lambda1 = 0
+    # A D + B, highest power first; its leading zeros (lambda1 = 0) are trimmed
     f = [a2 * d2, a2 * d1 + a1 * d2, a2 * d0 + a1 * d1 + a0 * d2 + b2, a1 * d0 + a0 * d1 + b1, a0 * d0 + b0]
-    # np.roots refuses inf coefficients itself, and an overflow at a root is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        candidates = np.roots(f).tolist()
+    k = next(i for i, c in enumerate(f) if c)
+    if (a2 and d2 and abs(f[0]) < sys.float_info.min) or not all(math.isfinite(c / f[k]) for c in f):
+        raise ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {d0:.6g})")
+    # the eigenvalues of the companion matrix, built as np.roots builds it
+    companion = np.eye(4 - k, k=-1)
+    companion[:1] = np.divide(f[k + 1:], -f[k])
+    candidates = np.linalg.eigvals(companion).tolist()
     roots = set()
     for z in candidates:
         x = z.real
@@ -127,10 +127,12 @@ def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) 
         f0 = av * dv + bv
         f1 = ad * dv + av * dd + bd
         f2 = a2 * dv + ad * dd + av * d2 + b2
-        disc = f1 * f1 - 4.0 * f0 * f2
-        # disc = +inf keeps the np.roots value; nan would drop the root
-        if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)) or math.isnan(disc):
+        if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)):
             raise ValueError(f"the quartic in |eta| overflows at its root near |eta| = {x:.6g}")
+        # scaled by a power of two so that f1^2 stays in range; the model roots are ratios
+        e = -math.frexp(max(abs(f0), abs(f1), abs(f2)))[1]
+        f0, f1, f2 = math.ldexp(f0, e), math.ldexp(f1, e), math.ldexp(f2, e)
+        disc = f1 * f1 - 4.0 * f0 * f2
         if disc < 0.0:
             continue
         # model roots f0/q and q/f2, the first the nearer one
@@ -138,7 +140,7 @@ def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) 
         roots.add(x + f0 / q if q else x)
         if z.imag > 0.0 and f2:
             roots.add(x + q / f2)
-    return np.array(sorted(x for x in roots if x > 0.0))
+    return sorted(x for x in roots if x > 0.0)
 
 
 def sweep_inverse_alpha(
@@ -147,8 +149,7 @@ def sweep_inverse_alpha(
     """Evaluate 1/alpha over eta_grid at phase theta.
 
     The template's eta_abs/theta are overridden by the grid and theta.
-    Raises OverflowError where both squares of 1/alpha overflow, which
-    would leave nan; one square overflowing reads as inf.
+    1/alpha reads inf where it exceeds the float range.
     """
     grid = np.asarray(eta_grid, dtype=float)
     if grid.size == 0:
@@ -158,16 +159,10 @@ def sweep_inverse_alpha(
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError("eta_grid must be strictly increasing")
     if p.j12 == 0.0:
-        raise NoSolutionError(
-            "attenuation vanishes on the whole grid (zero coupling?)"
-        )
-    # the minimum first: it refuses a j12 whose square overflows, which
-    # would otherwise show as nan on the whole grid
+        raise NoSolutionError("attenuation vanishes on the whole grid (zero coupling?)")
+    # the minimum first: it refuses a g or l that would show as nan on the grid
     minimum = find_alpha_minimum(p, theta)
     values = _inverse_alpha(p, theta, grid)
-    overflow = np.isnan(values)
-    if overflow.any():
-        raise OverflowError(f"1/alpha overflows to inf/inf from |eta| = {grid[overflow][0]:.6g}")
     return SweepResult(theta=theta, points=np.column_stack((grid, values)), minimum=minimum)
 
 
@@ -175,26 +170,21 @@ def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
     """Interior minimum of 1/alpha over |eta|, as (eta_min, inv_alpha_min).
 
     The stationary points of 1/alpha are the positive real roots of
-    x D'(x) D(x) - D(x)^2 - 4 j12^2, with D'(x) = 4 lambda1 (cos(theta) + x);
+    x D~'(x) D~(x) - D~(x)^2 - 4, with D~'(x) = 4 l (cos(theta) + x);
     the one with the smallest 1/alpha is returned.  Raises ValueError
-    where j12^2 underflows.
+    where that quartic leaves the float range.
     """
     if p.j12 == 0.0:
-        raise NoSolutionError(
-            "j12 must be nonzero: 1/alpha is infinite without coupling"
-        )
+        raise NoSolutionError("j12 must be nonzero: 1/alpha is infinite without coupling")
     d = _gap_polynomial(p, theta)
-    j2 = _coupling_squared(p)
-    # x D' D - D^2 - 4 j12^2 = (x D' - D) D - 4 j12^2, and x D' - D = 2 lambda1 x^2 - gap
-    roots = _positive_roots((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0 * j2))
-    if roots.size == 0:
-        raise NoSolutionError(
-            f"no interior minimum of 1/alpha at lambda1 = {p.lambda1:.6g} "
-            "(1/alpha decreases monotonically in |eta|)"
-        )
-    values = _inverse_alpha(p, theta, roots)
-    k = int(np.argmin(values))
-    return float(roots[k]), float(values[k])
+    # x D~' D~ - D~^2 - 4 = (x D~' - D~) D~ - 4, and x D~' - D~ = 2 l x^2 - g
+    roots = _positive_roots((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0))
+    if not roots:
+        raise NoSolutionError(f"no interior minimum of 1/alpha at lambda1 = {p.lambda1:.6g} "
+                              "(1/alpha decreases monotonically in |eta|)")
+    values = [_inverse_alpha(p, theta, x) for x in roots]
+    k = values.index(min(values))
+    return roots[k], values[k]
 
 
 def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:
@@ -202,43 +192,45 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
 
     The condition is a quartic in x = |eta|:
 
-        D(x)^2 + 4 j12^2 - target_ratio * x^2 * j12^2 = 0
+        D~(x)^2 + 4 - target_ratio * x^2 = 0
 
-    with D(x) = gap + 2 lambda1 x (2 cos(theta) + x).  Every positive
-    real root is found and verified by back-substitution into the
-    attenuation factor.
+    with D~(x) = g + 2 l x (2 cos(theta) + x).  Every positive real
+    root is found and verified by back-substitution into the
+    attenuation factor.  For lambda1 > 0, 1/alpha grows without bound
+    at both ends, so the roots must bracket its minimum; where they do
+    not, a root was lost to round-off and ValueError is raised.
     """
     if not target_ratio > 0.0:
         raise ValueError(f"target_ratio must be > 0, got {target_ratio}")
     if p.j12 == 0.0:
-        raise NoSolutionError(
-            "attenuation vanishes identically for zero coupling; "
-            "no |eta| can reach a finite lifetime ratio"
-        )
+        raise NoSolutionError("attenuation vanishes identically for zero coupling; "
+                              "no |eta| can reach a finite lifetime ratio")
     d = _gap_polynomial(p, theta)
-    j2 = _coupling_squared(p)
-    roots = _positive_roots(d, d, (-target_ratio * j2, 0.0, 4.0 * j2))
-    if roots.size == 0:
+    roots = _positive_roots(d, d, (-target_ratio, 0.0, 4.0))
+    if not roots or d[0] > 0.0:
         eta_min, inv_min = find_alpha_minimum(p, theta)
-        raise NoSolutionError(
-            f"target ratio {target_ratio:.6g} is below the attainable "
-            f"minimum 1/alpha = {inv_min:.6g} (at |eta| = {eta_min:.6g})"
-        )
-
-    for x, back in zip(roots, _inverse_alpha(p, theta, roots)):
-        if abs(back - target_ratio) > 1e-8 * target_ratio:
-            raise ValueError(
-                f"root {x} fails back-substitution: 1/alpha = {back} "
-                f"vs target {target_ratio}"
+        if not roots:
+            raise NoSolutionError(
+                f"target ratio {target_ratio:.6g} is below the attainable "
+                f"minimum 1/alpha = {inv_min:.6g} (at |eta| = {eta_min:.6g})"
             )
+        # the slack admits the two halves of a double root at the minimum
+        if not (roots[0] <= eta_min * (1.0 + 1e-9) and roots[-1] >= eta_min * (1.0 - 1e-9)):
+            raise ValueError(f"a root of 1/alpha = {target_ratio:.6g} was lost to round-off: the roots "
+                             f"found do not bracket the minimum at |eta| = {eta_min:.6g}")
 
-    eta_abs = float(roots[0])
+    for x in roots:
+        back = _inverse_alpha(p, theta, x)
+        if abs(back - target_ratio) > 1e-8 * target_ratio:
+            raise ValueError(f"root {x} fails back-substitution: 1/alpha = {back} vs target {target_ratio}")
+
+    eta_abs = roots[0]
     return EtaEstimate(
         target_ratio=target_ratio,
         theta=theta,
         eta_abs=eta_abs,
         lambda2=lambda2_from_eta(p.lambda1, eta_abs, theta),
-        all_roots=tuple(roots.tolist()),
+        all_roots=tuple(roots),
     )
 
 

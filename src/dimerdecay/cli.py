@@ -18,6 +18,7 @@ import configparser
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Callable, Sequence
@@ -352,10 +353,7 @@ def cmd_transform(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig, gnuplot: bool) -> int:
     grid = np.linspace(cfg.eta_lo, cfg.eta_hi, cfg.sweep_points)
-    try:
-        results = [sweep_inverse_alpha(cfg.dimer, th, grid) for th in cfg.theta_list]
-    except OverflowError as exc:
-        raise ConfigError(f"sweep.eta_hi: {exc}") from None
+    results = [sweep_inverse_alpha(cfg.dimer, th, grid) for th in cfg.theta_list]
     with _open_out(cfg, "sweep.csv") as fh:
         write_sweep_csv(fh, results)
     for res in results:
@@ -534,18 +532,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         "helix": cmd_helix,
         "renorm": cmd_renorm,
     }
-    try:
-        return handlers[args.command](build_config(args))
-    except NoSolutionError as exc:
-        print(f"no solution: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:  # ConfigError and every input the library refuses
-        # one line: configparser's messages span several
-        print("config error: " + str(exc).replace("\n", " "), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    error = ()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = handlers[args.command](build_config(args))
+        except NoSolutionError as exc:
+            code, error = 4, (f"no solution: {exc}",)
+        except ValueError as exc:  # ConfigError and every input the library refuses
+            code, error = 2, (f"config error: {exc}",)
+        except OSError as exc:
+            code, error = 3, (f"i/o error: {exc}",)
+    # each distinct warning once, then the refusal; one line each: the default
+    # warning format adds the source line, and configparser's messages span several
+    for line in dict.fromkeys([*(f"warning: {w.message}" for w in caught), *error]):
+        print(line.replace("\n", " "), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -105,6 +105,10 @@ class ExcitonFrame:
     omega0: float
 
     def __post_init__(self) -> None:
+        # inf - inf is nan, which passes the identity checks below
+        for name, v in vars(self).items():
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         scale = max(1.0, abs(self.omega1p) + abs(self.omega2p))
         # trace of the 2x2 block is rotation-invariant
         if abs((self.omega_plus + self.omega_minus) - (self.omega1p + self.omega2p)) > 1e-9 * scale:
@@ -133,19 +137,6 @@ def lambda2_from_eta(lambda1: float, eta_abs: float, theta: float) -> float:
     return lambda1 * (real * real + imag * imag)
 
 
-def _dressed_gap(gap, lambda1, eta_abs, cos_theta):
-    """gap + 2 lambda1 |eta| (2 cos(theta) + |eta|) for floats or numpy arrays."""
-    return gap + 2.0 * lambda1 * eta_abs * (2.0 * cos_theta + eta_abs)
-
-
-def renormalized_gap(p: DimerParams) -> float:
-    """Gap between the phonon-dressed site frequencies, in cm^-1.
-
-    omega1' - omega2' = (omega1 - omega2) + 2 lambda1 |eta| (2 cos(theta) + |eta|).
-    """
-    return _dressed_gap(p.gap, p.lambda1, p.eta_abs, math.cos(p.theta))
-
-
 def mixing_angle(gap: float, j12: float) -> float:
     """Angle phi0 in [-pi/2, pi/2] that diagonalizes the coupled pair.
 
@@ -172,15 +163,6 @@ def mixing_angle(gap: float, j12: float) -> float:
     return phi
 
 
-def exciton_splitting(gap: float, j12: float) -> float:
-    """Exciton splitting omega0 = sqrt(gap^2 + 4 j12^2) in cm^-1.
-
-    gap is the difference of the dressed site frequencies; omega0 is
-    the eigenvalue gap of the coupled pair.
-    """
-    return math.hypot(gap, 2.0 * j12)
-
-
 def exciton_frequencies(
     omega1p: float, omega2p: float, j12: float
 ) -> tuple[float, float]:
@@ -194,7 +176,7 @@ def exciton_frequencies(
         omega_minus = omega1' sin^2(phi0/2) + omega2' cos^2(phi0/2) + j12 sin(phi0)
     """
     mean = 0.5 * (omega1p + omega2p)
-    half = 0.5 * exciton_splitting(omega1p - omega2p, j12)
+    half = 0.5 * math.hypot(omega1p - omega2p, 2.0 * j12)
     return mean + half, mean - half
 
 

@@ -7,9 +7,14 @@ dephasing rate of an individual site in its phonon bath and
     alpha = (|eta| j12 / omega0)^2
 
 is the attenuation factor built from the site asymmetry, the intersite
-coupling, and the exciton splitting omega0.  Thermal occupation of the
-resonant phonon mode sets the branching between upward and downward
-exciton transitions.
+coupling, and the exciton splitting omega0.  Divided through by j12^2,
+
+    1/alpha = u^2 + (2/x)^2,    u = g/x + 2 l (2 cos(theta) + x),
+
+with x = |eta|, g = gap/|j12| and l = lambda1/|j12|: the attenuation
+depends on those three dimensionless numbers and theta only, and no
+j12^2 is ever formed.  Thermal occupation of the resonant phonon mode
+sets the branching between upward and downward exciton transitions.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .excitons import DimerParams, _dressed_gap, exciton_splitting, renormalized_gap
+from .excitons import DimerParams, exciton_frame
 from .units import thermal_energy, wavenumber_to_angular
 
 # Required header of a phonon-mode CSV: frequency and squared coupling.
@@ -70,7 +75,7 @@ class RateSet:
     """Derived decay quantities for one dimer/bath combination.
 
     lifetime is 1/gamma in fs, or None when gamma = 0 (infinite);
-    inverse_alpha is inf when the attenuation factor vanishes.
+    inverse_alpha is inf where 1/alpha exceeds the float range, alpha = 0.
     """
 
     alpha: float
@@ -108,15 +113,26 @@ def bose_occupation(omega0: float, temperature_k: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def _attenuation(gap, j12, lambda1, eta_abs, cos_theta):
-    """alpha = (|eta| j12)^2 / (D^2 + 4 j12^2) with D the dressed gap.
+def _inverse_attenuation(g, l, x, cos_theta):
+    """1/alpha = u^2 + (2/x)^2 with u = g/x + 2 l (2 cos(theta) + x).
 
-    D^2 + 4 j12^2 = omega0^2.  Floats or numpy arrays; plain arithmetic
-    only, so an array gives the same bits as the scalars point by point.
+    g = gap/|j12|, l = lambda1/|j12|, x = |eta| > 0.  Floats or numpy
+    arrays; plain arithmetic only, so an array gives the same bits as the
+    scalars point by point.
     """
-    d = _dressed_gap(gap, lambda1, eta_abs, cos_theta)
-    xj = eta_abs * j12
-    return xj * xj / (d * d + 4.0 * j12 * j12)
+    u = g / x + 2.0 * l * (2.0 * cos_theta + x)
+    v = 2.0 / x
+    return u * u + v * v
+
+
+def _dimer_inverse_alpha(p: DimerParams) -> float:
+    """1/alpha of one dimer, inf where alpha = 0; refused where g or l overflows to nan."""
+    if p.j12 == 0.0 or p.eta_abs == 0.0:
+        return math.inf
+    inverse = _inverse_attenuation(p.gap / abs(p.j12), p.lambda1 / abs(p.j12), p.eta_abs, math.cos(p.theta))
+    if math.isnan(inverse):
+        raise ValueError(f"1/alpha cannot be represented at j12 = {p.j12:.6g}: gap/|j12| or lambda1/|j12| overflows")
+    return inverse
 
 
 def attenuation_factor(p: DimerParams) -> float:
@@ -126,9 +142,7 @@ def attenuation_factor(p: DimerParams) -> float:
     Vanishing coupling or vanishing asymmetry gives alpha = 0 exactly:
     the exciton pair then decouples from the dissipative channel.
     """
-    if p.j12 == 0.0:
-        return 0.0
-    return _attenuation(p.gap, p.j12, p.lambda1, p.eta_abs, math.cos(p.theta))
+    return 1.0 / _dimer_inverse_alpha(p)
 
 
 def decay_constant(alpha: float, gamma_d: float) -> float:
@@ -142,16 +156,17 @@ def decay_constant(alpha: float, gamma_d: float) -> float:
 
 def rate_set(p: DimerParams, bath: BathSpec) -> RateSet:
     """Bundle alpha, gamma, nbar0, lifetime for one configuration."""
-    alpha = attenuation_factor(p)
-    gamma = decay_constant(alpha, bath.gamma_d)
-    omega0 = exciton_splitting(renormalized_gap(p), p.j12)
+    omega0 = exciton_frame(p).omega0
     nbar0 = bose_occupation(omega0, bath.temperature) if omega0 > 0.0 else 0.0
+    inverse_alpha = _dimer_inverse_alpha(p)
+    alpha = 1.0 / inverse_alpha
+    gamma = decay_constant(alpha, bath.gamma_d)
     return RateSet(
         alpha=alpha,
         gamma=gamma,
         nbar0=nbar0,
         lifetime=(1.0 / gamma) if gamma > 0.0 else None,
-        inverse_alpha=(1.0 / alpha) if alpha > 0.0 else math.inf,
+        inverse_alpha=inverse_alpha,
     )
 
 

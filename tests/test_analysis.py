@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from dimerdecay.analysis import (
     write_theta_table_csv,
 )
 from dimerdecay.excitons import DimerParams
-from dimerdecay.rates import attenuation_factor
+from dimerdecay.rates import BathSpec, attenuation_factor, rate_set
 
 FMO = DimerParams(
     omega1=60.0, omega2=-60.0, j12=-96.0, lambda1=35.0, eta_abs=0.71, theta=0.0
@@ -139,13 +140,21 @@ def test_sweep_reports_overflowing_inverse_alpha_as_inf():
     assert math.isfinite(res.points[1, 1])
 
 
-def test_sweep_refuses_inverse_alpha_that_overflows_to_nan():
-    # past |eta| ~ 1e154 both D^2 and (|eta| j12)^2 overflow: inf/inf
-    with pytest.raises(OverflowError, match="from \\|eta\\| = 1e\\+300"):
-        sweep_inverse_alpha(FMO, 0.0, [1.0, 1e300])
-    # one square overflowing leaves no nan, so the sweep goes through
-    res = sweep_inverse_alpha(FMO, 0.0, [1.0, 1e150])
-    assert not any(math.isnan(v) for _, v in res.points)
+def test_sweep_far_out_matches_a_50_digit_oracle():
+    # D^2 overflows from |eta| ~ 1e76 on, but 1/alpha stays representable
+    # to ~1e154; inf only where 1/alpha itself exceeds the float range
+    grid = [1.0, 5e99, 1e100, 1e150, 1e300]
+    res = sweep_inverse_alpha(FMO, 0.0, grid)
+    with mpmath.workdps(50):
+        gap, lam, j = (mpmath.mpf(v) for v in (FMO.gap, FMO.lambda1, FMO.j12))
+        for x, got in zip(grid, res.points[:, 1]):
+            x = mpmath.mpf(x)
+            want = ((gap + 2 * lam * x * (2 + x)) ** 2 + 4 * j * j) / (x * j) ** 2
+            if want > mpmath.mpf(sys.float_info.max):
+                assert got == math.inf
+            else:
+                assert abs(got - want) <= 1e-14 * want, (x, got)
+    assert tuple(res.points[1:3, 1]) == pytest.approx((1.32921007e199, 5.31684028e199), rel=1e-8)
 
 
 def test_sweep_points_match_direct_evaluation():
@@ -154,9 +163,9 @@ def test_sweep_points_match_direct_evaluation():
     grid = [0.5, 1.0, 1.6409566831234082, 3.0, 5.0]
     res = sweep_inverse_alpha(FMO, 0.0, grid)
     assert [x for x, _ in res.points] == grid
+    bath = BathSpec(temperature=300.0, gamma_d=0.02)
     for eta, inv_alpha in res.points:
-        direct = 1.0 / attenuation_factor(replace(FMO, eta_abs=eta, theta=0.0))
-        assert inv_alpha == direct
+        assert inv_alpha == rate_set(replace(FMO, eta_abs=eta, theta=0.0), bath).inverse_alpha
     assert res.minimum == find_alpha_minimum(FMO, 0.0)
 
 
@@ -283,32 +292,76 @@ def test_estimate_eta_decreases_with_ratio():
 
 
 def test_estimate_eta_refuses_underflowing_coupling():
-    # D vanishes near |eta| = 0.6036; the root is there, but 1/alpha at it is inf
+    # D vanishes near |eta| = 0.6036; the root is there, but gap/|j12| overflows
     p = DimerParams(-1.0, -60.0, 1e-308, 35.0, 0.71, math.pi)
-    with pytest.raises(ValueError, match="j12\\^2 underflows at j12 = 1e-308"):
+    with pytest.raises(ValueError, match="the quartic in \\|eta\\| leaves the float range"):
         estimate_eta(p, math.pi, 22.0)
 
 
 @pytest.mark.parametrize("j12", [1e-160, 2.04887251289436e-234, 5e-324])
 def test_minimum_and_sweep_refuse_underflowing_coupling(j12):
-    # 1/alpha at the minimum read inf or nan before
+    # the quartic's coefficients, (lambda1/|j12|)^2 and up, overflow
     p = DimerParams(60.0, -60.0, j12, 35.0, 0.71, 0.0)
-    with pytest.raises(ValueError, match="j12\\^2 underflows"):
+    with pytest.raises(ValueError, match="the quartic in \\|eta\\| leaves the float range"):
         find_alpha_minimum(p, 0.0)
-    with pytest.raises(ValueError, match="j12\\^2 underflows"):
+    with pytest.raises(ValueError, match="the quartic in \\|eta\\| leaves the float range"):
         sweep_inverse_alpha(p, 0.0, [0.5, 1.0])
 
 
 @pytest.mark.parametrize(
-    "solve", [find_alpha_minimum, lambda p, th: estimate_eta(p, th, 22.0)], ids=["minimum", "estimate"]
+    "solve, j12, text",
+    [
+        # (lambda1/|j12|)^2 underflows: np.roots would trim the leading zero and
+        # answer "no interior minimum", though one lies at |eta| = 1.69e99
+        (find_alpha_minimum, 1e200, "the quartic in \\|eta\\| leaves the float range"),
+        # the roots 0.426 and 6.7e148 lie too far apart for np.roots, which
+        # drops the smaller one
+        (lambda p, th: estimate_eta(p, th, 22.0), 1e150, "a root of 1/alpha = 22 was lost"),
+    ],
+    ids=["minimum", "estimate"],
 )
-def test_roots_past_the_float_range_are_refused(solve):
-    # the roots lie near |eta| ~ 1e74 or beyond, where the quartic overflows;
-    # they used to be dropped, which read as "no solution"
-    p = DimerParams(60.0, -60.0, 1e150, 35.0, 0.71, 0.0)
-    with pytest.raises(ValueError, match="the quartic in \\|eta\\| overflows") as exc:
+def test_roots_past_the_float_range_are_refused(solve, j12, text):
+    # a root the float quartic cannot carry is refused, not dropped as "no solution"
+    p = DimerParams(60.0, -60.0, j12, 35.0, 0.71, 0.0)
+    with pytest.raises(ValueError, match=text) as exc:
         solve(p, 0.0)
     assert not isinstance(exc.value, NoSolutionError)
+
+
+@pytest.mark.parametrize("j12", [1e24, 1e50])
+def test_estimate_eta_refuses_a_lost_smallest_root(j12):
+    # np.roots returned only the root near 6.7e-2 j12; 0.4264 is the answer
+    p = DimerParams(60.0, -60.0, j12, 35.0, 0.71, 0.0)
+    with pytest.raises(ValueError, match="was lost to round-off"):
+        estimate_eta(p, 0.0, 22.0)
+    # 1e23 still resolves both
+    roots = estimate_eta(DimerParams(60.0, -60.0, 1e23, 35.0, 0.71, 0.0), 0.0, 22.0).all_roots
+    assert len(roots) == 2 and roots[0] == pytest.approx(0.42640143, rel=1e-8)
+
+
+def _oracle_minimum(p, theta):
+    """eta_min at 50 digits: the stationary point of least 1/alpha, from
+    (2 lambda1 x^2 - gap) D - 4 j12^2 taken in x = s y with s = max(1, sqrt|j12|),
+    which keeps the quartic in y well scaled."""
+    with mpmath.workdps(50):
+        gap, lam, j, c = (mpmath.mpf(v) for v in (p.gap, p.lambda1, p.j12, math.cos(theta)))
+        s = max(mpmath.mpf(1), mpmath.sqrt(abs(j)))
+        a2, d2, d1 = 2 * lam * s * s, 2 * lam * s * s, 4 * lam * c * s
+        f = [a2 * d2, a2 * d1, a2 * gap - gap * d2, -gap * d1, -gap * gap - 4 * j * j]
+        ys = mpmath.polyroots(f, maxsteps=200, extraprec=100)
+        xs = [s * y.real for y in map(mpmath.mpc, ys) if y.real > 0 and abs(y.imag) <= 1e-30 * abs(y)]
+        inv = [((gap + 2 * lam * x * (2 * c + x)) ** 2 + 4 * j * j) / (x * j) ** 2 for x in xs]
+        return xs[inv.index(min(inv))]
+
+
+@pytest.mark.parametrize("j12", [1e-100, 1e100, 1e150, 1e155])
+@pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, math.pi])
+def test_minimum_at_extreme_coupling_matches_a_50_digit_oracle(j12, theta):
+    # j12^2 overflowed or the quartic did before the scaling by |j12|
+    p = DimerParams(60.0, -60.0, j12, 35.0, 0.71, theta)
+    got = find_alpha_minimum(p, theta)[0]
+    want = _oracle_minimum(p, theta)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_estimate_eta_unattainable_ratio():

@@ -16,7 +16,6 @@ from dimerdecay.excitons import (
     exciton_frequencies,
     lambda2_from_eta,
     mixing_angle,
-    renormalized_gap,
     su2_identity_check,
 )
 
@@ -66,27 +65,32 @@ def test_dimer_params_gap():
 
 # ---------------------------------------------------------------- dressed gap
 
+def dressed_gap(p):
+    frame = exciton_frame(p)
+    return frame.omega1p - frame.omega2p
+
+
 def test_renormalized_gap_no_asymmetry():
     p = DimerParams(60.0, -60.0, -96.0, 35.0, 0.0, 0.0)
-    assert renormalized_gap(p) == 120.0
+    assert dressed_gap(p) == 120.0
 
 
 def test_renormalized_gap_fmo():
     # 120 + 2*35*0.71*(2 + 0.71)
-    assert renormalized_gap(FMO) == pytest.approx(GAP_DRESSED_FMO, rel=1e-12)
+    assert dressed_gap(FMO) == pytest.approx(GAP_DRESSED_FMO, rel=1e-12)
 
 
 def test_renormalized_gap_cancellation():
     # 2 cos(pi) + 2 = 0 exactly, shift cancels
     p = DimerParams(60.0, -60.0, -96.0, 35.0, 2.0, math.pi)
-    assert renormalized_gap(p) == 120.0
+    assert dressed_gap(p) == 120.0
 
 
 @given(thetas, etas)
 def test_renormalized_gap_even_in_theta(theta, eta):
     p = DimerParams(60.0, -60.0, -96.0, 35.0, eta, theta)
     m = DimerParams(60.0, -60.0, -96.0, 35.0, eta, -theta)
-    assert renormalized_gap(p) == renormalized_gap(m)
+    assert dressed_gap(p) == dressed_gap(m)
 
 
 # ---------------------------------------------------------------- mixing angle
@@ -195,6 +199,12 @@ def test_exciton_frame_even_in_theta(theta, eta):
     a = exciton_frame(DimerParams(60.0, -60.0, -96.0, 35.0, eta, theta))
     b = exciton_frame(DimerParams(60.0, -60.0, -96.0, 35.0, eta, -theta))
     assert a == b
+
+
+def test_exciton_frame_refuses_overflowed_fields():
+    # omega_plus - omega_minus reads inf - inf = nan there, which no identity check catches
+    with pytest.raises(ValueError, match="omega_plus must be finite, got inf"):
+        exciton_frame(DimerParams(60.0, -60.0, 1e308, 35.0, 0.71, 0.0))
 
 
 # --------------------------------------------------------------- lambda2

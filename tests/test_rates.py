@@ -190,6 +190,16 @@ def test_rate_set_decoupled():
     assert rs.inverse_alpha == math.inf
 
 
+def test_rate_set_at_subnormal_coupling():
+    # gap/|j12| and lambda1/|j12| overflow: u = inf reads as alpha = 0 ...
+    bath = BathSpec(temperature=300.0, gamma_d=0.02)
+    rs = rate_set(DimerParams(60.0, -60.0, 1e-320, 35.0, 0.71, 0.0), bath)
+    assert (rs.alpha, rs.inverse_alpha) == (0.0, math.inf)
+    # ... but where 2 cos(theta) + |eta| < 0 they cancel to inf - inf
+    with pytest.raises(ValueError, match="1/alpha cannot be represented"):
+        rate_set(DimerParams(60.0, -60.0, 1e-320, 35.0, 0.71, math.pi), bath)
+
+
 # --------------------------------------------------------------- chain lattice
 
 def test_helix_attenuation_value():

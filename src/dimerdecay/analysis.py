@@ -79,7 +79,7 @@ class EtaEstimate:
 def _inverse_alpha(p: DimerParams, theta: float, eta_abs):
     """1/alpha at a float or an array of |eta|; inf where it exceeds the float range."""
     with np.errstate(over="ignore"):
-        return _inverse_attenuation(p.gap / abs(p.j12), p.lambda1 / abs(p.j12), eta_abs, math.cos(theta))
+        return _inverse_attenuation(p, eta_abs, math.cos(theta))
 
 
 def _gap_polynomial(p: DimerParams, theta: float) -> tuple[float, float, float]:
@@ -102,21 +102,17 @@ def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) 
     root, a complex pair by both, and either by none when the model
     roots are complex.  Raises ValueError where a coefficient of f, or
     its ratio to the leading one, leaves the float range, where a
-    nonzero a2 d2 underflows (the trimming below would drop it) and
+    nonzero a2 d2 underflows (np.roots would trim it as a zero) and
     where f overflows at a root.  The constant term of f must not vanish.
     """
     (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = a, d, b
-    # A D + B, highest power first; its leading zeros (lambda1 = 0) are trimmed
+    # A D + B, highest power first; np.roots trims its leading zeros (lambda1 = 0)
     f = [a2 * d2, a2 * d1 + a1 * d2, a2 * d0 + a1 * d1 + a0 * d2 + b2, a1 * d0 + a0 * d1 + b1, a0 * d0 + b0]
     k = next(i for i, c in enumerate(f) if c)
     if (a2 and d2 and abs(f[0]) < sys.float_info.min) or not all(math.isfinite(c / f[k]) for c in f):
         raise ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {d0:.6g})")
-    # the eigenvalues of the companion matrix, built as np.roots builds it
-    companion = np.eye(4 - k, k=-1)
-    companion[:1] = np.divide(f[k + 1:], -f[k])
-    candidates = np.linalg.eigvals(companion).tolist()
     roots = set()
-    for z in candidates:
+    for z in np.roots(f).tolist():
         x = z.real
         # one root of each conjugate pair
         if not (x > 0.0 and 0.0 <= z.imag <= 1e-3 * x):
@@ -210,10 +206,8 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
     if not roots or d[0] > 0.0:
         eta_min, inv_min = find_alpha_minimum(p, theta)
         if not roots:
-            raise NoSolutionError(
-                f"target ratio {target_ratio:.6g} is below the attainable "
-                f"minimum 1/alpha = {inv_min:.6g} (at |eta| = {eta_min:.6g})"
-            )
+            raise NoSolutionError(f"target ratio {target_ratio:.6g} is below the attainable minimum "
+                                  f"1/alpha = {inv_min:.6g} (at |eta| = {eta_min:.6g})")
         # the slack admits the two halves of a double root at the minimum
         if not (roots[0] <= eta_min * (1.0 + 1e-9) and roots[-1] >= eta_min * (1.0 - 1e-9)):
             raise ValueError(f"a root of 1/alpha = {target_ratio:.6g} was lost to round-off: the roots "

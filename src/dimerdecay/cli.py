@@ -534,7 +534,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     error = ()
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        # the library's own warnings; any other meets the filters in force
+        warnings.simplefilter("always", UserWarning)
         try:
             code = handlers[args.command](build_config(args))
         except NoSolutionError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -113,25 +114,30 @@ def bose_occupation(omega0: float, temperature_k: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def _inverse_attenuation(g, l, x, cos_theta):
-    """1/alpha = u^2 + (2/x)^2 with u = g/x + 2 l (2 cos(theta) + x).
+def _inverse_attenuation(p: DimerParams, x, cos_theta):
+    """1/alpha = u^2 + (2/x)^2 with u = g/x + 2 l (2 cos(theta) + x) at x = |eta| > 0.
 
-    g = gap/|j12|, l = lambda1/|j12|, x = |eta| > 0.  Floats or numpy
-    arrays; plain arithmetic only, so an array gives the same bits as the
-    scalars point by point.
+    g = gap/|j12|, l = lambda1/|j12|.  x is a float or a numpy array: plain
+    arithmetic only, so an array gives the same bits as the scalars point by point.
     """
-    u = g / x + 2.0 * l * (2.0 * cos_theta + x)
+    j = abs(p.j12)
+    # |j12| divides g and l where that shrinks them, and D/x where it would grow them:
+    # at a subnormal j12, u then reads inf, not the inf - inf of g/x and 2 l (2 cos(theta) + x)
+    if j > 1.0:
+        u = p.gap / j / x + 2.0 * (p.lambda1 / j) * (2.0 * cos_theta + x)
+    else:
+        u = (p.gap / x + 2.0 * p.lambda1 * (2.0 * cos_theta + x)) / j
     v = 2.0 / x
     return u * u + v * v
 
 
 def _dimer_inverse_alpha(p: DimerParams) -> float:
-    """1/alpha of one dimer, inf where alpha = 0; refused where g or l overflows to nan."""
+    """1/alpha of one dimer, inf where alpha = 0; refused where it is nan or alpha leaves the float range."""
     if p.j12 == 0.0 or p.eta_abs == 0.0:
         return math.inf
-    inverse = _inverse_attenuation(p.gap / abs(p.j12), p.lambda1 / abs(p.j12), p.eta_abs, math.cos(p.theta))
-    if math.isnan(inverse):
-        raise ValueError(f"1/alpha cannot be represented at j12 = {p.j12:.6g}: gap/|j12| or lambda1/|j12| overflows")
+    inverse = _inverse_attenuation(p, p.eta_abs, math.cos(p.theta))
+    if not inverse >= sys.float_info.min:
+        raise ValueError(f"alpha cannot be represented at j12 = {p.j12:.6g}, |eta| = {p.eta_abs:.6g}: 1/alpha = {inverse:.6g}")
     return inverse
 
 

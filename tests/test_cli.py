@@ -256,6 +256,20 @@ def test_library_warning_prints_once_on_one_line(tmp_path, capsys):
     assert "lifetime_fs     = 396.9757" in out
 
 
+@pytest.mark.parametrize("category", [RuntimeWarning, DeprecationWarning])
+def test_only_library_warnings_become_stderr_lines(category, monkeypatch, tmp_path):
+    # any other warning meets the filters in force, so "error" still fails the run
+    def cmd_transform(cfg):
+        warnings.warn("not from the library", category)
+        return 0
+
+    monkeypatch.setattr("dimerdecay.cli.cmd_transform", cmd_transform)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(category, match="not from the library"):
+            main(["transform", "--output-dir", str(tmp_path)])
+
+
 FILE_CASES = {
     # id: (the file is a config or a custom state, its bytes, start of the stderr line)
     "ini-not-utf8": ("config", b"\xff[dimer]\n", "config error: config file"),

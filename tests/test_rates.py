@@ -191,13 +191,21 @@ def test_rate_set_decoupled():
 
 
 def test_rate_set_at_subnormal_coupling():
-    # gap/|j12| and lambda1/|j12| overflow: u = inf reads as alpha = 0 ...
+    # 1/alpha = (D/x)^2 / j12^2 + (2/x)^2 overflows: alpha = 0, also where
+    # 2 cos(theta) + |eta| < 0 and g/x, 2 l (2 cos(theta) + x) would cancel
     bath = BathSpec(temperature=300.0, gamma_d=0.02)
-    rs = rate_set(DimerParams(60.0, -60.0, 1e-320, 35.0, 0.71, 0.0), bath)
-    assert (rs.alpha, rs.inverse_alpha) == (0.0, math.inf)
-    # ... but where 2 cos(theta) + |eta| < 0 they cancel to inf - inf
-    with pytest.raises(ValueError, match="1/alpha cannot be represented"):
-        rate_set(DimerParams(60.0, -60.0, 1e-320, 35.0, 0.71, math.pi), bath)
+    for theta in (0.0, math.pi):
+        rs = rate_set(DimerParams(60.0, -60.0, 1e-320, 35.0, 0.71, theta), bath)
+        assert (rs.alpha, rs.inverse_alpha) == (0.0, math.inf)
+
+
+def test_attenuation_beyond_the_float_range_is_refused():
+    # lambda1 = 0: 1/alpha = ((gap/j12)^2 + 4)/|eta|^2 underflows to 0 at |eta| = 1e170
+    with pytest.raises(ValueError, match="alpha cannot be represented at j12 = -96, [|]eta[|] = 1e[+]170"):
+        attenuation_factor(DimerParams(60.0, -60.0, -96.0, 0.0, 1e170, 0.0))
+    # still a normal float at 1e150, where 1/alpha is about 5.6e-300
+    assert attenuation_factor(DimerParams(60.0, -60.0, -96.0, 0.0, 1e150, 0.0)) == pytest.approx(
+        1e300 / ((120.0 / 96.0) ** 2 + 4.0), rel=1e-12)
 
 
 # --------------------------------------------------------------- chain lattice

@@ -87,6 +87,8 @@ def _gap_polynomial(p: DimerParams, theta: float) -> tuple[float, float, float]:
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     l = p.lambda1 / abs(p.j12)
+    if p.lambda1 and not l:  # it would read as lambda1 = 0, a quartic of lower degree
+        raise ValueError(f"the quartic in |eta| leaves the float range: lambda1/|j12| = {p.lambda1:.6g}/{abs(p.j12):.6g} underflows to 0")
     return 2.0 * l, 4.0 * l * math.cos(theta), p.gap / abs(p.j12)
 
 

@@ -48,6 +48,7 @@ from .dynamics import (
 from .excitons import DimerParams, exciton_frame, lambda2_from_eta
 from .rates import (
     BathSpec,
+    decay_constant,
     frequency_renormalization,
     helix_attenuation,
     load_modes_csv,
@@ -109,10 +110,10 @@ def _thetas(raw: str) -> tuple[float, ...]:
     return thetas
 
 
-def _modes(raw: str) -> tuple[tuple[float, float], ...] | None:
+def _modes(raw: str) -> tuple[tuple[float, float], ...]:
     path = raw.strip()
     if not path:
-        return None
+        return ()
     if not Path(path).is_file():
         raise ValueError(f"file not found: {path}")
     return load_modes_csv(path)
@@ -347,7 +348,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         ("alpha", _fmt(rates.alpha)),
         ("inverse_alpha", _fmt(rates.inverse_alpha)),
         ("gamma_fs1", _fmt(rates.gamma)),
-        ("lifetime_fs", "inf" if rates.lifetime is None else _fmt(rates.lifetime)),
+        ("lifetime_fs", _fmt(rates.lifetime)),
     ])
 
 
@@ -447,15 +448,15 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 def cmd_helix(cfg: RunConfig) -> int:
     alpha = helix_attenuation(cfg.spacing, cfg.sound_speed, cfg.helix_j12)
-    gamma = alpha * cfg.bath.gamma_d
+    gamma = decay_constant(alpha, cfg.bath.gamma_d)
     return _emit_pairs(cfg, "helix.csv", [
         ("spacing_angstrom", _fmt(cfg.spacing)),
         ("sound_speed_m_s", _fmt(cfg.sound_speed)),
         ("j12_cm1", _fmt(cfg.helix_j12)),
         ("alpha", _fmt(alpha)),
-        ("inverse_alpha", _fmt(1.0 / alpha) if alpha > 0.0 else "inf"),
+        ("inverse_alpha", _fmt(1.0 / alpha if alpha else math.inf)),
         ("gamma_fs1", _fmt(gamma)),
-        ("lifetime_fs", _fmt(1.0 / gamma) if gamma > 0.0 else "inf"),
+        ("lifetime_fs", _fmt(1.0 / gamma if gamma else math.inf)),
     ])
 
 

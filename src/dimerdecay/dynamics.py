@@ -38,7 +38,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .excitons import DimerParams, basis_map, exciton_frame
-from .rates import BathSpec, attenuation_factor, bose_occupation, decay_constant
+from .rates import BathSpec, rate_set
 from .units import _fmt_table, wavenumber_to_angular
 
 BASES = ("exciton", "site")
@@ -177,19 +177,14 @@ class EvolutionParams:
 
     @classmethod
     def for_dimer(cls, p: DimerParams, bath: BathSpec) -> "EvolutionParams":
-        """Assemble evolution parameters from dimer and bath inputs.
+        """gamma and nbar0 from rate_set, the frequencies and phi0 from exciton_frame.
 
         The exciton frequencies are the unshifted ones: the discrete-mode
         shifts move only unitary phases, never populations.
         """
-        frame = exciton_frame(p)
-        return cls(
-            gamma=decay_constant(attenuation_factor(p), bath.gamma_d),
-            nbar0=bose_occupation(frame.omega0, bath.temperature),
-            omega_plus=frame.omega_plus,
-            omega_minus=frame.omega_minus,
-            phi0=frame.phi0,
-        )
+        frame, rates = exciton_frame(p), rate_set(p, bath)
+        return cls(gamma=rates.gamma, nbar0=rates.nbar0, omega_plus=frame.omega_plus,
+                   omega_minus=frame.omega_minus, phi0=frame.phi0)
 
 
 def analytic_trajectory(
@@ -210,6 +205,9 @@ def analytic_trajectory(
         raise ValueError(f"t must be >= 0 fs, got {ts[bad][0]}")
     g_pop = p.gamma * (1.0 + 2.0 * p.nbar0)
     wp, wm = wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)
+    t_last = float(ts.max(initial=0.0))
+    if not math.isfinite(t_last * max(abs(wp), abs(wm), abs(wp - wm))):
+        raise ValueError(f"the phases omega t leave the float range by t = {t_last:.6g} fs")
     # exponents of the population and of the rho01, rho02, rho12 moduli
     rates = (-g_pop, -0.5 * p.gamma * (1.0 + p.nbar0), -0.5 * p.gamma * p.nbar0, -0.5 * g_pop)
     tl = ts.tolist()
@@ -375,17 +373,21 @@ def numeric_trajectory(
     powered: dict[tuple[int, float], np.ndarray] = {}
     out = np.empty((len(intervals) + 1, 3, 3), dtype=complex)
     out[0] = state.rho
-    for i, t in enumerate(intervals.tolist()):
-        if t == 0.0:
-            out[i + 1] = out[i]
-            continue
-        n_steps = max(1, math.ceil(t / dt - 1e-9))
-        h = t / n_steps
-        e = powered.get((n_steps, h))
-        if e is None:
-            e = powered[(n_steps, h)] = _powered_increment(_rk4_increment(h * m), n_steps)
-        y = out[i].reshape(9)
-        out[i + 1] = (y + e @ y).reshape(3, 3)
+    # the exact solution is bounded, so anything non-finite is round-off grown unchecked; refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(intervals.tolist()):
+            if t == 0.0:
+                out[i + 1] = out[i]
+                continue
+            n_steps = max(1, math.ceil(t / dt - 1e-9))
+            h = t / n_steps
+            e = powered.get((n_steps, h))
+            if e is None:
+                e = powered[(n_steps, h)] = _powered_increment(_rk4_increment(h * m), n_steps)
+            y = out[i].reshape(9)
+            out[i + 1] = (y + e @ y).reshape(3, 3)
+    if not np.isfinite(out).all():
+        raise ValueError(f"round-off in the RK4 propagator overflows over {longest:.6g} fs at dt = {dt:.6g} fs: too little decay")
     _check_states(out)
     return out
 

@@ -83,7 +83,7 @@ class DimerParams:
 
 @dataclass(frozen=True)
 class ExcitonFrame:
-    """Renormalized and diagonalized frame of the dimer.
+    """Renormalized and diagonalized frame of the dimer, as exciton_frame builds it.
 
     Attributes
     ----------
@@ -94,7 +94,7 @@ class ExcitonFrame:
     omega_plus, omega_minus : float
         Exciton frequencies in cm^-1, omega_plus >= omega_minus.
     omega0 : float
-        Exciton splitting omega_plus - omega_minus > 0.
+        Exciton splitting omega_plus - omega_minus >= 0.
     """
 
     omega1p: float
@@ -105,7 +105,7 @@ class ExcitonFrame:
     omega0: float
 
     def __post_init__(self) -> None:
-        # inf - inf is nan, which passes the identity checks below
+        # inf - inf is nan, which passes the identity check below
         for name, v in vars(self).items():
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -113,12 +113,6 @@ class ExcitonFrame:
         # trace of the 2x2 block is rotation-invariant
         if abs((self.omega_plus + self.omega_minus) - (self.omega1p + self.omega2p)) > 1e-9 * scale:
             raise ValueError("exciton frequencies violate the trace identity")
-        if self.omega_plus < self.omega_minus:
-            raise ValueError("omega_plus must be >= omega_minus")
-        if abs(self.omega0 - (self.omega_plus - self.omega_minus)) > 1e-9 * scale:
-            raise ValueError("omega0 must equal omega_plus - omega_minus")
-        if not -math.pi / 2 <= self.phi0 <= math.pi / 2:
-            raise ValueError(f"phi0 must lie in [-pi/2, pi/2], got {self.phi0}")
 
 
 def lambda2_from_eta(lambda1: float, eta_abs: float, theta: float) -> float:

@@ -47,58 +47,49 @@ class BathSpec:
     gamma_d : float
         Site dephasing rate in fs^-1, >= 0.  A direct input: the
         delta-correlated bath sets no scale of its own here.
-    modes : tuple of (omega_k, V2_k) pairs, optional
+    modes : tuple of (omega_k, V2_k) pairs
         Discrete phonon modes (cm^-1, cm^-2) for the principal-value
-        frequency-shift sums.  Empty/None means no shift.
+        frequency-shift sums.  Empty means no shift.
     """
 
     temperature: float
     gamma_d: float
-    modes: tuple[tuple[float, float], ...] | None = None
+    modes: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.temperature > 0.0) or not math.isfinite(self.temperature):
             raise ValueError(f"temperature must be > 0 K, got {self.temperature}")
         if self.gamma_d < 0.0 or not math.isfinite(self.gamma_d):
             raise ValueError(f"gamma_d must be >= 0 fs^-1, got {self.gamma_d}")
-        if self.modes is not None:
-            norm = tuple((float(w), float(v2)) for w, v2 in self.modes)
-            for w, v2 in norm:
-                if not w > 0.0:
-                    raise ValueError(f"mode frequency must be > 0 cm^-1, got {w}")
-                if v2 < 0.0:
-                    raise ValueError(f"squared coupling must be >= 0, got {v2}")
-            object.__setattr__(self, "modes", norm)
+        norm = tuple((float(w), float(v2)) for w, v2 in self.modes)
+        for w, v2 in norm:
+            if not w > 0.0:
+                raise ValueError(f"mode frequency must be > 0 cm^-1, got {w}")
+            if v2 < 0.0:
+                raise ValueError(f"squared coupling must be >= 0, got {v2}")
+        object.__setattr__(self, "modes", norm)
 
 
 @dataclass(frozen=True)
 class RateSet:
-    """Derived decay quantities for one dimer/bath combination.
+    """Derived decay quantities for one dimer/bath combination, as rate_set builds them.
 
-    lifetime is 1/gamma in fs, or None when gamma = 0 (infinite);
-    inverse_alpha is inf where 1/alpha exceeds the float range, alpha = 0.
+    lifetime is 1/gamma in fs, inf where gamma = 0; inverse_alpha is inf
+    where 1/alpha exceeds the float range, which includes alpha = 0.
     """
 
     alpha: float
     gamma: float
     nbar0: float
-    lifetime: float | None
+    lifetime: float
     inverse_alpha: float
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0.0 or self.nbar0 < 0.0:
-            raise ValueError("alpha and nbar0 must be >= 0")
-        if self.gamma != 0.0 and self.alpha != 0.0:
-            ratio = self.gamma / self.alpha
-            if not math.isfinite(ratio) or ratio < 0.0:
-                raise ValueError("gamma must equal alpha * gamma_d with gamma_d >= 0")
 
 
 def bose_occupation(omega0: float, temperature_k: float) -> float:
     """Mean thermal occupation 1/(exp(omega0/kT) - 1) at omega0 in cm^-1.
 
-    T = 0 returns the limit value 0.  omega0 must be positive: it is the
-    exciton splitting, a resonance frequency.
+    T = 0 returns the limit value 0; where kT/omega0 overflows, the occupation is
+    refused.  omega0 must be positive: it is the exciton splitting, a resonance frequency.
     """
     if not omega0 > 0.0:
         raise ValueError(f"omega0 must be > 0 cm^-1, got {omega0}")
@@ -111,6 +102,8 @@ def bose_occupation(omega0: float, temperature_k: float) -> float:
         # expm1 overflows near x = 709; here 1/expm1(x) = exp(-x) to
         # relative accuracy exp(-x) < 1e-304
         return math.exp(-x)
+    if x < 1.0 / sys.float_info.max:
+        raise ValueError(f"the thermal occupation overflows at omega0/kT = {x:.6g}")
     return 1.0 / math.expm1(x)
 
 
@@ -152,16 +145,19 @@ def attenuation_factor(p: DimerParams) -> float:
 
 
 def decay_constant(alpha: float, gamma_d: float) -> float:
-    """Collective decay constant gamma = alpha * gamma_d in fs^-1."""
+    """Collective decay constant gamma = alpha * gamma_d in fs^-1; refused where it overflows."""
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if gamma_d < 0.0:
         raise ValueError(f"gamma_d must be >= 0 fs^-1, got {gamma_d}")
-    return alpha * gamma_d
+    gamma = alpha * gamma_d
+    if not math.isfinite(gamma):
+        raise ValueError(f"the decay constant alpha * gamma_d overflows: alpha = {alpha:.6g}, gamma_d = {gamma_d:.6g}")
+    return gamma
 
 
 def rate_set(p: DimerParams, bath: BathSpec) -> RateSet:
-    """Bundle alpha, gamma, nbar0, lifetime for one configuration."""
+    """Bundle alpha, gamma, nbar0 (0 where omega0 = 0), lifetime for one configuration."""
     omega0 = exciton_frame(p).omega0
     nbar0 = bose_occupation(omega0, bath.temperature) if omega0 > 0.0 else 0.0
     inverse_alpha = _dimer_inverse_alpha(p)
@@ -171,7 +167,7 @@ def rate_set(p: DimerParams, bath: BathSpec) -> RateSet:
         alpha=alpha,
         gamma=gamma,
         nbar0=nbar0,
-        lifetime=(1.0 / gamma) if gamma > 0.0 else None,
+        lifetime=1.0 / gamma if gamma else math.inf,
         inverse_alpha=inverse_alpha,
     )
 

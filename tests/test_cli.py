@@ -205,6 +205,19 @@ EXIT_CASES = [
         2, "config error: root 0.6035875164211777 fails back-substitution: 1/alpha = 55.09",
     ),
     ("estimate --j12 1e150", 2, "config error: a root of 1/alpha = 22 was lost to round-off"),
+    ("minimize --lambda1 1e-300 --j12 1e30 --theta-list 0", 2, "config error: the quartic in |eta| leaves the float range"),
+    ("sweep --lambda1 1e-300 --j12 1e30 --theta-list 0", 2, "config error: the quartic in |eta| leaves the float range"),
+    ("estimate --lambda1 1e-300 --j12 1e30 --theta-list 0", 2, "config error: the quartic in |eta| leaves the float range"),
+    # gamma = alpha * gamma_d beyond the float range, refused where it is formed
+    ("helix --helix-j12 1e150 --gamma-d 1e20", 2, "config error: the decay constant alpha * gamma_d overflows"),
+    ("transform --lambda1 0 --eta-abs 1e150 --gamma-d 1e10", 2, "config error: the decay constant alpha * gamma_d overflows"),
+    ("evolve --lambda1 0 --eta-abs 1e150 --gamma-d 1e10", 2, "config error: the decay constant alpha * gamma_d overflows"),
+    ("transform --gap 1e-308 --lambda1 0 --j12 0 --temperature 1e300", 2, "config error: the thermal occupation overflows"),
+    # t_max times a rate beyond what the propagators can carry
+    ("evolve --gamma-d 0 --t-max 1e24", 2, "config error: round-off in the RK4 propagator overflows"),
+    ("evolve --j12 0 --t-max 1e30", 2, "config error: round-off in the RK4 propagator overflows"),
+    ("evolve --gap 1e150 --t-max 1e300", 2, "config error: the phases omega t leave the float range"),
+    ("evolve --j12 1e-6 --t-max 1e300 --eta 0", 2, "config error: round-off in the RK4 propagator overflows"),
     # 1/alpha and the quartic stay within the float range: each ends in a result
     ("sweep --eta-hi 1e300", 0, ""),
     ("minimize --j12 1e150", 0, ""),

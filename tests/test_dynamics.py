@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 import time
 
 import numpy as np
@@ -23,8 +24,8 @@ from dimerdecay.dynamics import (
     write_trajectory_csv,
 )
 from dimerdecay.dynamics import _check_states, _generator_matrix, _powered_increment, _rk4_increment
-from dimerdecay.excitons import DimerParams
-from dimerdecay.rates import BathSpec
+from dimerdecay.excitons import DimerParams, exciton_frame
+from dimerdecay.rates import BathSpec, rate_set
 from dimerdecay.units import wavenumber_to_angular
 
 # frozen from 40-digit evaluations of the transform chain
@@ -233,6 +234,22 @@ def test_for_dimer_assembles_frozen_values():
     assert p.omega_plus == pytest.approx(FMO_OMEGA_PLUS, rel=1e-12)
     assert p.omega_minus == pytest.approx(FMO_OMEGA_MINUS, rel=1e-12)
     assert p.phi0 == pytest.approx(FMO_PHI0, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:renormalized gap:UserWarning")
+def test_for_dimer_reads_rate_set_and_exciton_frame():
+    rng = random.Random(5)
+    dimers = [FMO] + [
+        DimerParams(rng.uniform(1.0, 500.0), 0.0, rng.uniform(-200.0, 200.0), rng.uniform(0.0, 100.0),
+                    rng.uniform(0.0, 3.0), rng.uniform(-math.pi, math.pi))
+        for _ in range(50)
+    ]
+    for p in dimers:
+        bath = BathSpec(temperature=rng.uniform(1.0, 500.0), gamma_d=rng.uniform(0.0, 0.1))
+        params, rates, frame = EvolutionParams.for_dimer(p, bath), rate_set(p, bath), exciton_frame(p)
+        assert (params.gamma, params.nbar0) == (rates.gamma, rates.nbar0)
+        assert (params.omega_plus, params.omega_minus, params.phi0) == (
+            frame.omega_plus, frame.omega_minus, frame.phi0)
 
 
 # --------------------------------------------------------------- closed forms

@@ -10,7 +10,6 @@ from dimerdecay.excitons import DimerParams
 from dimerdecay.rates import (
     MODES_CSV_HEADER,
     BathSpec,
-    RateSet,
     ResonantModeError,
     attenuation_factor,
     bose_occupation,
@@ -54,13 +53,6 @@ def test_bath_spec_normalizes_modes():
     assert all(isinstance(v, float) for pair in bath.modes for v in pair)
 
 
-def test_rate_set_validation():
-    with pytest.raises(ValueError):
-        RateSet(alpha=-1.0, gamma=0.0, nbar0=0.0, lifetime=None, inverse_alpha=1.0)
-    with pytest.raises(ValueError):
-        RateSet(alpha=0.1, gamma=-0.5, nbar0=0.0, lifetime=None, inverse_alpha=10.0)
-
-
 # --------------------------------------------------------------- occupation
 
 def test_bose_occupation_zero_temperature():
@@ -88,6 +80,14 @@ def test_bose_occupation_domain():
         bose_occupation(-10.0, 300.0)
     with pytest.raises(ValueError, match="temperature"):
         bose_occupation(100.0, -1.0)
+
+
+def test_bose_occupation_refuses_overflow():
+    # about kT/omega0, beyond the float range once omega0/kT < 1/max
+    assert bose_occupation(1e-300, 1e6) == pytest.approx(thermal_energy(1e6) / 1e-300, rel=1e-12)
+    for omega0, temperature in ((1e-308, 1e6), (1e-308, 1e300)):
+        with pytest.raises(ValueError, match="the thermal occupation overflows"):
+            bose_occupation(omega0, temperature)
 
 
 @given(
@@ -155,6 +155,8 @@ def test_decay_constant_rejects_negative():
         decay_constant(-0.1, 0.02)
     with pytest.raises(ValueError):
         decay_constant(0.1, -0.02)
+    with pytest.raises(ValueError, match="the decay constant alpha [*] gamma_d overflows"):
+        decay_constant(1e300, 1e10)
 
 
 @given(
@@ -186,7 +188,7 @@ def test_rate_set_decoupled():
     rs = rate_set(p, BathSpec(temperature=300.0, gamma_d=0.02))
     assert rs.alpha == 0.0
     assert rs.gamma == 0.0
-    assert rs.lifetime is None
+    assert rs.lifetime == math.inf
     assert rs.inverse_alpha == math.inf
 
 

@@ -45,7 +45,7 @@ from .dynamics import (
     trajectory_to_site,
     write_trajectory_csv,
 )
-from .excitons import DimerParams, exciton_frame, lambda2_from_eta
+from .excitons import DimerParams, exciton_frame
 from .rates import (
     BathSpec,
     decay_constant,
@@ -333,9 +333,8 @@ def _json_complex(cell) -> complex:
 
 
 def cmd_transform(cfg: RunConfig) -> int:
-    frame = exciton_frame(cfg.dimer)
     rates = rate_set(cfg.dimer, cfg.bath)
-    lam2 = lambda2_from_eta(cfg.dimer.lambda1, cfg.dimer.eta_abs, cfg.dimer.theta)
+    frame = rates.frame
     return _emit_pairs(cfg, "transform.csv", [
         ("phi0_rad", _fmt(frame.phi0)),
         ("omega1p_cm1", _fmt(frame.omega1p)),
@@ -344,7 +343,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         ("omega_minus_cm1", _fmt(frame.omega_minus)),
         ("omega0_cm1", _fmt(frame.omega0)),
         ("nbar0", _fmt(rates.nbar0)),
-        ("lambda2_cm1", _fmt(lam2)),
+        ("lambda2_cm1", _fmt(frame.lambda2)),
         ("alpha", _fmt(rates.alpha)),
         ("inverse_alpha", _fmt(rates.inverse_alpha)),
         ("gamma_fs1", _fmt(rates.gamma)),
@@ -545,9 +544,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, error = 2, (f"config error: {exc}",)
         except OSError as exc:
             code, error = 3, (f"i/o error: {exc}",)
-    # each distinct warning once, then the refusal; one line each: the default
-    # warning format adds the source line, and configparser's messages span several
-    for line in dict.fromkeys([*(f"warning: {w.message}" for w in caught), *error]):
+    # the warnings, then the refusal; one line each: the default warning
+    # format adds the source line, and configparser's messages span several
+    for line in [*(f"warning: {w.message}" for w in caught), *error]:
         print(line.replace("\n", " "), file=sys.stderr)
     return code
 

@@ -37,7 +37,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .excitons import DimerParams, basis_map, exciton_frame
+from .excitons import DimerParams, basis_map
 from .rates import BathSpec, rate_set
 from .units import _fmt_table, wavenumber_to_angular
 
@@ -177,14 +177,14 @@ class EvolutionParams:
 
     @classmethod
     def for_dimer(cls, p: DimerParams, bath: BathSpec) -> "EvolutionParams":
-        """gamma and nbar0 from rate_set, the frequencies and phi0 from exciton_frame.
+        """gamma, nbar0, the frequencies and phi0 from one rate_set call and its frame.
 
         The exciton frequencies are the unshifted ones: the discrete-mode
         shifts move only unitary phases, never populations.
         """
-        frame, rates = exciton_frame(p), rate_set(p, bath)
-        return cls(gamma=rates.gamma, nbar0=rates.nbar0, omega_plus=frame.omega_plus,
-                   omega_minus=frame.omega_minus, phi0=frame.phi0)
+        rates = rate_set(p, bath)
+        return cls(gamma=rates.gamma, nbar0=rates.nbar0, omega_plus=rates.frame.omega_plus,
+                   omega_minus=rates.frame.omega_minus, phi0=rates.frame.phi0)
 
 
 def analytic_trajectory(

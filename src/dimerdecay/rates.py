@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .excitons import DimerParams, exciton_frame
+from .excitons import DimerParams, ExcitonFrame, exciton_frame
 from .units import thermal_energy, wavenumber_to_angular
 
 # Required header of a phonon-mode CSV: frequency and squared coupling.
@@ -76,6 +76,7 @@ class RateSet:
 
     lifetime is 1/gamma in fs, inf where gamma = 0; inverse_alpha is inf
     where 1/alpha exceeds the float range, which includes alpha = 0.
+    frame is the exciton frame nbar0 was read from.
     """
 
     alpha: float
@@ -83,6 +84,7 @@ class RateSet:
     nbar0: float
     lifetime: float
     inverse_alpha: float
+    frame: ExcitonFrame
 
 
 def bose_occupation(omega0: float, temperature_k: float) -> float:
@@ -157,9 +159,9 @@ def decay_constant(alpha: float, gamma_d: float) -> float:
 
 
 def rate_set(p: DimerParams, bath: BathSpec) -> RateSet:
-    """Bundle alpha, gamma, nbar0 (0 where omega0 = 0), lifetime for one configuration."""
-    omega0 = exciton_frame(p).omega0
-    nbar0 = bose_occupation(omega0, bath.temperature) if omega0 > 0.0 else 0.0
+    """Bundle alpha, gamma, nbar0 (0 where omega0 = 0), lifetime and the exciton frame for one configuration."""
+    frame = exciton_frame(p)
+    nbar0 = bose_occupation(frame.omega0, bath.temperature) if frame.omega0 > 0.0 else 0.0
     inverse_alpha = _dimer_inverse_alpha(p)
     alpha = 1.0 / inverse_alpha
     gamma = decay_constant(alpha, bath.gamma_d)
@@ -169,6 +171,7 @@ def rate_set(p: DimerParams, bath: BathSpec) -> RateSet:
         nbar0=nbar0,
         lifetime=1.0 / gamma if gamma else math.inf,
         inverse_alpha=inverse_alpha,
+        frame=frame,
     )
 
 
@@ -197,7 +200,7 @@ def helix_attenuation(a_angstrom: float, v_m_per_s: float, j12: float) -> float:
 
 
 def frequency_renormalization(
-    modes: Iterable[tuple[float, float]] | None,
+    modes: Iterable[tuple[float, float]],
     omega0: float,
     temperature_k: float,
 ) -> tuple[float, float]:
@@ -216,7 +219,7 @@ def frequency_renormalization(
         raise ValueError(f"omega0 must be > 0 cm^-1, got {omega0}")
     delta_plus = 0.0
     delta_minus = 0.0
-    for omega_k, v2_k in modes or ():
+    for omega_k, v2_k in modes:
         if not omega_k > 0.0:
             raise ValueError(f"mode frequency must be > 0 cm^-1, got {omega_k}")
         if v2_k < 0.0:

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -180,8 +181,11 @@ EXIT_CASES = [
         "evolve --gap 40 --lambda1 20 --eta-abs 1 --theta 3.141592653589793 --j12 0",
         2, "config error: mixing angle undefined",
     ),
-    ("transform --j12 1e150", 2, "config error: exciton frequencies violate the trace identity"),
-    ("renorm --j12 1e150 --modes-file MODES", 2, "config error: exciton frequencies violate the trace identity"),
+    ("transform --j12 1e150", 0, ""),
+    ("renorm --j12 1e150 --modes-file MODES", 0, ""),
+    ("transform --j12 1e11", 0, ""),
+    ("renorm --j12 1e11 --modes-file MODES", 0, ""),
+    ("evolve --j12 1e11", 2, "config error: time.dt: dt = 0.01 fs exceeds"),
     ("transform --j12 1e308", 2, "config error: omega_plus must be finite, got inf"),
     ("minimize --j12 1e300", 2, "config error: the quartic in |eta| leaves the float range"),
     ("minimize --j12 1e200", 2, "config error: the quartic in |eta| leaves the float range"),
@@ -257,8 +261,8 @@ def test_extreme_magnitudes_raise_no_numpy_warning(cmdline, tmp_path, capsys):
 
 
 def test_library_warning_prints_once_on_one_line(tmp_path, capsys):
-    # the dressed gap is negative, so mixing_angle warns, from both exciton_frame
-    # and rate_set; the default format would add the source path and line
+    # the dressed gap is negative, so mixing_angle warns, once: the run builds one
+    # exciton frame; the default format would add the source path and line
     argv = ["transform", "--omega2", "0.5", "--theta", "3.141592653589793", "--output-dir", str(tmp_path)]
     assert main(argv) == 0
     out, err = capsys.readouterr()
@@ -267,6 +271,23 @@ def test_library_warning_prints_once_on_one_line(tmp_path, capsys):
         "out of order); folding the mixing angle branch\n"
     )
     assert "lifetime_fs     = 396.9757" in out
+
+
+@pytest.mark.parametrize("cmdline", ["transform", "evolve --t-max 10 --time-points 3", "renorm --modes-file MODES"])
+def test_one_exciton_frame_per_run(cmdline, monkeypatch, tmp_path):
+    # wrap exciton_frame in every module of the package that reads it by name
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return exciton_frame(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dimerdecay.") and getattr(module, "exciton_frame", None) is exciton_frame:
+            monkeypatch.setattr(module, "exciton_frame", counted)
+    argv = cmdline.replace("MODES", str(MODES)).split()
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("category", [RuntimeWarning, DeprecationWarning])

@@ -250,6 +250,7 @@ def test_for_dimer_reads_rate_set_and_exciton_frame():
         assert (params.gamma, params.nbar0) == (rates.gamma, rates.nbar0)
         assert (params.omega_plus, params.omega_minus, params.phi0) == (
             frame.omega_plus, frame.omega_minus, frame.phi0)
+        assert rates.frame == frame
 
 
 # --------------------------------------------------------------- closed forms

@@ -192,6 +192,7 @@ def test_exciton_frame_fmo():
     assert frame.omega_plus == pytest.approx(FMO_OMEGA_PLUS, rel=1e-12)
     assert frame.omega_minus == pytest.approx(FMO_OMEGA_MINUS, rel=1e-12)
     assert frame.omega0 == pytest.approx(FMO_OMEGA0, rel=1e-12)
+    assert frame.lambda2 == pytest.approx(FMO_LAMBDA2, rel=1e-12)
 
 
 @given(thetas, st.floats(min_value=0.0, max_value=5.0))
@@ -201,8 +202,18 @@ def test_exciton_frame_even_in_theta(theta, eta):
     assert a == b
 
 
+@pytest.mark.parametrize("j12", [1e11, 1e150, -1e300])
+def test_exciton_frame_is_finite_at_large_coupling(j12):
+    # omega_plus and omega_minus round the dressed frequencies away here; only an
+    # overflowing frame is refused
+    frame = exciton_frame(DimerParams(60.0, -60.0, j12, 35.0, 0.71, 0.0))
+    assert all(math.isfinite(v) for v in vars(frame).values())
+    splitting = math.hypot(frame.omega1p - frame.omega2p, 2.0 * j12)
+    assert abs(frame.omega0 - splitting) <= 1e-15 * splitting
+
+
 def test_exciton_frame_refuses_overflowed_fields():
-    # omega_plus - omega_minus reads inf - inf = nan there, which no identity check catches
+    # 2 j12 overflows, so omega_plus and omega_minus read +-inf; the finiteness check refuses them
     with pytest.raises(ValueError, match="omega_plus must be finite, got inf"):
         exciton_frame(DimerParams(60.0, -60.0, 1e308, 35.0, 0.71, 0.0))
 

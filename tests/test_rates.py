@@ -238,7 +238,6 @@ def test_helix_attenuation_domain():
 # --------------------------------------------------------------- mode shifts
 
 def test_frequency_renormalization_empty():
-    assert frequency_renormalization(None, 100.0, 300.0) == (0.0, 0.0)
     assert frequency_renormalization((), 100.0, 300.0) == (0.0, 0.0)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -479,12 +480,9 @@ def cmd_renorm(cfg: RunConfig) -> int:
     ])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, each subcommand registered bare: no -h, no flags.
-
-    add_command_flags gives one subcommand its flags; main does so only for
-    the one invoked, which saves building the other six.
-    """
+    """The full parser, every subcommand with its flags; built once per process."""
     parser = argparse.ArgumentParser(
         prog="dimerdecay",
         description="Collective attenuation of exciton relaxation in a dissipative dimer.",
@@ -492,36 +490,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-c", "--config", type=str, default=None, help="INI config file")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, epilog) in SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text, epilog=epilog, add_help=False)
+        sp = sub.add_parser(name, help=help_text, epilog=epilog)
+        if name in DIMER:
+            sp.add_argument("--gap", type=float, help="omega1 - omega2, split about 0")
+            sp.add_argument("--eta", help="complex eta, e.g. 0.5+0.2j")
+        for key in KEYS:
+            if name in key.commands:
+                sp.add_argument(key.flag, help=key.help)
+        if name == "sweep":
+            sp.add_argument("--gnuplot", action="store_true", help="also write sweep.gp")
     return parser
 
 
-def add_command_flags(parser: argparse.ArgumentParser, name: str) -> None:
-    """Add -h and the flags of subcommand `name` to a build_parser() parser,
-    in the order an ordinary subparser would list them."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sp = sub.choices[name]
-    sp.add_argument(
-        "-h", "--help", action="help", default=argparse.SUPPRESS,
-        help="show this help message and exit",
-    )
-    if name in DIMER:
-        sp.add_argument("--gap", type=float, help="omega1 - omega2, split about 0")
-        sp.add_argument("--eta", help="complex eta, e.g. 0.5+0.2j")
-    for key in KEYS:
-        if name in key.commands:
-            sp.add_argument(key.flag, help=key.help)
-    if name == "sweep":
-        sp.add_argument("--gnuplot", action="store_true", help="also write sweep.gp")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    # the first pass only names the command: a bare subparser passes every
-    # argument through, so only the top-level errors can end it, as they
-    # would end the full parse
-    add_command_flags(parser, parser.parse_known_args(argv)[0].command)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # built per call, so that a wrapper later bound to a cmd_* name is the one run
     handlers = {
         "transform": cmd_transform,

@@ -94,7 +94,9 @@ class ExcitonFrame:
     omega_plus, omega_minus : float
         Exciton frequencies in cm^-1, omega_plus >= omega_minus.
     omega0 : float
-        Exciton splitting omega_plus - omega_minus >= 0.
+        Exciton splitting hypot(gap', 2 j12) > 0, with the dressed gap
+        gap' = omega1' - omega2' formed from the bare gap; it equals
+        omega_plus - omega_minus without the round-off of a large carrier.
     lambda2 : float
         Reorganization energy of site 2 in cm^-1, from :func:`lambda2_from_eta`.
     """
@@ -176,20 +178,22 @@ def exciton_frame(p: DimerParams) -> ExcitonFrame:
     """Dress the site frequencies and diagonalize.
 
     Site 1 shifts by -2 lambda1, site 2 by -2 lambda2 with lambda2 tied
-    to the asymmetry via :func:`lambda2_from_eta`.
+    to the asymmetry via :func:`lambda2_from_eta`.  phi0 and omega0 read
+    the dressed gap gap + 2 lambda1 |eta| (2 cos(theta) + |eta|), formed
+    from p.gap, so a large common carrier does not cancel it.
     """
     lam2 = lambda2_from_eta(p.lambda1, p.eta_abs, p.theta)
     omega1p = p.omega1 - 2.0 * p.lambda1
     omega2p = p.omega2 - 2.0 * lam2
-    phi0 = mixing_angle(omega1p - omega2p, p.j12)
+    gap = p.gap + 2.0 * p.lambda1 * p.eta_abs * (2.0 * math.cos(p.theta) + p.eta_abs)
     plus, minus = exciton_frequencies(omega1p, omega2p, p.j12)
     return ExcitonFrame(
         omega1p=omega1p,
         omega2p=omega2p,
-        phi0=phi0,
+        phi0=mixing_angle(gap, p.j12),
         omega_plus=plus,
         omega_minus=minus,
-        omega0=plus - minus,
+        omega0=math.hypot(gap, 2.0 * p.j12),
         lambda2=lam2,
     )
 

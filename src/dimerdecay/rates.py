@@ -159,9 +159,9 @@ def decay_constant(alpha: float, gamma_d: float) -> float:
 
 
 def rate_set(p: DimerParams, bath: BathSpec) -> RateSet:
-    """Bundle alpha, gamma, nbar0 (0 where omega0 = 0), lifetime and the exciton frame for one configuration."""
+    """Bundle alpha, gamma, nbar0 (at the frame's omega0 > 0), lifetime and the exciton frame for one configuration."""
     frame = exciton_frame(p)
-    nbar0 = bose_occupation(frame.omega0, bath.temperature) if frame.omega0 > 0.0 else 0.0
+    nbar0 = bose_occupation(frame.omega0, bath.temperature)
     inverse_alpha = _dimer_inverse_alpha(p)
     alpha = 1.0 / inverse_alpha
     gamma = decay_constant(alpha, bath.gamma_d)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dimerdecay.cli import add_command_flags, build_parser, main
+from dimerdecay.cli import build_parser, main
 from dimerdecay.excitons import DimerParams, exciton_frame
 from dimerdecay.rates import frequency_renormalization
 
@@ -84,6 +84,24 @@ def test_transform_negative_zero_theta_is_stable(tmp_path):
     a = (tmp_path / "a" / "transform.csv").read_bytes()
     b = (tmp_path / "b" / "transform.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "cmdline, expected",
+    [
+        # a large common carrier: omega_plus - omega_minus would read 319, nbar0 0.276417778
+        ("--omega1 1e15 --omega2 999999999999880", {"omega0_cm1": "318.950573", "nbar0": "0.276501429"}),
+        # omega1' and omega2' both near -2e300: their difference would read 0, phi0 pi/2
+        (
+            "--gamma-d 0 --lambda1 1e300 --eta 5e-324",
+            {"omega0_cm1": "226.415547", "nbar0": "0.509678765", "phi0_rad": "1.01219701"},
+        ),
+    ],
+)
+def test_transform_splitting_from_the_dressed_gap(cmdline, expected, tmp_path):
+    assert main(["transform", *cmdline.split(), "--output-dir", str(tmp_path)]) == 0
+    out = read_keyvalue(tmp_path / "transform.csv")
+    assert {key: out[key] for key in expected} == expected
 
 
 def test_transform_complex_eta_flag(tmp_path):
@@ -633,13 +651,27 @@ def option_strings(parser):
 
 def test_each_subcommand_takes_exactly_its_flags():
     parser = build_parser()
-    for name in SURFACE:
-        add_command_flags(parser, name)
     assert option_strings(parser) == {"-h", "--help", "-c", "--config"}
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(SURFACE)
     for name, flags in SURFACE.items():
         assert option_strings(sub.choices[name]) == flags | {"-h", "--help", "--output-dir"}, name
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):
+    argv = ["helix", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+    assert build_parser() is build_parser()
 
 
 def outputs(argv, outdir, capsys):

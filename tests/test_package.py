@@ -57,3 +57,22 @@ def test_numpy_is_the_only_runtime_dependency():
     assert files
     for path in files:
         assert foreign_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def private_attributes(source):
+    """Line and name of every attribute access `x._name` (one leading underscore) in `source`."""
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")
+    ]
+
+
+def test_private_attributes_flags_single_underscore_names_only():
+    source = "a = parser._actions\nb = argparse._SubParsersAction\nc = obj.__init__\nfrom .units import _fmt\n"
+    assert private_attributes(source) == [(1, "_actions"), (2, "_SubParsersAction")]
+
+
+def test_no_private_attribute_access():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        assert private_attributes(path.read_text(encoding="utf-8")) == [], path.name

@@ -1,6 +1,7 @@
 """Decay constants: thermal occupation, attenuation, mode shifts, CSV input."""
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given
@@ -199,6 +200,22 @@ def test_rate_set_at_subnormal_coupling():
     for theta in (0.0, math.pi):
         rs = rate_set(DimerParams(60.0, -60.0, 1e-320, 35.0, 0.71, theta), bath)
         assert (rs.alpha, rs.inverse_alpha) == (0.0, math.inf)
+
+
+@pytest.mark.parametrize("carrier", [0.0, 1e6, 1e10, 1e15])
+def test_rate_set_alpha_reads_the_frame_splitting(carrier):
+    # alpha = (|eta| j12 / omega0)^2 with the frame's omega0, also where a large
+    # common carrier would cancel omega_plus - omega_minus
+    rng = random.Random(7)
+    bath = BathSpec(temperature=300.0, gamma_d=0.02)
+    for _ in range(200):
+        gap = rng.uniform(100.0, 300.0)
+        p = DimerParams(
+            carrier + 0.5 * gap, carrier - 0.5 * gap, rng.choice((-1.0, 1.0)) * rng.uniform(10.0, 150.0),
+            rng.uniform(0.0, 50.0), rng.uniform(0.05, 3.0), rng.uniform(-math.pi, math.pi),
+        )
+        rs = rate_set(p, bath)
+        assert rs.alpha == pytest.approx((p.eta_abs * p.j12 / rs.frame.omega0) ** 2, rel=2e-15, abs=0.0)
 
 
 def test_attenuation_beyond_the_float_range_is_refused():

@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import IO, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Sequence
 
 from .excitons import DimerParams, lambda2_from_eta
 from .rates import _inverse_attenuation
 from .units import _fmt, _fmt_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SWEEP_CSV_HEADER = ("theta_rad", "eta_abs", "inverse_alpha")
 
@@ -52,6 +53,7 @@ class SweepResult:
     minimum: tuple[float, float]
 
     def __post_init__(self) -> None:
+        import numpy as np
         points = np.array(self.points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError(f"sweep points must have shape (n, 2), got {points.shape}")
@@ -78,6 +80,7 @@ class EtaEstimate:
 
 def _inverse_alpha(p: DimerParams, theta: float, eta_abs):
     """1/alpha at a float or an array of |eta|; inf where it exceeds the float range."""
+    import numpy as np
     with np.errstate(over="ignore"):
         return _inverse_attenuation(p, eta_abs, math.cos(theta))
 
@@ -107,6 +110,7 @@ def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) 
     nonzero a2 d2 underflows (np.roots would trim it as a zero) and
     where f overflows at a root.  The constant term of f must not vanish.
     """
+    import numpy as np
     (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = a, d, b
     # A D + B, highest power first; np.roots trims its leading zeros (lambda1 = 0)
     f = [a2 * d2, a2 * d1 + a1 * d2, a2 * d0 + a1 * d1 + a0 * d2 + b2, a1 * d0 + a0 * d1 + b1, a0 * d0 + b0]
@@ -149,6 +153,7 @@ def sweep_inverse_alpha(
     The template's eta_abs/theta are overridden by the grid and theta.
     1/alpha reads inf where it exceeds the float range.
     """
+    import numpy as np
     grid = np.asarray(eta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("eta_grid must not be empty")
@@ -245,6 +250,7 @@ def estimate_eta_limit(gap0: float, j12: float, target_ratio: float) -> float:
 
 def write_sweep_csv(fh: IO[str], results: Sequence[SweepResult]) -> None:
     """Serialize sweep curves: one row per (theta, eta) sample."""
+    import numpy as np
     table = np.concatenate([np.empty((0, 3)), *(np.insert(res.points, 0, res.theta, axis=1) for res in results)])
     # formatted numbers hold no separator or quote, so rows need no csv quoting
     fh.write(",".join(SWEEP_CSV_HEADER) + "\n" + _fmt_table(table))

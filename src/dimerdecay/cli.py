@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Callable, Sequence
 
-import numpy as np
-
 from .analysis import (
     SWEEP_CSV_HEADER,
     NoSolutionError,
@@ -304,6 +302,7 @@ def _emit_pairs(cfg: RunConfig, name: str, items: Sequence[tuple[str, str]]) -> 
 
 def _initial_state(cfg: RunConfig, phi0: float) -> OneExcitationState:
     """Build the configured initial state in the exciton basis."""
+    import numpy as np
     if cfg.preset != "custom":  # a preset names a basis and the excited level in it
         state = OneExcitationState.pure(int(cfg.preset[-1]), cfg.preset[:-1])
     else:  # JSON {"basis": ..., "rho": 3x3 of number | [re, im]}
@@ -353,6 +352,7 @@ def cmd_transform(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, gnuplot: bool) -> int:
+    import numpy as np
     grid = np.linspace(cfg.eta_lo, cfg.eta_hi, cfg.sweep_points)
     results = [sweep_inverse_alpha(cfg.dimer, th, grid) for th in cfg.theta_list]
     with _open_out(cfg, "sweep.csv") as fh:
@@ -417,6 +417,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    import numpy as np
     params = EvolutionParams.for_dimer(cfg.dimer, cfg.bath)
     rho0 = _initial_state(cfg, params.phi0)
     times = np.linspace(0.0, cfg.t_max, cfg.time_points)

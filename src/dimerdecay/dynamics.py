@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Sequence
 
 from .excitons import DimerParams, basis_map
 from .rates import BathSpec, rate_set
 from .units import _fmt_table, wavenumber_to_angular
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BASES = ("exciton", "site")
 
@@ -70,6 +71,7 @@ def _check_states(rhos: np.ndarray) -> None:
     The rules, in order: finite, Hermitian to 1e-12, unit trace to 1e-12,
     smallest eigenvalue >= -1e-10 (one stacked eigvalsh for the stack).
     """
+    import numpy as np
     finite = np.isfinite(rhos).all(axis=(1, 2))
     if not finite.all():
         rhos = np.where(finite[:, None, None], rhos, 0.0)
@@ -105,6 +107,7 @@ class OneExcitationState:
     basis: str
 
     def __post_init__(self) -> None:
+        import numpy as np
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
         rho = np.asarray(self.rho, dtype=complex)
@@ -118,6 +121,7 @@ class OneExcitationState:
     @classmethod
     def pure(cls, index: int, basis: str = "exciton") -> "OneExcitationState":
         """Pure state on one basis vector: 0 vacuum, 1 and 2 excited."""
+        import numpy as np
         if index not in (0, 1, 2):
             raise ValueError(f"index must be 0, 1 or 2, got {index}")
         rho = np.zeros((3, 3), dtype=complex)
@@ -187,16 +191,17 @@ class EvolutionParams:
                    omega_minus=rates.frame.omega_minus, phi0=rates.frame.phi0)
 
 
-def analytic_trajectory(
+def _closed_forms(
     state: OneExcitationState, times: Sequence[float], p: EvolutionParams
 ) -> np.ndarray:
-    """Closed-form states at each of ``times`` as a checked (T, 3, 3) stack.
+    """Closed-form states at each of ``times`` as an unchecked (T, 3, 3) stack.
 
     ``state`` is the exciton-basis state at t = 0.  The real decay factors
     come from math.exp and the complex products are written out, since
     np.exp and numpy's vectorized complex multiply can move the last bit
     of the scalar closed forms.
     """
+    import numpy as np
     if state.basis != "exciton":
         raise ValueError("analytic_trajectory requires an exciton-basis state")
     ts = np.asarray(times, dtype=float)
@@ -224,6 +229,14 @@ def analytic_trajectory(
     out.real[:, _UPPER[0], _UPPER[1]] = re * phase.real - im * phase.imag
     out.imag[:, _UPPER[0], _UPPER[1]] = re * phase.imag + im * phase.real
     out[:, _UPPER[1], _UPPER[0]] = out[:, _UPPER[0], _UPPER[1]].conj()
+    return out
+
+
+def analytic_trajectory(
+    state: OneExcitationState, times: Sequence[float], p: EvolutionParams
+) -> np.ndarray:
+    """Closed-form states at each of ``times`` as a checked (T, 3, 3) stack."""
+    out = _closed_forms(state, times, p)
     _check_states(out)
     return out
 
@@ -233,13 +246,15 @@ def analytic_evolve(
 ) -> OneExcitationState:
     """Propagate an exciton-basis state by the closed-form solutions.
 
-    The one-time case of :func:`analytic_trajectory`.
+    The one-time case of :func:`analytic_trajectory`, checked once, by the
+    state's constructor.
     """
-    return OneExcitationState(rho=analytic_trajectory(state, (t,), p)[0], basis="exciton")
+    return OneExcitationState(rho=_closed_forms(state, (t,), p)[0], basis="exciton")
 
 
 def _site_map(phi0: float) -> np.ndarray:
     """T with rho_site = T rho_exciton T^T: the vacuum fixed, basis_map's R on the excitons."""
+    import numpy as np
     t = np.eye(3, dtype=complex)
     t[1:, 1:] = basis_map(phi0)
     return t
@@ -283,6 +298,7 @@ def _generator_matrix(p: EvolutionParams) -> np.ndarray:
     commutator and the anticommutator terms are diagonal, and the two
     jumps feed rho11 from rho22 and back, so the map is trace-free.
     """
+    import numpy as np
     w = np.array(
         [0.0, wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)]
     )
@@ -303,6 +319,7 @@ def _rk4_increment(hm: np.ndarray) -> np.ndarray:
     hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24: the k1..k4 combination
     collapsed onto a linear autonomous system.
     """
+    import numpy as np
     eye = np.eye(9, dtype=complex)
     return hm @ (eye + hm @ (eye / 2.0 + hm @ (eye / 6.0 + hm / 24.0)))
 
@@ -344,6 +361,7 @@ def numeric_trajectory(
     unitary phase periods.  The trace is kept exactly; Hermiticity and
     positivity are checked on the returned stack, not enforced.
     """
+    import numpy as np
     if state.basis != "exciton":
         raise ValueError("numeric_trajectory requires an exciton-basis state")
     ts = np.asarray(times, dtype=float)
@@ -413,6 +431,7 @@ def write_trajectory_csv(
     extra columns supplied by the caller.  Values at 9 significant
     digits, LF line endings.
     """
+    import numpy as np
     if len(times) != len(rhos):
         raise ValueError("times and states must have equal length")
     upper = rhos[:, _UPPER[0], _UPPER[1]]

@@ -21,8 +21,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DegenerateDimerError(ValueError):
@@ -205,17 +207,11 @@ def basis_map(phi0: float) -> np.ndarray:
     inverse is the transpose.  The columns of R are the exciton states
     expressed in the site basis.
     """
+    import numpy as np
     if not -math.pi / 2 <= phi0 <= math.pi / 2:
         raise ValueError(f"phi0 must lie in [-pi/2, pi/2], got {phi0}")
     c, s = math.cos(0.5 * phi0), math.sin(0.5 * phi0)
     return np.array([[c, s], [-s, c]])
-
-
-# Generators of the two-state algebra on the one-excitation subspace.
-_L0 = 0.5 * np.eye(2, dtype=complex)
-_L1 = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_L2 = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_L3 = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def su2_identity_check(
@@ -243,8 +239,14 @@ def su2_identity_check(
 
     Returns a dict of named residuals; all are ~1e-16 for exact inputs.
     """
+    import numpy as np
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
+    # generators of the two-state algebra on the one-excitation subspace
+    L0 = 0.5 * np.eye(2, dtype=complex)
+    L1 = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    L2 = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    L3 = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     c, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
     u = np.array([[c, -s], [s, c]], dtype=complex)
     uh = u.conj().T
@@ -257,10 +259,10 @@ def su2_identity_check(
 
     cp, sp = math.cos(phi), math.sin(phi)
     residuals = {
-        "l1_rotation": maxabs(rot(_L1) - (_L1 * cp - _L3 * sp)),
-        "l3_rotation": maxabs(rot(_L3) - (_L1 * sp + _L3 * cp)),
-        "l0_invariance": maxabs(rot(_L0) - _L0),
-        "l2_invariance": maxabs(rot(_L2) - _L2),
+        "l1_rotation": maxabs(rot(L1) - (L1 * cp - L3 * sp)),
+        "l3_rotation": maxabs(rot(L3) - (L1 * sp + L3 * cp)),
+        "l0_invariance": maxabs(rot(L0) - L0),
+        "l2_invariance": maxabs(rot(L2) - L2),
     }
 
     if omega1p is not None or omega2p is not None or j12 is not None:
@@ -270,9 +272,9 @@ def su2_identity_check(
                 "Hamiltonian check"
             )
         h = (
-            (omega1p + omega2p) * _L0
-            + (omega1p - omega2p) * _L3
-            + 2.0 * j12 * _L1
+            (omega1p + omega2p) * L0
+            + (omega1p - omega2p) * L3
+            + 2.0 * j12 * L1
         )
         hrot = rot(h)
         plus, minus = exciton_frequencies(omega1p, omega2p, j12)

@@ -15,8 +15,10 @@ rad/fs via :func:`wavenumber_to_angular`.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Speed of light in cm/fs (CODATA exact value 2.99792458e10 cm/s).
 C_CM_PER_FS = 2.99792458e-5

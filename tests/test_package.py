@@ -1,15 +1,20 @@
-"""The package as a whole: its documented top-level API and its dependency rule."""
+"""The package as a whole: its documented top-level API, its dependency rule and its imports."""
 
 import ast
 import inspect
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dimerdecay
 
 ROOT = Path(__file__).parents[1]
 PACKAGE_DIR = ROOT / "src" / "dimerdecay"
+# the modules a traced benchmark run expects `import dimerdecay.cli` to have loaded
+LAYER_MODULES = {f"dimerdecay.{layer}" for layer in ("cli", "excitons", "rates", "dynamics", "analysis")}
 
 # the "Library use" section of the README, up to the next heading
 LIBRARY_USE = re.search(
@@ -76,3 +81,94 @@ def test_private_attributes_flags_single_underscore_names_only():
 def test_no_private_attribute_access():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         assert private_attributes(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def module_scope_numpy_imports(source):
+    """Line and text of every numpy import in `source` that runs when the module is imported.
+
+    Function bodies run only when called, and the body of `if TYPE_CHECKING:` never runs.
+    """
+    found = []
+
+    def visit(statements):
+        for node in statements:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and getattr(node.test, "id", getattr(node.test, "attr", None)) == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+            if any(name.split(".")[0] == "numpy" for name in modules):
+                found.append((node.lineno, ast.unparse(node)))
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, block, []))
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def test_module_scope_numpy_imports_skips_function_bodies_and_type_checking():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "else:\n"
+        "    import numpy.typing\n"
+        "try:\n"
+        "    import numpy.fft\n"
+        "except ImportError:\n"
+        "    from numpy import pi\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "class C:\n"
+        "    import numpy\n"
+        "from .units import numpy\n"
+        "import numpyro\n"
+    )
+    assert module_scope_numpy_imports(source) == [
+        (2, "import numpy as np"),
+        (3, "from numpy.linalg import eigh"),
+        (7, "import numpy.typing"),
+        (9, "import numpy.fft"),
+        (11, "from numpy import pi"),
+        (15, "import numpy"),
+    ]
+
+
+def test_no_module_imports_numpy_at_import_time():
+    files = sorted(PACKAGE_DIR.glob("*.py"))
+    assert files
+    for path in files:
+        assert module_scope_numpy_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def loaded_modules(code):
+    """The numpy and dimerdecay modules loaded after `code` runs in a fresh interpreter, src/ on its path."""
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        f"{code}\n"
+        "print(*(m for m in sys.modules if m.split('.')[0] in ('numpy', 'dimerdecay')))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", probe, str(ROOT / "src")], capture_output=True, text=True, check=True)
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_every_layer_and_no_numpy():
+    assert loaded_modules("import dimerdecay.cli") & (LAYER_MODULES | {"numpy"}) == LAYER_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["transform"], ["helix"], ["renorm", "--modes-file", str(ROOT / "tests" / "golden" / "modes.csv")]],
+    ids=lambda argv: argv[0],
+)
+def test_scalar_subcommands_never_load_numpy(argv, tmp_path):
+    code = f"from dimerdecay.cli import main\nassert main({[*argv, '--output-dir', str(tmp_path)]!r}) == 0"
+    assert "numpy" not in loaded_modules(code)
+    assert (tmp_path / f"{argv[0]}.csv").is_file()

@@ -140,6 +140,36 @@ def test_attenuation_vanishes_with_asymmetry(eta):
     assert 0.0 < lo < hi
 
 
+def _coupling_matrix_element(omega1, omega2, j12, lambda1, eta):
+    # |<e+| diag(1, 1 + eta) |e->|^2, the site coupling operator between the
+    # eigenvectors of the dressed site Hamiltonian, lambda2 = lambda1 |1 + eta|^2
+    import numpy as np
+
+    lambda2 = lambda1 * abs(1.0 + eta) ** 2
+    h = np.array([[omega1 - 2.0 * lambda1, j12], [j12, omega2 - 2.0 * lambda2]])
+    _, vectors = np.linalg.eigh(h)  # ascending: e- then e+
+    e_minus, e_plus = vectors[:, 0], vectors[:, 1]
+    return abs(e_plus.conj() @ np.diag([1.0, 1.0 + eta]) @ e_minus) ** 2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_attenuation_is_the_coupling_matrix_element(seed):
+    rng = random.Random(seed)
+    negative_gaps = 0
+    for _ in range(200):
+        gap = rng.uniform(5.0, 160.0)
+        mean = rng.uniform(-40.0, 40.0)
+        j12 = rng.choice((-1.0, 1.0)) * rng.uniform(20.0, 120.0)
+        lambda1 = rng.uniform(0.0, 80.0)
+        eta_abs, theta = rng.uniform(0.01, 2.0), rng.uniform(-math.pi, math.pi)
+        p = DimerParams(mean + 0.5 * gap, mean - 0.5 * gap, j12, lambda1, eta_abs, theta)
+        eta = eta_abs * complex(math.cos(theta), math.sin(theta))
+        oracle = _coupling_matrix_element(p.omega1, p.omega2, j12, lambda1, eta)
+        assert attenuation_factor(p) == pytest.approx(oracle, rel=1e-12)
+        negative_gaps += gap + 2.0 * lambda1 * eta_abs * (2.0 * math.cos(theta) + eta_abs) < 0.0
+    assert negative_gaps > 0  # the dressed site frequencies also cross
+
+
 # --------------------------------------------------------------- decay constant
 
 def test_decay_constant_lifetime_product():
@@ -314,6 +344,31 @@ def test_frequency_renormalization_additive(modes_a, modes_b):
     assert dab[1] == pytest.approx(da[1] + db[1], rel=1e-12, abs=1e-12)
 
 
+def _per_mode_shifts(modes, omega0, temperature_k):
+    # the definition: one bose_occupation per mode, summed in file order
+    delta_plus = delta_minus = 0.0
+    for omega_k, v2_k in modes:
+        nbar_k = bose_occupation(omega_k, temperature_k)
+        delta_plus += v2_k * (nbar_k + 1.0) / (omega_k - omega0)
+        delta_minus -= v2_k * nbar_k / (omega_k - omega0)
+    return delta_plus, delta_minus
+
+
+# 0.05 K: kT = 0.035 cm^-1, so omega/kT > 700 above about 24 cm^-1 and below it not
+@pytest.mark.parametrize("temperature", [0.0, 0.05, 77.0, 300.0, 1e5])
+@pytest.mark.parametrize("seed, n_modes", [(1, 0), (2, 1), (3, 20), (4, 300), (5, 3000)])
+def test_frequency_renormalization_is_the_per_mode_sum(seed, n_modes, temperature):
+    rng = random.Random(seed)
+    omega0 = rng.uniform(50.0, 400.0)
+    modes = tuple(
+        (rng.uniform(0.5, 2.0 * omega0) if rng.random() < 0.9 else rng.uniform(1.0, 1e4), rng.uniform(0.0, 50.0))
+        for _ in range(n_modes)
+    )
+    if n_modes > 1:  # modes on both sides of the resonance
+        assert min(modes)[0] < omega0 < max(modes)[0]
+    assert frequency_renormalization(modes, omega0, temperature) == _per_mode_shifts(modes, omega0, temperature)
+
+
 # --------------------------------------------------------------- modes CSV
 
 def test_load_modes_csv_round_trip(tmp_path):
@@ -350,3 +405,35 @@ def test_load_modes_csv_reports_line_numbers(tmp_path):
     path.write_text("omega_k_cm1,V2_k_cm2\nabc,2.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2:"):
         load_modes_csv(str(path))
+
+
+HEADER = "omega_k_cm1,V2_k_cm2\n"
+# row text after the header -> the modes read, or the message with {path} for the file
+MODE_ROWS = {
+    "blank-line": ("100,1\n\n200,2\n", ((100.0, 1.0), (200.0, 2.0))),
+    "space-comma-space": (" , \n100,1\n", ((100.0, 1.0),)),
+    "two-commas": (",,\n100,1\n", ((100.0, 1.0),)),
+    "whitespace-cell": ("   \n100,1\n", ((100.0, 1.0),)),
+    "padded-cells": (" 100 , 2.5 \n", ((100.0, 2.5),)),
+    "quoted-numbers": ('"100.5","2"\n', ((100.5, 2.0),)),
+    "crlf": ("100,1\r\n200,2\r\n", ((100.0, 1.0), (200.0, 2.0))),
+    "one-cell": ("100,1\n200\n", "{path}:3: expected 2 columns, got 1"),
+    "three-cells": ("100,1,2\n", "{path}:2: expected 2 columns, got 3"),
+    "empty-coupling": ("100.0,\n", "{path}:2: could not convert string to float: ''"),
+    "empty-frequency": (",5\n", "{path}:2: could not convert string to float: ''"),
+    "word": ("abc,1\n", "{path}:2: could not convert string to float: 'abc'"),
+    "header-only": ("", ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODE_ROWS))
+def test_load_modes_csv_edge_rows(case, tmp_path):
+    rows, expected = MODE_ROWS[case]
+    path = tmp_path / "modes.csv"
+    path.write_bytes((HEADER + rows).encode("utf-8"))
+    if isinstance(expected, tuple):
+        assert load_modes_csv(str(path)) == expected
+    else:
+        with pytest.raises(ValueError) as exc:
+            load_modes_csv(str(path))
+        assert str(exc.value) == expected.format(path=path)

@@ -115,7 +115,10 @@ def _modes(raw: str) -> tuple[tuple[float, float], ...]:
         return ()
     if not Path(path).is_file():
         raise ValueError(f"file not found: {path}")
-    return load_modes_csv(path)
+    modes = load_modes_csv(path)
+    if not modes:
+        raise ValueError(f"{path} holds no modes")
+    return modes
 
 
 POSITIVE = (lambda v: v > 0.0, "must be > 0")
@@ -469,6 +472,9 @@ def cmd_renorm(cfg: RunConfig) -> int:
         cfg.bath.modes, frame.omega0, cfg.bath.temperature
     )
     bar_plus, bar_minus = frame.omega_plus - delta_plus, frame.omega_minus - delta_minus
+    for name, bar in (("omega_plus - delta_plus", bar_plus), ("omega_minus - delta_minus", bar_minus)):
+        if not math.isfinite(bar):
+            raise ValueError(f"the shifted frequency {name} overflows: {bar:.6g}")
     return _emit_pairs(cfg, "renorm.csv", [
         ("omega_plus_cm1", _fmt(frame.omega_plus)),
         ("omega_minus_cm1", _fmt(frame.omega_minus)),

@@ -62,11 +62,10 @@ class BathSpec:
         if self.gamma_d < 0.0 or not math.isfinite(self.gamma_d):
             raise ValueError(f"gamma_d must be >= 0 fs^-1, got {self.gamma_d}")
         norm = tuple((float(w), float(v2)) for w, v2 in self.modes)
+        inf = math.inf
         for w, v2 in norm:
-            if not w > 0.0:
-                raise ValueError(f"mode frequency must be > 0 cm^-1, got {w}")
-            if v2 < 0.0:
-                raise ValueError(f"squared coupling must be >= 0, got {v2}")
+            if not (0.0 < w < inf and 0.0 <= v2 < inf):
+                _check_mode(w, v2)
         object.__setattr__(self, "modes", norm)
 
 
@@ -87,6 +86,39 @@ class RateSet:
     frame: ExcitonFrame
 
 
+def _check_mode(omega_k: float, v2_k: float) -> None:
+    """Refuse a mode outside 0 < omega_k < inf, 0 <= V2_k < inf; comparisons only, so nan fails too."""
+    if not 0.0 < omega_k < math.inf:
+        raise ValueError(f"mode frequency must be finite and > 0 cm^-1, got {omega_k}")
+    if not 0.0 <= v2_k < math.inf:
+        raise ValueError(f"squared coupling must be finite and >= 0, got {v2_k}")
+
+
+def _bath_energy(temperature_k: float) -> float:
+    """kT in cm^-1 of a bath at T >= 0 K; 0 at T = 0."""
+    if temperature_k < 0.0:
+        raise ValueError(f"temperature must be >= 0 K, got {temperature_k}")
+    return thermal_energy(temperature_k) if temperature_k else 0.0
+
+
+# below this omega/kT the occupation, about kT/omega, exceeds the float range
+_X_MIN = 1.0 / sys.float_info.max
+
+
+def _occupation(omega: float, kt: float, name: str) -> float:
+    """1/(exp(x) - 1) at x = omega/kT for the frequency omega > 0 called `name`; 0 at kT = 0."""
+    if not kt:
+        return 0.0
+    x = omega / kt
+    if x > 700.0:
+        # expm1 overflows near x = 709; here 1/expm1(x) = exp(-x) to
+        # relative accuracy exp(-x) < 1e-304
+        return math.exp(-x)
+    if x < _X_MIN:
+        raise ValueError(f"the thermal occupation overflows at {name} = {omega:.6g} cm^-1: {name}/kT = {x:.6g}")
+    return 1.0 / math.expm1(x)
+
+
 def bose_occupation(omega0: float, temperature_k: float) -> float:
     """Mean thermal occupation 1/(exp(omega0/kT) - 1) at omega0 in cm^-1.
 
@@ -95,18 +127,7 @@ def bose_occupation(omega0: float, temperature_k: float) -> float:
     """
     if not omega0 > 0.0:
         raise ValueError(f"omega0 must be > 0 cm^-1, got {omega0}")
-    if temperature_k < 0.0:
-        raise ValueError(f"temperature must be >= 0 K, got {temperature_k}")
-    if temperature_k == 0.0:
-        return 0.0
-    x = omega0 / thermal_energy(temperature_k)
-    if x > 700.0:
-        # expm1 overflows near x = 709; here 1/expm1(x) = exp(-x) to
-        # relative accuracy exp(-x) < 1e-304
-        return math.exp(-x)
-    if x < 1.0 / sys.float_info.max:
-        raise ValueError(f"the thermal occupation overflows at omega0/kT = {x:.6g}")
-    return 1.0 / math.expm1(x)
+    return _occupation(omega0, _bath_energy(temperature_k), "omega0")
 
 
 def _inverse_attenuation(p: DimerParams, x, cos_theta):
@@ -211,27 +232,30 @@ def frequency_renormalization(
         delta_plus  =  sum_k V2_k (nbar_k + 1) / (omega_k - omega0)
         delta_minus = -sum_k V2_k  nbar_k      / (omega_k - omega0)
 
-    a discrete realization of the principal-value sums.  A mode exactly
-    at omega0 makes the sum singular and must be excluded or shifted by
-    the caller.
+    a discrete realization of the principal-value sums, with nbar_k the
+    bose_occupation of mode k.  A mode exactly at omega0 makes the sum
+    singular and must be excluded or shifted by the caller; a sum that
+    overflows is refused.  T is checked before the first mode is read.
     """
     if not omega0 > 0.0:
         raise ValueError(f"omega0 must be > 0 cm^-1, got {omega0}")
+    kt = _bath_energy(temperature_k)
+    inf = math.inf
     delta_plus = 0.0
     delta_minus = 0.0
     for omega_k, v2_k in modes:
-        if not omega_k > 0.0:
-            raise ValueError(f"mode frequency must be > 0 cm^-1, got {omega_k}")
-        if v2_k < 0.0:
-            raise ValueError(f"squared coupling must be >= 0, got {v2_k}")
+        if not (0.0 < omega_k < inf and 0.0 <= v2_k < inf):
+            _check_mode(omega_k, v2_k)
         if omega_k == omega0:
             raise ResonantModeError(
                 f"mode at {omega_k} cm^-1 sits exactly on the exciton "
                 f"resonance omega0 = {omega0} cm^-1; exclude or shift it"
             )
-        nbar_k = bose_occupation(omega_k, temperature_k)
+        nbar_k = _occupation(omega_k, kt, "omega_k")
         delta_plus += v2_k * (nbar_k + 1.0) / (omega_k - omega0)
         delta_minus -= v2_k * nbar_k / (omega_k - omega0)
+    if not (math.isfinite(delta_plus) and math.isfinite(delta_minus)):
+        raise ValueError(f"the frequency shifts overflow: delta_plus = {delta_plus:.6g}, delta_minus = {delta_minus:.6g}")
     return delta_plus, delta_minus
 
 
@@ -254,12 +278,14 @@ def load_modes_csv(path: str) -> tuple[tuple[float, float], ...]:
             )
         modes: list[tuple[float, float]] = []
         for i, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}")
+            # the common row costs one unpacking and two floats; only a row that raises is examined
             try:
-                modes.append((float(row[0]), float(row[1])))
+                omega_k, v2_k = row
+                modes.append((float(omega_k), float(v2_k)))
             except ValueError as exc:
+                if not any(cell.strip() for cell in row):
+                    continue  # a blank row
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}") from None
                 raise ValueError(f"{path}:{i}: {exc}") from None
     return tuple(modes)

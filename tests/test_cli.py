@@ -604,6 +604,49 @@ def test_renorm_resonant_mode_exit_2(tmp_path, capsys):
     assert "resonance" in capsys.readouterr().err
 
 
+# rows after the header, extra flags -> the one stderr line ({path}: the mode file)
+MODE_FILE_CASES = {
+    "nan-coupling": ("100,nan\n", "", "config error: bath: squared coupling must be finite and >= 0, got nan"),
+    "inf-coupling": ("100,inf\n", "", "config error: bath: squared coupling must be finite and >= 0, got inf"),
+    "inf-frequency": ("inf,1\n", "", "config error: bath: mode frequency must be finite and > 0 cm^-1, got inf"),
+    "header-only": ("", "", "config error: bath.modes_file: {path} holds no modes"),
+    "blank-rows-only": ("\n , \n", "", "config error: bath.modes_file: {path} holds no modes"),
+    # 0.05 cm^-1 from omega0 = 318.950573 with V2 = 1e308
+    "shift-overflows": (
+        "319,1e308\n", "", "config error: the frequency shifts overflow: delta_plus = inf, delta_minus = -inf",
+    ),
+    # omega_minus = -8.8e307 less delta_minus = 1.09e308
+    "shifted-frequency-overflows": (
+        "191,3e10\n", "--omega1 0 --omega2=-1e-10 --lambda1 4.4e307 --eta-abs 0 --temperature 1e300",
+        "config error: the shifted frequency omega_minus - delta_minus overflows",
+    ),
+    "soft-mode": (
+        "5e-324,1\n", "--temperature 1e300",
+        "config error: the thermal occupation overflows at omega_k = 4.94066e-324 cm^-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODE_FILE_CASES))
+def test_renorm_refuses_unusable_mode_files(case, tmp_path, capsys):
+    rows, flags, text = MODE_FILE_CASES[case]
+    path = tmp_path / "modes.csv"
+    path.write_text("omega_k_cm1,V2_k_cm2\n" + rows, encoding="utf-8")
+    argv = ["renorm", "--modes-file", str(path), *flags.split(), "--output-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(text.format(path=path)) and err.count("\n") == 1
+    assert not (tmp_path / "renorm.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "helix", "evolve"])
+def test_every_bath_command_refuses_a_mode_file_without_modes(command, tmp_path, capsys):
+    path = tmp_path / "modes.csv"
+    path.write_text("omega_k_cm1,V2_k_cm2\n", encoding="utf-8")
+    assert main([command, "--modes-file", str(path), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: bath.modes_file: {path} holds no modes\n"
+
+
 # --------------------------------------------------------------- help text
 
 def test_subcommand_help_documents_csv_columns(capsys):

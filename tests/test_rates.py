@@ -48,6 +48,25 @@ def test_bath_spec_validation():
         BathSpec(temperature=300.0, gamma_d=0.02, modes=((100.0, -1.0),))
 
 
+# the rule 0 < omega_k < inf, 0 <= V2_k < inf, which BathSpec and frequency_renormalization share
+BAD_MODES = [
+    ((0.0, 1.0), "mode frequency"),
+    ((math.inf, 1.0), "mode frequency"),
+    ((math.nan, 1.0), "mode frequency"),
+    ((100.0, -1.0), "squared coupling"),
+    ((100.0, math.inf), "squared coupling"),
+    ((100.0, math.nan), "squared coupling"),
+]
+
+
+@pytest.mark.parametrize("mode, text", BAD_MODES)
+def test_modes_outside_the_rule_are_refused(mode, text):
+    with pytest.raises(ValueError, match=f"{text} must be finite"):
+        BathSpec(temperature=300.0, gamma_d=0.02, modes=(mode,))
+    with pytest.raises(ValueError, match=f"{text} must be finite"):
+        frequency_renormalization(((50.0, 1.0), mode), 100.0, 300.0)
+
+
 def test_bath_spec_normalizes_modes():
     bath = BathSpec(temperature=300.0, gamma_d=0.02, modes=((100, 2), (200, 3)))
     assert bath.modes == ((100.0, 2.0), (200.0, 3.0))
@@ -316,6 +335,27 @@ def test_frequency_renormalization_domain():
         frequency_renormalization(((-5.0, 1.0),), 100.0, 300.0)
     with pytest.raises(ValueError):
         frequency_renormalization(((50.0, -1.0),), 100.0, 300.0)
+
+
+def test_frequency_renormalization_checks_the_temperature_first():
+    # kT is formed once, before the first mode: an empty mode list or a bad
+    # mode meets the temperature refusal first
+    for modes in ((), ((-5.0, 1.0),)):
+        with pytest.raises(ValueError, match="temperature must be >= 0 K, got -1"):
+            frequency_renormalization(modes, 100.0, -1.0)
+        with pytest.raises(ValueError, match="temperature must be > 0 K, got nan"):
+            frequency_renormalization(modes, 100.0, math.nan)
+
+
+@pytest.mark.parametrize("modes", [((100.05, 1e308),), ((100.05, 1e308), (99.95, 1e308))])
+def test_frequency_renormalization_refuses_an_overflowing_shift(modes):
+    with pytest.raises(ValueError, match="the frequency shifts overflow"):
+        frequency_renormalization(modes, 100.0, 300.0)
+
+
+def test_a_mode_too_soft_for_the_bath_is_named():
+    with pytest.raises(ValueError, match=r"the thermal occupation overflows at omega_k = 1e-308 cm\^-1"):
+        frequency_renormalization(((50.0, 1.0), (1e-308, 1.0)), 100.0, 1e6)
 
 
 @given(

@@ -609,7 +609,6 @@ MODE_FILE_CASES = {
     "nan-coupling": ("100,nan\n", "", "config error: bath: squared coupling must be finite and >= 0, got nan"),
     "inf-coupling": ("100,inf\n", "", "config error: bath: squared coupling must be finite and >= 0, got inf"),
     "inf-frequency": ("inf,1\n", "", "config error: bath: mode frequency must be finite and > 0 cm^-1, got inf"),
-    "header-only": ("", "", "config error: bath.modes_file: {path} holds no modes"),
     "blank-rows-only": ("\n , \n", "", "config error: bath.modes_file: {path} holds no modes"),
     # 0.05 cm^-1 from omega0 = 318.950573 with V2 = 1e308
     "shift-overflows": (
@@ -639,7 +638,7 @@ def test_renorm_refuses_unusable_mode_files(case, tmp_path, capsys):
     assert not (tmp_path / "renorm.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["transform", "helix", "evolve"])
+@pytest.mark.parametrize("command", ["renorm", "transform", "helix", "evolve"])
 def test_every_bath_command_refuses_a_mode_file_without_modes(command, tmp_path, capsys):
     path = tmp_path / "modes.csv"
     path.write_text("omega_k_cm1,V2_k_cm2\n", encoding="utf-8")

@@ -12,10 +12,11 @@ D~(x) = 2 l x^2 + 4 l cos(theta) x + g, 1/alpha = (D~^2 + 4) / x^2, so
 the minimum and the inversion are positive real roots of quartics
 A D~ + B, each factor a (c2, c1, c0) float triple: companion-matrix
 eigenvalues, refined by Horner's rule on the factors and checked by
-back-substitution.  For lambda1 > 0 an interior minimum always exists
-and a target ratio below it has no solution; for lambda1 = 0, 1/alpha
-only falls.  A quartic whose coefficients leave the float range is
-refused.
+back-substitution.  The quartics of every theta of one call are solved
+together, in one stacked eigenvalue call per degree.  For lambda1 > 0
+an interior minimum always exists and a target ratio below it has no
+solution; for lambda1 = 0, 1/alpha only falls.  A quartic whose
+coefficients leave the float range is refused.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 SWEEP_CSV_HEADER = ("theta_rad", "eta_abs", "inverse_alpha")
+Triple = tuple[float, float, float]  # (c2, c1, c0) of a quadratic factor
+Quartic = tuple[Triple, Triple, Triple]  # the factors (A, D, B) of f = A D + B
 
 
 class NoSolutionError(ValueError):
@@ -85,18 +88,57 @@ def _inverse_alpha(p: DimerParams, theta: float, eta_abs):
         return _inverse_attenuation(p, eta_abs, math.cos(theta))
 
 
-def _gap_polynomial(p: DimerParams, theta: float) -> tuple[float, float, float]:
-    """Coefficients (c2, c1, c0) = (2 l, 4 l cos(theta), g) of D~ = D/|j12|."""
-    if not -math.pi <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
+def _gap_polynomials(p: DimerParams, thetas: Sequence[float]) -> list[Triple | ValueError]:
+    """Coefficients (c2, c1, c0) = (2 l, 4 l cos(theta), g) of D~ = D/|j12|
+    at each theta, or the ValueError that refuses that theta."""
     l = p.lambda1 / abs(p.j12)
-    if p.lambda1 and not l:  # it would read as lambda1 = 0, a quartic of lower degree
-        raise ValueError(f"the quartic in |eta| leaves the float range: lambda1/|j12| = {p.lambda1:.6g}/{abs(p.j12):.6g} underflows to 0")
-    return 2.0 * l, 4.0 * l * math.cos(theta), p.gap / abs(p.j12)
+    out: list[Triple | ValueError] = []
+    for theta in thetas:
+        if not -math.pi <= theta <= math.pi:
+            out.append(ValueError(f"theta must lie in [-pi, pi], got {theta}"))
+        elif p.lambda1 and not l:  # it would read as lambda1 = 0, a quartic of lower degree
+            out.append(ValueError(f"the quartic in |eta| leaves the float range: lambda1/|j12| = "
+                                  f"{p.lambda1:.6g}/{abs(p.j12):.6g} underflows to 0"))
+        else:
+            out.append((2.0 * l, 4.0 * l * math.cos(theta), p.gap / abs(p.j12)))
+    return out
 
 
-def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) -> list[float]:
-    """Sorted positive real roots of f = A D + B, each factor given as (c2, c1, c0).
+def _minimum_quartic(d: Triple | ValueError) -> Quartic | ValueError:
+    # x D~' D~ - D~^2 - 4 = (x D~' - D~) D~ - 4, and x D~' - D~ = 2 l x^2 - g
+    return d if isinstance(d, ValueError) else ((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0))
+
+
+def _companion_roots(polys: Sequence[Sequence[float]]) -> list[list[complex]]:
+    """The roots of each polynomial, highest power first, from one stacked
+    eigvals call per degree.
+
+    Each companion matrix is built as numpy's polynomial root finder builds
+    it: leading zeros trimmed, -f[1:]/f[0] in the top row, ones on the
+    subdiagonal; so the roots have its bits and its order.  The constant
+    terms must not vanish.
+    """
+    import numpy as np
+    out: list[list[complex]] = [[] for _ in polys]
+    by_degree: dict[int, tuple[list[int], list[Sequence[float]]]] = {}
+    for i, f in enumerate(polys):
+        f = f[next(k for k, c in enumerate(f) if c):]
+        if len(f) > 1:
+            slots, rows = by_degree.setdefault(len(f) - 1, ([], []))
+            slots.append(i)
+            rows.append(f)
+    for n, (slots, rows) in by_degree.items():
+        f = np.array(rows)
+        m = np.zeros((len(rows), n, n))
+        m[:, 0, :] = -f[:, 1:] / f[:, :1]
+        m.reshape(len(rows), n * n)[:, n::n + 1] = 1.0  # the subdiagonal
+        for i, z in zip(slots, np.linalg.eigvals(m).tolist()):
+            out[i] = z
+    return out
+
+
+def _positive_roots(quartics: Sequence[Quartic | ValueError]) -> list[list[float] | ValueError]:
+    """Sorted positive real roots of each f = A D + B, each factor given as (c2, c1, c0).
 
     The companion matrix of the expanded f places them, but the expanded
     coefficients lose accuracy where D nearly cancels: a close pair of
@@ -105,20 +147,39 @@ def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) 
     of the quadratic Taylor model of f at its real part, with f, f' and
     f'' taken in the factored form: a real root by the nearer model
     root, a complex pair by both, and either by none when the model
-    roots are complex.  Raises ValueError where a coefficient of f, or
-    its ratio to the leading one, leaves the float range, where a
-    nonzero a2 d2 underflows (np.roots would trim it as a zero) and
-    where f overflows at a root.  The constant term of f must not vanish.
+    roots are complex.  A quartic gets a ValueError in its slot where a
+    coefficient of f, or its ratio to the leading one, leaves the float
+    range, where a nonzero a2 d2 underflows (it would be trimmed as a
+    zero) and where f overflows at a root; an entry that is a ValueError
+    keeps it.  The constant term of f must not vanish.
     """
-    import numpy as np
+    out: list = list(quartics)
+    polys, slots = [], []
+    for i, q in enumerate(quartics):
+        if isinstance(q, ValueError):
+            continue
+        (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = q
+        # A D + B, highest power first; lambda1 = 0 gives leading zeros
+        f = [a2 * d2, a2 * d1 + a1 * d2, a2 * d0 + a1 * d1 + a0 * d2 + b2, a1 * d0 + a0 * d1 + b1, a0 * d0 + b0]
+        k = next(j for j, c in enumerate(f) if c)
+        if (a2 and d2 and abs(f[0]) < sys.float_info.min) or not all(math.isfinite(c / f[k]) for c in f):
+            out[i] = ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {d0:.6g})")
+        else:
+            polys.append(f)
+            slots.append(i)
+    for i, zs in zip(slots, _companion_roots(polys)):
+        try:
+            out[i] = _refined_roots(*quartics[i], zs)
+        except ValueError as exc:
+            out[i] = exc
+    return out
+
+
+def _refined_roots(a: Triple, d: Triple, b: Triple, zs: list[complex]) -> list[float]:
+    """The positive roots of A D + B from its companion roots zs, refined as _positive_roots describes."""
     (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = a, d, b
-    # A D + B, highest power first; np.roots trims its leading zeros (lambda1 = 0)
-    f = [a2 * d2, a2 * d1 + a1 * d2, a2 * d0 + a1 * d1 + a0 * d2 + b2, a1 * d0 + a0 * d1 + b1, a0 * d0 + b0]
-    k = next(i for i, c in enumerate(f) if c)
-    if (a2 and d2 and abs(f[0]) < sys.float_info.min) or not all(math.isfinite(c / f[k]) for c in f):
-        raise ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {d0:.6g})")
     roots = set()
-    for z in np.roots(f).tolist():
+    for z in zs:
         x = z.real
         # one root of each conjugate pair
         if not (x > 0.0 and 0.0 <= z.imag <= 1e-3 * x):
@@ -145,13 +206,33 @@ def _positive_roots(a: Sequence[float], d: Sequence[float], b: Sequence[float]) 
     return sorted(x for x in roots if x > 0.0)
 
 
+def _least(p: DimerParams, theta: float, roots: list[float] | ValueError) -> tuple[float, float]:
+    """The stationary point of least 1/alpha among the roots of the minimum quartic at theta."""
+    if isinstance(roots, ValueError):
+        raise roots
+    if not roots:
+        raise NoSolutionError(f"no interior minimum of 1/alpha at lambda1 = {p.lambda1:.6g} "
+                              "(1/alpha decreases monotonically in |eta|)")
+    values = [_inverse_alpha(p, theta, x) for x in roots]
+    k = values.index(min(values))
+    return roots[k], values[k]
+
+
 def sweep_inverse_alpha(
     p: DimerParams, theta: float, eta_grid: Sequence[float]
 ) -> SweepResult:
-    """Evaluate 1/alpha over eta_grid at phase theta.
+    """Evaluate 1/alpha over eta_grid at phase theta: sweep_inverse_alphas at one theta."""
+    return sweep_inverse_alphas(p, [theta], eta_grid)[0]
+
+
+def sweep_inverse_alphas(
+    p: DimerParams, thetas: Sequence[float], eta_grid: Sequence[float]
+) -> list[SweepResult]:
+    """Evaluate 1/alpha over eta_grid at each phase of thetas.
 
     The template's eta_abs/theta are overridden by the grid and theta.
-    1/alpha reads inf where it exceeds the float range.
+    1/alpha reads inf where it exceeds the float range.  The minima are
+    solved together; the first theta that fails raises.
     """
     import numpy as np
     grid = np.asarray(eta_grid, dtype=float)
@@ -163,35 +244,43 @@ def sweep_inverse_alpha(
         raise ValueError("eta_grid must be strictly increasing")
     if p.j12 == 0.0:
         raise NoSolutionError("attenuation vanishes on the whole grid (zero coupling?)")
-    # the minimum first: it refuses a g or l that would show as nan on the grid
-    minimum = find_alpha_minimum(p, theta)
-    values = _inverse_alpha(p, theta, grid)
-    return SweepResult(theta=theta, points=np.column_stack((grid, values)), minimum=minimum)
+    solved = _positive_roots([_minimum_quartic(d) for d in _gap_polynomials(p, thetas)])
+    results = []
+    for theta, roots in zip(thetas, solved):
+        # the minimum first: it refuses a g or l that would show as nan on the grid
+        minimum = _least(p, theta, roots)
+        values = _inverse_alpha(p, theta, grid)
+        results.append(SweepResult(theta=theta, points=np.column_stack((grid, values)), minimum=minimum))
+    return results
 
 
 def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
-    """Interior minimum of 1/alpha over |eta|, as (eta_min, inv_alpha_min).
+    """Interior minimum of 1/alpha over |eta|, as (eta_min, inv_alpha_min): find_alpha_minima at one theta."""
+    return find_alpha_minima(p, [theta])[0]
+
+
+def find_alpha_minima(p: DimerParams, thetas: Sequence[float]) -> list[tuple[float, float]]:
+    """Interior minimum of 1/alpha over |eta| at each theta, as (eta_min, inv_alpha_min).
 
     The stationary points of 1/alpha are the positive real roots of
     x D~'(x) D~(x) - D~(x)^2 - 4, with D~'(x) = 4 l (cos(theta) + x);
     the one with the smallest 1/alpha is returned.  Raises ValueError
-    where that quartic leaves the float range.
+    where that quartic leaves the float range; the quartics of all the
+    thetas are solved together, and the first theta that fails raises.
     """
     if p.j12 == 0.0:
         raise NoSolutionError("j12 must be nonzero: 1/alpha is infinite without coupling")
-    d = _gap_polynomial(p, theta)
-    # x D~' D~ - D~^2 - 4 = (x D~' - D~) D~ - 4, and x D~' - D~ = 2 l x^2 - g
-    roots = _positive_roots((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0))
-    if not roots:
-        raise NoSolutionError(f"no interior minimum of 1/alpha at lambda1 = {p.lambda1:.6g} "
-                              "(1/alpha decreases monotonically in |eta|)")
-    values = [_inverse_alpha(p, theta, x) for x in roots]
-    k = values.index(min(values))
-    return roots[k], values[k]
+    solved = _positive_roots([_minimum_quartic(d) for d in _gap_polynomials(p, thetas)])
+    return [_least(p, theta, roots) for theta, roots in zip(thetas, solved)]
 
 
 def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:
-    """Solve 1/alpha = target_ratio for |eta|; return the smallest root.
+    """Solve 1/alpha = target_ratio for |eta|; return the smallest root: estimate_etas at one theta."""
+    return estimate_etas(p, [theta], target_ratio)[0]
+
+
+def estimate_etas(p: DimerParams, thetas: Sequence[float], target_ratio: float) -> list[EtaEstimate]:
+    """Solve 1/alpha = target_ratio for |eta| at each theta; return the smallest roots.
 
     The condition is a quartic in x = |eta|:
 
@@ -201,17 +290,31 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
     root is found and verified by back-substitution into the
     attenuation factor.  For lambda1 > 0, 1/alpha grows without bound
     at both ends, so the roots must bracket its minimum; where they do
-    not, a root was lost to round-off and ValueError is raised.
+    not, a root was lost to round-off and ValueError is raised.  Each
+    theta's quartic and its minimum quartic are solved with all the
+    others, and the first theta that fails raises.
     """
     if not target_ratio > 0.0:
         raise ValueError(f"target_ratio must be > 0, got {target_ratio}")
     if p.j12 == 0.0:
         raise NoSolutionError("attenuation vanishes identically for zero coupling; "
                               "no |eta| can reach a finite lifetime ratio")
-    d = _gap_polynomial(p, theta)
-    roots = _positive_roots(d, d, (-target_ratio, 0.0, 4.0))
+    ds = _gap_polynomials(p, thetas)
+    quartics: list[Quartic | ValueError] = []
+    for d in ds:
+        quartics += [d if isinstance(d, ValueError) else (d, d, (-target_ratio, 0.0, 4.0)), _minimum_quartic(d)]
+    solved = _positive_roots(quartics)
+    return [_estimate(p, theta, target_ratio, d, solved[2 * k], solved[2 * k + 1])
+            for k, (theta, d) in enumerate(zip(thetas, ds))]
+
+
+def _estimate(p: DimerParams, theta: float, target_ratio: float, d: Triple | ValueError,
+              roots: list[float] | ValueError, minimum_roots: list[float] | ValueError) -> EtaEstimate:
+    """One theta of estimate_etas, from the roots of its quartic and of its minimum quartic."""
+    if isinstance(roots, ValueError):
+        raise roots
     if not roots or d[0] > 0.0:
-        eta_min, inv_min = find_alpha_minimum(p, theta)
+        eta_min, inv_min = _least(p, theta, minimum_roots)
         if not roots:
             raise NoSolutionError(f"target ratio {target_ratio:.6g} is below the attainable minimum "
                                   f"1/alpha = {inv_min:.6g} (at |eta| = {eta_min:.6g})")

@@ -27,9 +27,9 @@ from typing import IO, Any, Callable, Sequence
 from .analysis import (
     SWEEP_CSV_HEADER,
     NoSolutionError,
-    estimate_eta,
-    find_alpha_minimum,
-    sweep_inverse_alpha,
+    estimate_etas,
+    find_alpha_minima,
+    sweep_inverse_alphas,
     write_sweep_csv,
     write_theta_table_csv,
 )
@@ -357,7 +357,7 @@ def cmd_transform(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig, gnuplot: bool) -> int:
     import numpy as np
     grid = np.linspace(cfg.eta_lo, cfg.eta_hi, cfg.sweep_points)
-    results = [sweep_inverse_alpha(cfg.dimer, th, grid) for th in cfg.theta_list]
+    results = sweep_inverse_alphas(cfg.dimer, cfg.theta_list, grid)
     with _open_out(cfg, "sweep.csv") as fh:
         write_sweep_csv(fh, results)
     for res in results:
@@ -389,7 +389,7 @@ def _gnuplot_script(theta_list: Sequence[float]) -> str:
 
 
 def cmd_minimize(cfg: RunConfig) -> int:
-    minima = [find_alpha_minimum(cfg.dimer, th) for th in cfg.theta_list]
+    minima = find_alpha_minima(cfg.dimer, cfg.theta_list)
     rows = [
         ("eta_min", [m[0] for m in minima]),
         ("inv_alpha_min", [m[1] for m in minima]),
@@ -402,9 +402,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    estimates = [
-        estimate_eta(cfg.dimer, th, cfg.target_ratio) for th in cfg.theta_list
-    ]
+    estimates = estimate_etas(cfg.dimer, cfg.theta_list, cfg.target_ratio)
     rows = [
         ("eta_abs", [e.eta_abs for e in estimates]),
         ("lambda2_cm1", [e.lambda2 for e in estimates]),

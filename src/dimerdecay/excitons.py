@@ -19,6 +19,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -170,10 +171,26 @@ def exciton_frequencies(
 
         omega_plus  = omega1' cos^2(phi0/2) + omega2' sin^2(phi0/2) - j12 sin(phi0)
         omega_minus = omega1' sin^2(phi0/2) + omega2' cos^2(phi0/2) + j12 sin(phi0)
+
+    mean +- half cancels in the root nearer 0, so that root is taken from
+    Vieta: the product of the roots, omega1' omega2' - j12^2, over the other.
     """
     mean = 0.5 * (omega1p + omega2p)
     half = 0.5 * math.hypot(omega1p - omega2p, 2.0 * j12)
-    return mean + half, mean - half
+    far = mean + math.copysign(half, mean)
+    if not far or not math.isfinite(far):  # both roots 0, or a root past the float range
+        return mean + half, mean - half
+    det = omega1p * omega2p - j12 * j12
+    if math.isfinite(det) and abs(det) >= sys.float_info.min:
+        near = det / far
+    else:
+        # |far| bounds |omega1'|, |omega2'| and |j12|: scaled by a power of two
+        # near 1/|far|, which is exact, the product neither overflows nor underflows
+        e = math.frexp(far)[1]
+        w1, w2, j, r = (math.ldexp(v, -e) for v in (omega1p, omega2p, j12, far))
+        near = math.ldexp((w1 * w2 - j * j) / r, e)
+    # where half is below an ulp of mean, rounding can put near a hair past far
+    return max(far, near), min(far, near)
 
 
 def exciton_frame(p: DimerParams) -> ExcitonFrame:

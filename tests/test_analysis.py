@@ -13,8 +13,12 @@ from dimerdecay.analysis import (
     EtaEstimate,
     NoSolutionError,
     SweepResult,
+    _companion_roots,
+    _positive_roots,
     estimate_eta,
     estimate_eta_limit,
+    estimate_etas,
+    find_alpha_minima,
     find_alpha_minimum,
     sweep_inverse_alpha,
     write_sweep_csv,
@@ -456,6 +460,62 @@ def test_solvers_match_a_50_digit_oracle():
             want = stationary[inv.index(min(inv))]
             got = find_alpha_minimum(p, theta)[0]
             assert abs(got - want) <= 1e-12 * want, (p, theta)
+
+
+# --------------------------------------------------------------- batched solves
+
+def _seeded_polys(n=1500, seed=18):
+    """Quartics written with 0 to 4 leading zeros (lambda1 = 0 drops the
+    degree), coefficients of either sign from 1e-30 to 1e30, some inner zeros,
+    and a nonzero constant term."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        f = rng.choice((-1.0, 1.0), 5) * 10.0 ** rng.uniform(-30.0, 30.0, 5)
+        f[:rng.integers(0, 5)] = 0.0
+        f[1:4][rng.random(3) < 0.1] = 0.0
+        yield f.tolist()
+
+
+def test_stacked_companion_roots_are_numpy_roots_bit_for_bit():
+    # one batch of mixed degrees; every root in np.roots' order
+    polys = list(_seeded_polys())
+    assert {sum(1 for c in f if c) for f in polys} >= {1, 2, 3, 4, 5}
+    for f, z in zip(polys, _companion_roots(polys), strict=True):
+        want, got = np.roots(f), np.array(z, dtype=complex)
+        assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag), f
+
+
+def test_a_batch_of_quartics_solves_as_each_alone():
+    # FMO-like minimum and estimate quartics, lambda1 = 0 among them (degrees 4,
+    # 2 and 0), quartics that are refused, and a refusal passed through
+    rng = np.random.default_rng(1818)
+    quartics = [ValueError("passed through")]
+    for k in range(200):
+        l = 0.0 if k % 10 == 0 else 10.0 ** rng.uniform(-1.5, 0.0) * (1e160 if k % 25 == 1 else 1.0)
+        d = (2.0 * l, 4.0 * l * math.cos(rng.uniform(-math.pi, math.pi)), rng.uniform(-1.0, 3.0))
+        quartics += [((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0)), (d, d, (-rng.uniform(1.0, 40.0), 0.0, 4.0))]
+    solved = _positive_roots(quartics)
+    assert sum(isinstance(r, ValueError) for r in solved) > 1 and [] in solved
+    for q, got in zip(quartics, solved, strict=True):
+        alone = _positive_roots([q])[0]
+        if isinstance(alone, ValueError):
+            assert (type(got), str(got)) == (type(alone), str(alone))
+        else:
+            assert got == alone
+
+
+def test_the_first_failing_theta_decides():
+    no_minimum = DimerParams(60.0, -60.0, -96.0, 0.0, 0.71, 0.0)
+    with pytest.raises(NoSolutionError, match="no interior minimum"):
+        find_alpha_minima(no_minimum, [0.0, 4.0])
+    with pytest.raises(ValueError, match="theta must lie in"):
+        find_alpha_minima(no_minimum, [4.0, 0.0])
+    assert estimate_etas(FMO, [0.0, 0.5 * math.pi], 22.0) == [estimate_eta(FMO, 0.0, 22.0),
+                                                               estimate_eta(FMO, 0.5 * math.pi, 22.0)]
+    with pytest.raises(NoSolutionError, match="below the attainable minimum"):
+        estimate_etas(FMO, [0.0, 4.0], 1.0)
+    with pytest.raises(ValueError, match="theta must lie in"):
+        estimate_etas(FMO, [4.0, 0.0], 1.0)
 
 
 # --------------------------------------------------------------- limit formula

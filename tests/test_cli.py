@@ -4,14 +4,16 @@ import argparse
 import csv
 import json
 import math
+import random
 import re
 import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from dimerdecay.cli import build_parser, main
+from dimerdecay.cli import build_config, build_parser, main
 from dimerdecay.excitons import DimerParams, exciton_frame
 from dimerdecay.rates import frequency_renormalization
 
@@ -227,6 +229,15 @@ EXIT_CASES = [
         2, "config error: root 0.6035875164211777 fails back-substitution: 1/alpha = 55.09",
     ),
     ("estimate --j12 1e150", 2, "config error: a root of 1/alpha = 22 was lost to round-off"),
+    # across a theta list the first failing phase decides: theta = 0 has no solution, pi is refused
+    (
+        "estimate --j12 1e-10 --theta 3.141592653589793 --omega1 -1 --theta-list 0,3.141592653589793",
+        4, "no solution: target ratio 22 is below the attainable minimum 1/alpha = 7.21084e+24 (at |eta| = 0.918073)\n",
+    ),
+    (
+        "estimate --j12 1e-10 --theta 3.141592653589793 --omega1 -1 --theta-list 3.141592653589793,0",
+        2, "config error: root 0.6035875164211777 fails back-substitution: 1/alpha = 55.09384988459767 vs target 22.0\n",
+    ),
     ("minimize --lambda1 1e-300 --j12 1e30 --theta-list 0", 2, "config error: the quartic in |eta| leaves the float range"),
     ("sweep --lambda1 1e-300 --j12 1e30 --theta-list 0", 2, "config error: the quartic in |eta| leaves the float range"),
     ("estimate --lambda1 1e-300 --j12 1e30 --theta-list 0", 2, "config error: the quartic in |eta| leaves the float range"),
@@ -420,6 +431,51 @@ def test_estimate_default_phases(tmp_path):
     for got, ref in zip(etas, refs):
         assert got == pytest.approx(ref, abs=1e-6)
     assert rows[2][0] == "lambda2_cm1"
+
+
+# --------------------------------------------------------------- theta lists
+
+def _fmo_like(rng, k):
+    """Dimer flags near the paper's FMO parameters, j12 of sign (-1)^k.  For
+    k = 11 gap < 2 lambda1, so the dressed gap turns negative over part of
+    the |eta| range at phases near +-pi."""
+    gap, lambda1 = (20.0, 35.0) if k == 11 else (rng.uniform(100.0, 160.0), rng.uniform(20.0, 45.0))
+    mean, j12 = rng.uniform(-40.0, 40.0), (-1.0) ** k * rng.uniform(70.0, 120.0)
+    return ["--omega1", repr(mean + 0.5 * gap), "--omega2", repr(mean - 0.5 * gap),
+            "--j12", repr(j12), "--lambda1", repr(lambda1)]
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_a_theta_list_gives_the_one_theta_results_side_by_side(k, tmp_path, capsys):
+    # k + 1 phases: the whole list in one run against one run per phase
+    rng = random.Random(1800 + k)
+    dimer = _fmo_like(rng, k)
+    thetas = [rng.uniform(-math.pi, math.pi) for _ in range(k + 1)]
+    if k == 11:
+        thetas[-1] = math.pi
+
+    def run(command, extra, ths, out):
+        argv = [command, *dimer, *extra, "--theta-list=" + ",".join(map(repr, ths)), "--output-dir", str(out)]
+        code = main(argv)
+        stdout, stderr = capsys.readouterr()
+        assert (code, stderr) == (0, ""), argv
+        return stdout, read_table(out / f"{command}.csv")
+
+    minimum = run("minimize", [], thetas, tmp_path / "minimize")[1]
+    target = 2.0 * max(float(v) for v in minimum[2][1:])
+    for command, extra in [
+        ("minimize", []),
+        ("estimate", ["--target-ratio", repr(target)]),
+        ("sweep", ["--eta-lo", "0.2", "--eta-hi", "5", "--sweep-points", "7"]),
+    ]:
+        stdout, rows = run(command, extra, thetas, tmp_path / command / "all")
+        parts = [run(command, extra, [th], tmp_path / command / str(i)) for i, th in enumerate(thetas)]
+        assert stdout == "".join(out for out, _ in parts)
+        if command == "sweep":
+            assert rows == [rows[0]] + [row for _, part in parts for row in part[1:]]
+        else:
+            assert rows == [[row[0]] + [cell for _, part in parts for cell in part[i][1:]]
+                            for i, row in enumerate(rows)]
 
 
 # --------------------------------------------------------------- evolve
@@ -644,6 +700,31 @@ def test_every_bath_command_refuses_a_mode_file_without_modes(command, tmp_path,
     path.write_text("omega_k_cm1,V2_k_cm2\n", encoding="utf-8")
     assert main([command, "--modes-file", str(path), "--output-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: bath.modes_file: {path} holds no modes\n"
+
+
+@pytest.mark.parametrize(
+    "cmdline",
+    [
+        "transform --theta=0 --omega2=-1e300 --temperature=5e-324",
+        "renorm --eta 1e150 --theta 3.141592653589793 --modes-file MODES",
+    ],
+    ids=["transform", "renorm"],
+)
+def test_exciton_frequencies_match_an_exact_oracle(cmdline, tmp_path):
+    # one dressed site frequency dwarfs the other, so mean + half would cancel
+    argv = cmdline.replace("MODES", str(MODES)).split()
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    got = read_keyvalue(tmp_path / f"{argv[0]}.csv")
+    cfg = build_config(build_parser().parse_args(argv))
+    frame = exciton_frame(cfg.dimer)
+    # the exact eigenvalues of [[omega1', j12], [j12, omega2']] for the float entries
+    with mpmath.workdps(700):
+        w1, w2, j = (mpmath.mpf(v) for v in (frame.omega1p, frame.omega2p, cfg.dimer.j12))
+        mean, half = (w1 + w2) / 2, mpmath.sqrt(((w1 - w2) / 2) ** 2 + j * j)
+        want = {"omega_plus_cm1": float(mean + half), "omega_minus_cm1": float(mean - half)}
+    for key, value in want.items():
+        assert float(got[key]) == pytest.approx(value, rel=1e-9), key
+    assert float(got["omega_plus_cm1"]) == -10.0
 
 
 # --------------------------------------------------------------- help text

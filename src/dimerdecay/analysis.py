@@ -12,11 +12,16 @@ D~(x) = 2 l x^2 + 4 l cos(theta) x + g, 1/alpha = (D~^2 + 4) / x^2, so
 the minimum and the inversion are positive real roots of quartics
 A D~ + B, each factor a (c2, c1, c0) float triple: companion-matrix
 eigenvalues, refined by Horner's rule on the factors and checked by
-back-substitution.  The quartics of every theta of one call are solved
-together, in one stacked eigenvalue call per degree.  For lambda1 > 0
+back-substitution.  A theta list is prepared in list order up to the
+first theta refused, whose refusal is held; the quartics prepared are
+solved in one stacked eigenvalue call per degree; each theta is then
+finished in order, and the held refusal is raised last.  So the first
+theta that fails raises the error it raises alone.  For lambda1 > 0
 an interior minimum always exists and a target ratio below it has no
 solution; for lambda1 = 0, 1/alpha only falls.  A quartic whose
-coefficients leave the float range is refused.
+coefficients leave the float range is refused.  1/alpha at a root is
+Python float arithmetic, which reads inf past the float range without
+a warning; only sweep's array evaluation enters numpy.errstate.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ if TYPE_CHECKING:
 
 SWEEP_CSV_HEADER = ("theta_rad", "eta_abs", "inverse_alpha")
 Triple = tuple[float, float, float]  # (c2, c1, c0) of a quadratic factor
-Quartic = tuple[Triple, Triple, Triple]  # the factors (A, D, B) of f = A D + B
 
 
 class NoSolutionError(ValueError):
@@ -81,32 +85,27 @@ class EtaEstimate:
     all_roots: tuple[float, ...]
 
 
-def _inverse_alpha(p: DimerParams, theta: float, eta_abs):
-    """1/alpha at a float or an array of |eta|; inf where it exceeds the float range."""
-    import numpy as np
-    with np.errstate(over="ignore"):
-        return _inverse_attenuation(p, eta_abs, math.cos(theta))
-
-
-def _gap_polynomials(p: DimerParams, thetas: Sequence[float]) -> list[Triple | ValueError]:
-    """Coefficients (c2, c1, c0) = (2 l, 4 l cos(theta), g) of D~ = D/|j12|
-    at each theta, or the ValueError that refuses that theta."""
+def _gap_polynomial(p: DimerParams, theta: float) -> Triple:
+    """Coefficients (c2, c1, c0) = (2 l, 4 l cos(theta), g) of D~ = D/|j12| at theta."""
+    if not -math.pi <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     l = p.lambda1 / abs(p.j12)
-    out: list[Triple | ValueError] = []
-    for theta in thetas:
-        if not -math.pi <= theta <= math.pi:
-            out.append(ValueError(f"theta must lie in [-pi, pi], got {theta}"))
-        elif p.lambda1 and not l:  # it would read as lambda1 = 0, a quartic of lower degree
-            out.append(ValueError(f"the quartic in |eta| leaves the float range: lambda1/|j12| = "
-                                  f"{p.lambda1:.6g}/{abs(p.j12):.6g} underflows to 0"))
-        else:
-            out.append((2.0 * l, 4.0 * l * math.cos(theta), p.gap / abs(p.j12)))
-    return out
+    if p.lambda1 and not l:  # it would read as lambda1 = 0, a quartic of lower degree
+        raise ValueError(f"the quartic in |eta| leaves the float range: lambda1/|j12| = "
+                         f"{p.lambda1:.6g}/{abs(p.j12):.6g} underflows to 0")
+    return (2.0 * l, 4.0 * l * math.cos(theta), p.gap / abs(p.j12))
 
 
-def _minimum_quartic(d: Triple | ValueError) -> Quartic | ValueError:
-    # x D~' D~ - D~^2 - 4 = (x D~' - D~) D~ - 4, and x D~' - D~ = 2 l x^2 - g
-    return d if isinstance(d, ValueError) else ((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0))
+def _expanded(a: Triple, d: Triple, b: Triple) -> list[float]:
+    """f = A D + B, highest power first (lambda1 = 0 gives leading zeros); refused where a
+    coefficient, or its ratio to the leading one, leaves the float range, and where a
+    nonzero a2 d2 underflows (it would be trimmed as a zero).  f(0) must not vanish."""
+    (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = a, d, b
+    f = [a2 * d2, a2 * d1 + a1 * d2, a2 * d0 + a1 * d1 + a0 * d2 + b2, a1 * d0 + a0 * d1 + b1, a0 * d0 + b0]
+    k = next(j for j, c in enumerate(f) if c)
+    if (a2 and d2 and abs(f[0]) < sys.float_info.min) or not all(math.isfinite(c / f[k]) for c in f):
+        raise ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {d0:.6g})")
+    return f
 
 
 def _companion_roots(polys: Sequence[Sequence[float]]) -> list[list[complex]]:
@@ -137,8 +136,8 @@ def _companion_roots(polys: Sequence[Sequence[float]]) -> list[list[complex]]:
     return out
 
 
-def _positive_roots(quartics: Sequence[Quartic | ValueError]) -> list[list[float] | ValueError]:
-    """Sorted positive real roots of each f = A D + B, each factor given as (c2, c1, c0).
+def _refined_roots(a: Triple, d: Triple, b: Triple, zs: list[complex]) -> list[float]:
+    """Sorted positive real roots of f = A D + B from its companion roots zs.
 
     The companion matrix of the expanded f places them, but the expanded
     coefficients lose accuracy where D nearly cancels: a close pair of
@@ -147,36 +146,8 @@ def _positive_roots(quartics: Sequence[Quartic | ValueError]) -> list[list[float
     of the quadratic Taylor model of f at its real part, with f, f' and
     f'' taken in the factored form: a real root by the nearer model
     root, a complex pair by both, and either by none when the model
-    roots are complex.  A quartic gets a ValueError in its slot where a
-    coefficient of f, or its ratio to the leading one, leaves the float
-    range, where a nonzero a2 d2 underflows (it would be trimmed as a
-    zero) and where f overflows at a root; an entry that is a ValueError
-    keeps it.  The constant term of f must not vanish.
+    roots are complex.  Refused where f overflows at a root.
     """
-    out: list = list(quartics)
-    polys, slots = [], []
-    for i, q in enumerate(quartics):
-        if isinstance(q, ValueError):
-            continue
-        (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = q
-        # A D + B, highest power first; lambda1 = 0 gives leading zeros
-        f = [a2 * d2, a2 * d1 + a1 * d2, a2 * d0 + a1 * d1 + a0 * d2 + b2, a1 * d0 + a0 * d1 + b1, a0 * d0 + b0]
-        k = next(j for j, c in enumerate(f) if c)
-        if (a2 and d2 and abs(f[0]) < sys.float_info.min) or not all(math.isfinite(c / f[k]) for c in f):
-            out[i] = ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {d0:.6g})")
-        else:
-            polys.append(f)
-            slots.append(i)
-    for i, zs in zip(slots, _companion_roots(polys)):
-        try:
-            out[i] = _refined_roots(*quartics[i], zs)
-        except ValueError as exc:
-            out[i] = exc
-    return out
-
-
-def _refined_roots(a: Triple, d: Triple, b: Triple, zs: list[complex]) -> list[float]:
-    """The positive roots of A D + B from its companion roots zs, refined as _positive_roots describes."""
     (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = a, d, b
     roots = set()
     for z in zs:
@@ -206,14 +177,42 @@ def _refined_roots(a: Triple, d: Triple, b: Triple, zs: list[complex]) -> list[f
     return sorted(x for x in roots if x > 0.0)
 
 
-def _least(p: DimerParams, theta: float, roots: list[float] | ValueError) -> tuple[float, float]:
+def _solved(p: DimerParams, thetas: Sequence[float], target_ratio: float | None = None):
+    """Yield (theta, roots...) for each theta in list order: the sorted
+    positive roots of D~^2 + 4 - target_ratio x^2 when a target is given,
+    then those of the minimum quartic x D~' D~ - D~^2 - 4.
+
+    The quartics are expanded theta by theta up to the first refusal,
+    which is held; those expanded are solved in one stacked eigenvalue
+    call per degree; each theta is refined and yielded in turn, and the
+    refusal is raised last.  So the first theta that fails, here or in
+    the caller, raises the error it raises alone.
+    """
+    prepared, polys, refusal = [], [], None
+    try:
+        for theta in thetas:
+            d = _gap_polynomial(p, theta)
+            # x D~' D~ - D~^2 - 4 = (x D~' - D~) D~ - 4, and x D~' - D~ = 2 l x^2 - g
+            minimum = ((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0))
+            quartics = [minimum] if target_ratio is None else [(d, d, (-target_ratio, 0.0, 4.0)), minimum]
+            polys += [_expanded(*q) for q in quartics]
+            prepared.append((theta, quartics))
+    except ValueError as exc:
+        refusal = exc
+    zs = iter(_companion_roots(polys))
+    for theta, quartics in prepared:
+        yield (theta, *[_refined_roots(*q, next(zs)) for q in quartics])
+    if refusal is not None:
+        raise refusal
+
+
+def _least(p: DimerParams, theta: float, roots: list[float]) -> tuple[float, float]:
     """The stationary point of least 1/alpha among the roots of the minimum quartic at theta."""
-    if isinstance(roots, ValueError):
-        raise roots
     if not roots:
         raise NoSolutionError(f"no interior minimum of 1/alpha at lambda1 = {p.lambda1:.6g} "
                               "(1/alpha decreases monotonically in |eta|)")
-    values = [_inverse_alpha(p, theta, x) for x in roots]
+    c = math.cos(theta)
+    values = [_inverse_attenuation(p, x, c) for x in roots]
     k = values.index(min(values))
     return roots[k], values[k]
 
@@ -244,12 +243,12 @@ def sweep_inverse_alphas(
         raise ValueError("eta_grid must be strictly increasing")
     if p.j12 == 0.0:
         raise NoSolutionError("attenuation vanishes on the whole grid (zero coupling?)")
-    solved = _positive_roots([_minimum_quartic(d) for d in _gap_polynomials(p, thetas)])
     results = []
-    for theta, roots in zip(thetas, solved):
+    for theta, roots in _solved(p, thetas):
         # the minimum first: it refuses a g or l that would show as nan on the grid
         minimum = _least(p, theta, roots)
-        values = _inverse_alpha(p, theta, grid)
+        with np.errstate(over="ignore"):
+            values = _inverse_attenuation(p, grid, math.cos(theta))
         results.append(SweepResult(theta=theta, points=np.column_stack((grid, values)), minimum=minimum))
     return results
 
@@ -270,8 +269,7 @@ def find_alpha_minima(p: DimerParams, thetas: Sequence[float]) -> list[tuple[flo
     """
     if p.j12 == 0.0:
         raise NoSolutionError("j12 must be nonzero: 1/alpha is infinite without coupling")
-    solved = _positive_roots([_minimum_quartic(d) for d in _gap_polynomials(p, thetas)])
-    return [_least(p, theta, roots) for theta, roots in zip(thetas, solved)]
+    return [_least(p, theta, roots) for theta, roots in _solved(p, thetas)]
 
 
 def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:
@@ -299,21 +297,14 @@ def estimate_etas(p: DimerParams, thetas: Sequence[float], target_ratio: float) 
     if p.j12 == 0.0:
         raise NoSolutionError("attenuation vanishes identically for zero coupling; "
                               "no |eta| can reach a finite lifetime ratio")
-    ds = _gap_polynomials(p, thetas)
-    quartics: list[Quartic | ValueError] = []
-    for d in ds:
-        quartics += [d if isinstance(d, ValueError) else (d, d, (-target_ratio, 0.0, 4.0)), _minimum_quartic(d)]
-    solved = _positive_roots(quartics)
-    return [_estimate(p, theta, target_ratio, d, solved[2 * k], solved[2 * k + 1])
-            for k, (theta, d) in enumerate(zip(thetas, ds))]
+    return [_estimate(p, theta, target_ratio, roots, minimum_roots)
+            for theta, roots, minimum_roots in _solved(p, thetas, target_ratio)]
 
 
-def _estimate(p: DimerParams, theta: float, target_ratio: float, d: Triple | ValueError,
-              roots: list[float] | ValueError, minimum_roots: list[float] | ValueError) -> EtaEstimate:
+def _estimate(p: DimerParams, theta: float, target_ratio: float,
+              roots: list[float], minimum_roots: list[float]) -> EtaEstimate:
     """One theta of estimate_etas, from the roots of its quartic and of its minimum quartic."""
-    if isinstance(roots, ValueError):
-        raise roots
-    if not roots or d[0] > 0.0:
+    if not roots or p.lambda1 > 0.0:
         eta_min, inv_min = _least(p, theta, minimum_roots)
         if not roots:
             raise NoSolutionError(f"target ratio {target_ratio:.6g} is below the attainable minimum "
@@ -323,8 +314,9 @@ def _estimate(p: DimerParams, theta: float, target_ratio: float, d: Triple | Val
             raise ValueError(f"a root of 1/alpha = {target_ratio:.6g} was lost to round-off: the roots "
                              f"found do not bracket the minimum at |eta| = {eta_min:.6g}")
 
+    c = math.cos(theta)
     for x in roots:
-        back = _inverse_alpha(p, theta, x)
+        back = _inverse_attenuation(p, x, c)
         if abs(back - target_ratio) > 1e-8 * target_ratio:
             raise ValueError(f"root {x} fails back-substitution: 1/alpha = {back} vs target {target_ratio}")
 

@@ -199,7 +199,8 @@ KEYS = (
 class RunConfig(argparse.Namespace):
     """A checked run configuration: `dimer` (DimerParams), `bath` (BathSpec)
     and one typed attribute per other entry of KEYS, named by its flag
-    (`t_max`, `time_points`, `theta_list`, `spacing`, `output_dir`, ...)."""
+    (`t_max`, `time_points`, `theta_list`, `spacing`, `output_dir`, ...),
+    and `gnuplot`, which only sweep's flag sets."""
 
 
 def _set_eta(merged: dict[str, dict[str, str]], raw: str) -> None:
@@ -285,7 +286,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"sweep.eta_lo/eta_hi: need 0 < lo < hi, got {run['eta_lo']}, {run['eta_hi']}"
         )
-    return RunConfig(dimer=dimer, bath=bath, **run)
+    return RunConfig(dimer=dimer, bath=bath, gnuplot=getattr(args, "gnuplot", False), **run)
 
 
 def _open_out(cfg: RunConfig, name: str) -> IO[str]:
@@ -328,9 +329,10 @@ def _initial_state(cfg: RunConfig, phi0: float) -> OneExcitationState:
 
 
 def _json_complex(cell) -> complex:
-    if isinstance(cell, (int, float)):
+    # JSON true/false load as bool, a subclass of int: not numbers here
+    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
         return complex(cell)
-    if isinstance(cell, list) and len(cell) == 2:
+    if isinstance(cell, list) and len(cell) == 2 and not any(isinstance(v, bool) for v in cell):
         return complex(float(cell[0]), float(cell[1]))
     raise ValueError(f"expected number or [re, im], got {cell!r}")
 
@@ -354,7 +356,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     ])
 
 
-def cmd_sweep(cfg: RunConfig, gnuplot: bool) -> int:
+def cmd_sweep(cfg: RunConfig) -> int:
     import numpy as np
     grid = np.linspace(cfg.eta_lo, cfg.eta_hi, cfg.sweep_points)
     results = sweep_inverse_alphas(cfg.dimer, cfg.theta_list, grid)
@@ -365,7 +367,7 @@ def cmd_sweep(cfg: RunConfig, gnuplot: bool) -> int:
             f"theta={_fmt(res.theta)}: minimum 1/alpha={_fmt(res.minimum[1])} "
             f"at |eta|={_fmt(res.minimum[0])}"
         )
-    if gnuplot:
+    if cfg.gnuplot:
         with _open_out(cfg, "sweep.gp") as fh:
             fh.write(_gnuplot_script(cfg.theta_list))
     return 0
@@ -509,22 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # built per call, so that a wrapper later bound to a cmd_* name is the one run
-    handlers = {
-        "transform": cmd_transform,
-        "sweep": lambda cfg: cmd_sweep(cfg, args.gnuplot),
-        "minimize": cmd_minimize,
-        "estimate": cmd_estimate,
-        "evolve": cmd_evolve,
-        "helix": cmd_helix,
-        "renorm": cmd_renorm,
-    }
     error = ()
     with warnings.catch_warnings(record=True) as caught:
         # the library's own warnings; any other meets the filters in force
         warnings.simplefilter("always", UserWarning)
         try:
-            code = handlers[args.command](build_config(args))
+            # looked up per call, so that a wrapper later bound to a cmd_* name is the one run
+            code = globals()[f"cmd_{args.command}"](build_config(args))
         except NoSolutionError as exc:
             code, error = 4, (f"no solution: {exc}",)
         except ValueError as exc:  # ConfigError and every input the library refuses

@@ -6,6 +6,7 @@ import sys
 
 import mpmath
 import numpy as np
+import oracle
 import pytest
 
 from dimerdecay.analysis import (
@@ -14,13 +15,13 @@ from dimerdecay.analysis import (
     NoSolutionError,
     SweepResult,
     _companion_roots,
-    _positive_roots,
     estimate_eta,
     estimate_eta_limit,
     estimate_etas,
     find_alpha_minima,
     find_alpha_minimum,
     sweep_inverse_alpha,
+    sweep_inverse_alphas,
     write_sweep_csv,
     write_theta_table_csv,
 )
@@ -149,11 +150,10 @@ def test_sweep_far_out_matches_a_50_digit_oracle():
     # to ~1e154; inf only where 1/alpha itself exceeds the float range
     grid = [1.0, 5e99, 1e100, 1e150, 1e300]
     res = sweep_inverse_alpha(FMO, 0.0, grid)
+    d = (2.0 * FMO.lambda1, 4.0 * FMO.lambda1, FMO.gap)
     with mpmath.workdps(50):
-        gap, lam, j = (mpmath.mpf(v) for v in (FMO.gap, FMO.lambda1, FMO.j12))
         for x, got in zip(grid, res.points[:, 1]):
-            x = mpmath.mpf(x)
-            want = ((gap + 2 * lam * x * (2 + x)) ** 2 + 4 * j * j) / (x * j) ** 2
+            want = oracle.inverse_alpha(d, FMO.j12 ** 2, x)
             if want > mpmath.mpf(sys.float_info.max):
                 assert got == math.inf
             else:
@@ -343,28 +343,13 @@ def test_estimate_eta_refuses_a_lost_smallest_root(j12):
     assert len(roots) == 2 and roots[0] == pytest.approx(0.42640143, rel=1e-8)
 
 
-def _oracle_minimum(p, theta):
-    """eta_min at 50 digits: the stationary point of least 1/alpha, from
-    (2 lambda1 x^2 - gap) D - 4 j12^2 taken in x = s y with s = max(1, sqrt|j12|),
-    which keeps the quartic in y well scaled."""
-    with mpmath.workdps(50):
-        gap, lam, j, c = (mpmath.mpf(v) for v in (p.gap, p.lambda1, p.j12, math.cos(theta)))
-        s = max(mpmath.mpf(1), mpmath.sqrt(abs(j)))
-        a2, d2, d1 = 2 * lam * s * s, 2 * lam * s * s, 4 * lam * c * s
-        f = [a2 * d2, a2 * d1, a2 * gap - gap * d2, -gap * d1, -gap * gap - 4 * j * j]
-        ys = mpmath.polyroots(f, maxsteps=200, extraprec=100)
-        xs = [s * y.real for y in map(mpmath.mpc, ys) if y.real > 0 and abs(y.imag) <= 1e-30 * abs(y)]
-        inv = [((gap + 2 * lam * x * (2 * c + x)) ** 2 + 4 * j * j) / (x * j) ** 2 for x in xs]
-        return xs[inv.index(min(inv))]
-
-
 @pytest.mark.parametrize("j12", [1e-100, 1e100, 1e150, 1e155])
 @pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, math.pi])
 def test_minimum_at_extreme_coupling_matches_a_50_digit_oracle(j12, theta):
     # j12^2 overflowed or the quartic did before the scaling by |j12|
     p = DimerParams(60.0, -60.0, j12, 35.0, 0.71, theta)
     got = find_alpha_minimum(p, theta)[0]
-    want = _oracle_minimum(p, theta)
+    want = oracle.minimum(p, theta)
     assert abs(got - want) <= 1e-12 * want
 
 
@@ -422,21 +407,6 @@ def _oracle_draws(n=200, seed=20140):
         yield k, from_gap(gap, j12, lam, 0.71, theta), theta, 10.0 ** rng.uniform(0.0, 3.0)
 
 
-def _oracle_roots(a, d, b):
-    """Positive real roots of A D + B by mpmath.polyroots at 50 digits, the
-    float factors (c2, c1, c0) taken exactly."""
-    with mpmath.workdps(50):
-        a, d, b = ([mpmath.mpf(c) for c in q] for q in (a, d, b))
-        f = [a[0] * d[0], a[0] * d[1] + a[1] * d[0], a[0] * d[2] + a[1] * d[1] + a[2] * d[0] + b[0],
-             a[1] * d[2] + a[2] * d[1] + b[1], a[2] * d[2] + b[2]]
-        # Durand-Kerner reaches the same roots from any generic start; the
-        # float roots, nudged off the real axis so a complex pair can form,
-        # only save steps
-        start = [complex(z) * (1.0 + 1e-8j) for z in np.roots([float(c) for c in f])]
-        roots = mpmath.polyroots(f, maxsteps=100, extraprec=60, roots_init=start)
-        return sorted(r.real for r in map(mpmath.mpc, roots) if r.real > 0 and abs(r.imag) <= 1e-30 * abs(r))
-
-
 def test_solvers_match_a_50_digit_oracle():
     # each draw checks one solver: estimate_eta on even k // 2, find_alpha_minimum on odd
     for k, p, theta, ratio in _oracle_draws():
@@ -444,7 +414,7 @@ def test_solvers_match_a_50_digit_oracle():
         j2 = p.j12 * p.j12
         if k // 2 % 2 == 0:
             # D^2 + 4 j12^2 - r x^2 j12^2
-            want = _oracle_roots(d, d, (-ratio * j2, 0.0, 4.0 * j2))
+            want = oracle.positive_roots(d, d, (-ratio * j2, 0.0, 4.0 * j2))
             try:
                 got = estimate_eta(p, theta, ratio).all_roots
             except NoSolutionError:
@@ -454,10 +424,8 @@ def test_solvers_match_a_50_digit_oracle():
                 assert abs(g - w) <= 1e-12 * w, (p, theta, ratio)
         else:
             # (x D' - D) D - 4 j12^2; the stationary point of smallest 1/alpha
-            stationary = _oracle_roots((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0 * j2))
-            with mpmath.workdps(50):
-                inv = [((d[0] * x + d[1]) * x + d[2]) ** 2 / (x * x * j2) + 4 / (x * x) for x in stationary]
-            want = stationary[inv.index(min(inv))]
+            stationary = oracle.positive_roots((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0 * j2))
+            want = oracle.least(d, j2, stationary)
             got = find_alpha_minimum(p, theta)[0]
             assert abs(got - want) <= 1e-12 * want, (p, theta)
 
@@ -485,23 +453,60 @@ def test_stacked_companion_roots_are_numpy_roots_bit_for_bit():
         assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag), f
 
 
-def test_a_batch_of_quartics_solves_as_each_alone():
-    # FMO-like minimum and estimate quartics, lambda1 = 0 among them (degrees 4,
-    # 2 and 0), quartics that are refused, and a refusal passed through
+def _outcome(solve, thetas):
+    """solve(thetas) as a comparable value: its results, or the type and message it raises."""
+    try:
+        return [(r.theta, r.points.tolist(), r.minimum) if isinstance(r, SweepResult) else r
+                for r in solve(thetas)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _as_each_theta_alone(solve, thetas):
+    """Check that solve(thetas) ends as the one-theta calls in order do; return that outcome."""
+    alone = []
+    for theta in thetas:
+        one = _outcome(solve, [theta])
+        if isinstance(one, tuple):
+            alone = one
+            break
+        alone += one
+    assert _outcome(solve, thetas) == alone, thetas
+    return alone
+
+
+KINDS = ("solved", "no interior minimum", "below the attainable minimum", "theta must lie in",
+         "leaves the float range")
+
+
+def test_a_theta_list_solves_as_each_theta_alone():
+    # FMO-like dimers in units of |j12|, lambda1 = 0 among them (quartics of
+    # degree 2 and 0), lambda1/|j12| scaled by 1e160 (refused quartics), and
+    # theta lists of the last three phases drawn, some with an out-of-range phase
     rng = np.random.default_rng(1818)
-    quartics = [ValueError("passed through")]
+    thetas, kinds = [], set()
     for k in range(200):
         l = 0.0 if k % 10 == 0 else 10.0 ** rng.uniform(-1.5, 0.0) * (1e160 if k % 25 == 1 else 1.0)
-        d = (2.0 * l, 4.0 * l * math.cos(rng.uniform(-math.pi, math.pi)), rng.uniform(-1.0, 3.0))
-        quartics += [((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0)), (d, d, (-rng.uniform(1.0, 40.0), 0.0, 4.0))]
-    solved = _positive_roots(quartics)
-    assert sum(isinstance(r, ValueError) for r in solved) > 1 and [] in solved
-    for q, got in zip(quartics, solved, strict=True):
-        alone = _positive_roots([q])[0]
-        if isinstance(alone, ValueError):
-            assert (type(got), str(got)) == (type(alone), str(alone))
-        else:
-            assert got == alone
+        thetas.append(rng.uniform(-math.pi, math.pi))
+        p = from_gap(abs(rng.uniform(-1.0, 3.0)), (-1.0) ** k, l, 0.71, 0.0)
+        ratio = rng.uniform(1.0, 40.0)
+        batch = thetas[-3:]
+        if k % 7 == 3:
+            batch.insert(k % 3, 4.0)
+        for solve in (lambda ts: find_alpha_minima(p, ts), lambda ts: estimate_etas(p, ts, ratio),
+                      lambda ts: sweep_inverse_alphas(p, ts, [0.25, 1.0, 4.0])):
+            alone = _as_each_theta_alone(solve, batch)
+            text = alone[1] if isinstance(alone, tuple) else "solved"
+            kinds |= {kind for kind in KINDS if kind in text}
+    assert kinds == set(KINDS)
+
+
+def test_a_sweep_refused_after_its_minimum_decides_before_a_later_theta():
+    # j12 ~ 1e-11 lambda1: 1/alpha cancels to about 1e-9 on the grid, which then
+    # undercuts the minimum and SweepResult refuses it; that phase, not 4.0, decides
+    p = from_gap(0.0021178731884661647, 1.6690072363842657e-13, 0.019384610267345004, 0.71, 0.0)
+    grid = np.linspace(0.8777495747815968, 3.510998299126387, 400)
+    _as_each_theta_alone(lambda ts: sweep_inverse_alphas(p, ts, grid), [-2.675450011984105, 4.0])
 
 
 def test_the_first_failing_theta_decides():
@@ -510,6 +515,10 @@ def test_the_first_failing_theta_decides():
         find_alpha_minima(no_minimum, [0.0, 4.0])
     with pytest.raises(ValueError, match="theta must lie in"):
         find_alpha_minima(no_minimum, [4.0, 0.0])
+    with pytest.raises(NoSolutionError, match="no interior minimum"):
+        sweep_inverse_alphas(no_minimum, [0.0, 4.0], [0.5, 1.0])
+    with pytest.raises(ValueError, match="theta must lie in"):
+        sweep_inverse_alphas(no_minimum, [4.0, 0.0], [0.5, 1.0])
     assert estimate_etas(FMO, [0.0, 0.5 * math.pi], 22.0) == [estimate_eta(FMO, 0.0, 22.0),
                                                                estimate_eta(FMO, 0.5 * math.pi, 22.0)]
     with pytest.raises(NoSolutionError, match="below the attainable minimum"):

@@ -343,6 +343,14 @@ FILE_CASES = {
         "config", b"[DEFAULT]\ncoupling = 5\n", "config error: unknown config section [DEFAULT]",
     ),
     "state-not-utf8": ("state", b"\xff{}", "config error: initial_state.file: invalid JSON"),
+    "state-bool-cells": (
+        "state", b'{"rho": [[false,0,0],[0,true,0],[0,0,0]]}',
+        "config error: initial_state.file: expected number or [re, im], got False\n",
+    ),
+    "state-bool-pair": (
+        "state", b'{"rho": [[0,0,0],[0,[true,false],0],[0,0,0]]}',
+        "config error: initial_state.file: expected number or [re, im], got [True, False]\n",
+    ),
 }
 
 

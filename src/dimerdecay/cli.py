@@ -329,12 +329,14 @@ def _initial_state(cfg: RunConfig, phi0: float) -> OneExcitationState:
 
 
 def _json_complex(cell) -> complex:
-    # JSON true/false load as bool, a subclass of int: not numbers here
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        return complex(cell)
-    if isinstance(cell, list) and len(cell) == 2 and not any(isinstance(v, bool) for v in cell):
-        return complex(float(cell[0]), float(cell[1]))
-    raise ValueError(f"expected number or [re, im], got {cell!r}")
+    parts = cell if isinstance(cell, list) and len(cell) == 2 else (cell, 0.0)
+    # JSON true/false load as bool, a subclass of int, and float() parses strings: neither is a number here
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ValueError(f"expected number or [re, im], got {cell!r}")
+    try:
+        return complex(float(parts[0]), float(parts[1]))
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError("a number in rho lies outside the float range") from None
 
 
 def cmd_transform(cfg: RunConfig) -> int:

@@ -26,7 +26,11 @@ on the flattened rho, with a classical fixed-step fourth-order scheme
 and shares no code with the closed forms, so the two paths
 cross-validate each other.  It applies the n steps of an interval at
 once, as a power of the one-step map found by binary powering, so its
-cost grows with log n rather than n.
+cost grows with log n rather than n.  In this frame the generator only
+scales rho01, rho02 and rho12 and only moves population between rho11
+and rho22, and every power of the step map keeps that shape exactly, so
+a trajectory is carried from interval to interval as five scalar
+recurrences rather than as a 9x9 product.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ BASES = ("exciton", "site")
 
 # (row, column) indices of rho01, rho02, rho12
 _UPPER = ((0, 0, 1), (1, 2, 2))
+# entries of a powered increment E on the flattened rho that numeric_trajectory
+# reads: the factors of rho01, rho02, rho12 and the rho11 row, E[4, 4] and E[4, 8]
+_READ = ((1, 2, 5, 4, 4), (1, 2, 5, 4, 8))
 
 TRAJECTORY_CSV_HEADER = (
     "t_fs",
@@ -355,11 +362,19 @@ def numeric_trajectory(
     Each interval t is covered by n = ceil(t/dt) equal steps h = t/n, and
     the n steps are applied at once as I + E = (I + D)^n, with D the RK4
     increment and E found by binary powering: O(log n) 9x9 products per
-    distinct (n, h), each built once per call.  Serves as an independent
-    cross-check of :func:`analytic_evolve`; the step must resolve the
-    fastest timescale, dt <= 0.1 * min over the relaxation time and the
-    unitary phase periods.  The trace is kept exactly; Hermiticity and
-    positivity are checked on the returned stack, not enforced.
+    distinct (n, h), each built once per call.  On the flattened rho,
+    every entry of E off its diagonal and off the (4, 8)/(8, 4) pair is
+    exactly 0, its rho00 row is 0 and its rho22 row is the exact negative
+    of its rho11 row.  So y + E y is carried as five recurrences on
+    Python complex numbers, with the same roundings as the mat-vec:
+    c += E[k, k] c for rho01, rho02, rho12 (k = 1, 2, 5), and
+    inc = E[4, 4] rho11 + E[4, 8] rho22, rho11 += inc, rho22 -= inc.
+    rho00 is copied and the lower triangle is the conjugate of the upper,
+    so every state after the first is Hermitian by construction.  Serves
+    as an independent cross-check of :func:`analytic_evolve`; the step
+    must resolve the fastest timescale, dt <= 0.1 * min over the
+    relaxation time and the unitary phase periods.  The trace is kept
+    exactly; positivity is checked on the returned stack, not enforced.
     """
     import numpy as np
     if state.basis != "exciton":
@@ -388,22 +403,42 @@ def numeric_trajectory(
         raise ValueError(f"t/dt must be finite, got t = {longest} fs, dt = {dt} fs")
 
     m = _generator_matrix(p)
-    powered: dict[tuple[int, float], np.ndarray] = {}
-    out = np.empty((len(intervals) + 1, 3, 3), dtype=complex)
-    out[0] = state.rho
+    # the five read entries of E per distinct interval, and per distinct (n, h); None for t = 0
+    factors: dict[float, list[complex] | None] = {}
+    powered: dict[tuple[int, float], list[complex]] = {}
     # the exact solution is bounded, so anything non-finite is round-off grown unchecked; refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(intervals.tolist()):
+        for t in set(intervals.tolist()):
             if t == 0.0:
-                out[i + 1] = out[i]
+                factors[t] = None
                 continue
             n_steps = max(1, math.ceil(t / dt - 1e-9))
             h = t / n_steps
             e = powered.get((n_steps, h))
             if e is None:
-                e = powered[(n_steps, h)] = _powered_increment(_rk4_increment(h * m), n_steps)
-            y = out[i].reshape(9)
-            out[i + 1] = (y + e @ y).reshape(3, 3)
+                e = powered[(n_steps, h)] = _powered_increment(_rk4_increment(h * m), n_steps)[_READ].tolist()
+            factors[t] = e
+    r = state.rho
+    p11, p22, c01, c02, c12 = r[(1, 2) + _UPPER[0], (1, 2) + _UPPER[1]].tolist()
+    flat: list[complex] = []
+    for t in intervals.tolist():
+        e = factors[t]
+        if e is not None:
+            d01, d02, d12, e44, e48 = e
+            c01 += d01 * c01
+            c02 += d02 * c02
+            c12 += d12 * c12
+            inc = e44 * p11 + e48 * p22
+            p11 += inc
+            p22 -= inc
+        flat += (p11, p22, c01, c02, c12)
+    rows = np.fromiter(flat, complex, len(flat)).reshape(-1, 5)
+    out = np.empty((len(ts), 3, 3), dtype=complex)
+    out[0] = r
+    out[1:, 0, 0] = r[0, 0]
+    out[1:, (1, 2), (1, 2)] = rows[:, :2]
+    out[1:, _UPPER[0], _UPPER[1]] = rows[:, 2:]
+    out[1:, _UPPER[1], _UPPER[0]] = rows[:, 2:].conj()
     if not np.isfinite(out).all():
         raise ValueError(f"round-off in the RK4 propagator overflows over {longest:.6g} fs at dt = {dt:.6g} fs: too little decay")
     _check_states(out)

@@ -351,6 +351,14 @@ FILE_CASES = {
         "state", b'{"rho": [[0,0,0],[0,[true,false],0],[0,0,0]]}',
         "config error: initial_state.file: expected number or [re, im], got [True, False]\n",
     ),
+    "state-string-pair": (
+        "state", b'{"rho": [[0,0,0],[0,["1","0"],0],[0,0,0]]}',
+        "config error: initial_state.file: expected number or [re, im], got ['1', '0']\n",
+    ),
+    "state-integer-past-float-range": (
+        "state", b'{"rho": [[0,0,0],[0,1' + b"0" * 400 + b',0],[0,0,0]]}',
+        "config error: initial_state.file: a number in rho lies outside the float range\n",
+    ),
 }
 
 

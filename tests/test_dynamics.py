@@ -550,6 +550,95 @@ def test_numeric_trajectory_equals_chained_evolve():
         assert np.array_equal(a, b.rho)
 
 
+def seeded_dimer_params(rng, count):
+    """EvolutionParams of ``count`` seeded dimers: both signs of j12, every third at gamma_d = 0."""
+    out = []
+    for i in range(count):
+        dimer = DimerParams(
+            omega1=rng.uniform(0.0, 200.0),
+            omega2=rng.uniform(-200.0, 0.0),
+            j12=rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 150.0),
+            lambda1=rng.uniform(0.0, 60.0),
+            eta_abs=rng.uniform(0.0, 1.5),
+            theta=rng.uniform(-math.pi, math.pi),
+        )
+        bath = BathSpec(temperature=rng.uniform(1.0, 400.0), gamma_d=0.0 if i % 3 == 0 else rng.uniform(0.001, 0.1))
+        out.append(EvolutionParams.for_dimer(dimer, bath))
+    return out
+
+
+def resolving_step(p):
+    """A step one tenth of the largest dt that numeric_trajectory accepts for p."""
+    fastest = max(
+        p.gamma * (1.0 + 2.0 * p.nbar0),
+        abs(wavenumber_to_angular(p.omega_plus)),
+        abs(wavenumber_to_angular(p.omega_minus)),
+    )
+    return 0.01 / fastest
+
+
+def hermitian_state(rng):
+    """Random full-rank exciton-basis state whose lower triangle is exactly the conjugate of its upper."""
+    rho = random_state(rng).rho
+    upper = np.triu(rho, 1)
+    rho = upper + upper.conj().T + np.diag(rho.diagonal().real)
+    return OneExcitationState(rho=rho, basis="exciton")
+
+
+def test_powered_increment_keeps_the_one_excitation_structure():
+    # numeric_trajectory reads only E[1,1], E[2,2], E[5,5], E[4,4] and E[4,8]
+    rng = np.random.default_rng(59)
+    kept = np.eye(9, dtype=bool)
+    kept[4, 8] = kept[8, 4] = True
+    for p in [FMO_PARAMS] + seeded_dimer_params(rng, 12):
+        m = _generator_matrix(p)
+        h = resolving_step(p) * rng.uniform(1.0, 10.0)
+        for n in (1, 2, 67, 1000, 200000, 50000000000):
+            e = _powered_increment(_rk4_increment(h * m), n)
+            assert np.isfinite(e).all()
+            assert np.all(e[~kept] == 0.0), n
+            assert np.all(e[0] == 0.0), n
+            assert np.array_equal(e[8], -e[4]), n
+            for upper, lower in ((1, 3), (2, 6), (5, 7)):
+                assert e[lower, lower] == e[upper, upper].conjugate(), n
+
+
+def reference_trajectory(state, times, dt, p):
+    """numeric_trajectory as a 9x9 mat-vec per interval, y = y + E y, from the unchanged helpers."""
+    m = _generator_matrix(p)
+    powered = {}
+    ys = [state.rho.reshape(9)]
+    for t in np.diff(np.asarray(times, dtype=float)).tolist():
+        y = ys[-1]
+        if t > 0.0:
+            n = max(1, math.ceil(t / dt - 1e-9))
+            key = (n, t / n)
+            if key not in powered:
+                powered[key] = _powered_increment(_rk4_increment(key[1] * m), n)
+            y = y + powered[key] @ y
+        ys.append(y)
+    return np.array(ys).reshape(len(ys), 3, 3)
+
+
+def test_numeric_trajectory_equals_the_matrix_vector_loop():
+    rng = np.random.default_rng(61)
+    presets = [OneExcitationState.pure(int(name[-1]), name[:-1]) for name in ("exciton1", "exciton2", "site1", "site2")]
+    params = [FMO_PARAMS] + seeded_dimer_params(rng, 5)
+    for i, p in enumerate(params):
+        dt = resolving_step(p) if i else 0.01  # the CLI's default step for the FMO dimer
+        pure = [from_site_basis(s, p.phi0) if s.basis == "site" else s for s in presets]
+        grids = [
+            np.linspace(0.0, 1000.0, 3001 if i == 0 else 1001),
+            np.linspace(0.0, rng.uniform(1.0, 1e5), int(rng.integers(2, 400))),
+            np.sort(rng.uniform(0.0, 300.0, 50)),  # non-uniform spacing
+            np.repeat(np.linspace(5.0, 80.0, 20), rng.integers(1, 4, 20)),  # repeated times
+            np.array([0.0, 7.5]),
+        ]
+        for s in pure + [hermitian_state(rng), hermitian_state(rng)]:
+            for ts in grids:
+                assert np.array_equal(numeric_trajectory(s, ts, dt, p), reference_trajectory(s, ts, dt, p))
+
+
 @pytest.mark.parametrize("t_max", [2e4, 1e9])
 def test_long_horizons_keep_trace_and_closed_forms(t_max, tmp_path):
     start = time.perf_counter()

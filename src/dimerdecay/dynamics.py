@@ -31,6 +31,14 @@ scales rho01, rho02 and rho12 and only moves population between rho11
 and rho22, and every power of the step map keeps that shape exactly, so
 a trajectory is carried from interval to interval as five scalar
 recurrences rather than as a 9x9 product.
+
+Of the stacks only the numeric one is checked: RK4 is not positive by
+construction.  The closed forms conjugate the upper triangle into the
+lower, set rho22 = 1 - rho00 - rho11 and turn rho02 by the product of
+the rho01 and rho12 phases, so each state is a diagonal unitary turn of
+a CPTP image of the initial state, to round-off; its smallest eigenvalue
+stays at or above minus the summed negative eigenvalues of the initial
+state.  The site rotation is real orthogonal.
 """
 
 from __future__ import annotations
@@ -198,15 +206,16 @@ class EvolutionParams:
                    omega_minus=rates.frame.omega_minus, phi0=rates.frame.phi0)
 
 
-def _closed_forms(
+def analytic_trajectory(
     state: OneExcitationState, times: Sequence[float], p: EvolutionParams
 ) -> np.ndarray:
-    """Closed-form states at each of ``times`` as an unchecked (T, 3, 3) stack.
+    """Closed-form states at each of ``times`` as a (T, 3, 3) stack, unchecked.
 
-    ``state`` is the exciton-basis state at t = 0.  The real decay factors
-    come from math.exp and the complex products are written out, since
-    np.exp and numpy's vectorized complex multiply can move the last bit
-    of the scalar closed forms.
+    ``state``, the exciton-basis state at t = 0, was checked when built;
+    the stack keeps the rules by construction (module notes).  The real
+    decay factors come from math.exp and the complex products are written
+    out, since np.exp and numpy's vectorized complex multiply can move
+    the last bit of the scalar closed forms.
     """
     import numpy as np
     if state.basis != "exciton":
@@ -224,7 +233,10 @@ def _closed_forms(
     rates = (-g_pop, -0.5 * p.gamma * (1.0 + p.nbar0), -0.5 * p.gamma * p.nbar0, -0.5 * g_pop)
     tl = ts.tolist()
     decay = np.array([[math.exp(k * t) for t in tl] for k in rates]).T
-    phase = np.exp(1j * np.multiply.outer(ts, (wp, wm, -(wp - wm))))
+    p01, p12 = np.exp(1j * np.multiply.outer((wp, -(wp - wm)), ts))
+    # rho02 turns by p01 * p12, so the three phases agree to round-off at any t
+    cos = np.column_stack([p01.real, p01.real * p12.real - p01.imag * p12.imag, p12.real])
+    sin = np.column_stack([p01.imag, p01.real * p12.imag + p01.imag * p12.real, p12.imag])
 
     r = state.rho
     rho00 = r[0, 0].real
@@ -233,30 +245,17 @@ def _closed_forms(
     re, im = r[_UPPER].real * decay[:, 1:], r[_UPPER].imag * decay[:, 1:]
     out = np.empty((len(ts), 3, 3), dtype=complex)
     out[:, 0, 0], out[:, 1, 1], out[:, 2, 2] = rho00, rho11, 1.0 - rho00 - rho11
-    out.real[:, _UPPER[0], _UPPER[1]] = re * phase.real - im * phase.imag
-    out.imag[:, _UPPER[0], _UPPER[1]] = re * phase.imag + im * phase.real
+    out.real[:, _UPPER[0], _UPPER[1]] = re * cos - im * sin
+    out.imag[:, _UPPER[0], _UPPER[1]] = re * sin + im * cos
     out[:, _UPPER[1], _UPPER[0]] = out[:, _UPPER[0], _UPPER[1]].conj()
-    return out
-
-
-def analytic_trajectory(
-    state: OneExcitationState, times: Sequence[float], p: EvolutionParams
-) -> np.ndarray:
-    """Closed-form states at each of ``times`` as a checked (T, 3, 3) stack."""
-    out = _closed_forms(state, times, p)
-    _check_states(out)
     return out
 
 
 def analytic_evolve(
     state: OneExcitationState, t: float, p: EvolutionParams
 ) -> OneExcitationState:
-    """Propagate an exciton-basis state by the closed-form solutions.
-
-    The one-time case of :func:`analytic_trajectory`, checked once, by the
-    state's constructor.
-    """
-    return OneExcitationState(rho=_closed_forms(state, (t,), p)[0], basis="exciton")
+    """Closed-form propagation: the one-time :func:`analytic_trajectory`, checked by the state."""
+    return OneExcitationState(rho=analytic_trajectory(state, (t,), p)[0], basis="exciton")
 
 
 def _site_map(phi0: float) -> np.ndarray:
@@ -277,16 +276,17 @@ def to_site_basis(state: OneExcitationState, phi0: float) -> OneExcitationState:
     """
     if state.basis != "exciton":
         raise ValueError("to_site_basis requires an exciton-basis state")
-    t = _site_map(phi0)
-    return OneExcitationState(rho=t @ state.rho @ t.T, basis="site")
+    return OneExcitationState(rho=trajectory_to_site(state.rho[None], phi0)[0], basis="site")
 
 
 def trajectory_to_site(rhos: np.ndarray, phi0: float) -> np.ndarray:
-    """:func:`to_site_basis` for a (T, 3, 3) stack, as one broadcast T rho T^T; checked."""
-    t = _site_map(phi0)
-    out = t @ rhos @ t.T
-    _check_states(out)
-    return out
+    """:func:`to_site_basis` for a (T, 3, 3) stack, unchecked.
+
+    T rho T^T as two 2-D products: T times the states side by side, then their rows times T^T.
+    """
+    t, n = _site_map(phi0), len(rhos)
+    left = (t @ rhos.transpose(1, 0, 2).reshape(3, -1)).reshape(3, n, 3).transpose(1, 0, 2)
+    return (left.reshape(-1, 3) @ t.T).reshape(n, 3, 3)
 
 
 def from_site_basis(state: OneExcitationState, phi0: float) -> OneExcitationState:
@@ -362,11 +362,9 @@ def numeric_trajectory(
     Each interval t is covered by n = ceil(t/dt) equal steps h = t/n, and
     the n steps are applied at once as I + E = (I + D)^n, with D the RK4
     increment and E found by binary powering: O(log n) 9x9 products per
-    distinct (n, h), each built once per call.  On the flattened rho,
-    every entry of E off its diagonal and off the (4, 8)/(8, 4) pair is
-    exactly 0, its rho00 row is 0 and its rho22 row is the exact negative
-    of its rho11 row.  So y + E y is carried as five recurrences on
-    Python complex numbers, with the same roundings as the mat-vec:
+    distinct (n, h), each built once per call.  E keeps the shape of the
+    generator (module notes), so y + E y is carried as five recurrences
+    on Python complex numbers with the same roundings as the mat-vec:
     c += E[k, k] c for rho01, rho02, rho12 (k = 1, 2, 5), and
     inc = E[4, 4] rho11 + E[4, 8] rho22, rho11 += inc, rho22 -= inc.
     rho00 is copied and the lower triangle is the conjugate of the upper,

@@ -251,6 +251,12 @@ EXIT_CASES = [
     ("evolve --j12 0 --t-max 1e30", 2, "config error: round-off in the RK4 propagator overflows"),
     ("evolve --gap 1e150 --t-max 1e300", 2, "config error: the phases omega t leave the float range"),
     ("evolve --j12 1e-6 --t-max 1e300 --eta 0", 2, "config error: round-off in the RK4 propagator overflows"),
+    # diag(1 + 2e-10, -1e-10, -1e-10) passes the initial check; relaxing at 1 K, its two
+    # negative populations pool in rho22 and the numeric stack goes below -1e-10
+    (
+        "evolve --preset custom --state-file BOUNDARY --temperature 1 --t-max 20000",
+        2, "config error: rho must be positive semidefinite",
+    ),
     # 1/alpha and the quartic stay within the float range: each ends in a result
     ("sweep --eta-hi 1e300", 0, ""),
     ("minimize --j12 1e150", 0, ""),
@@ -262,13 +268,14 @@ EXIT_CASES = [
     ("helix --spacing inf", 2, "config error: helix.spacing_angstrom: must be finite"),
 ]
 MODES = Path(__file__).parent / "golden" / "modes.csv"
+BOUNDARY = Path(__file__).parent / "golden" / "boundary_state.json"
 
 
 @pytest.mark.parametrize(
     "cmdline, code, text", EXIT_CASES, ids=[case[0] for case in EXIT_CASES]
 )
 def test_inverse_and_evolve_exit_codes(cmdline, code, text, tmp_path, capsys):
-    argv = cmdline.replace("MODES", str(MODES)).split()
+    argv = cmdline.replace("MODES", str(MODES)).replace("BOUNDARY", str(BOUNDARY)).split()
     assert main(argv + ["--output-dir", str(tmp_path)]) == code
     # one line on stderr for a refusal, none for a result; no traceback
     err = capsys.readouterr().err

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from dimerdecay import dynamics
 from dimerdecay.cli import main
 from dimerdecay.dynamics import (
     TRAJECTORY_CSV_HEADER,
@@ -431,13 +432,80 @@ def test_site_map_checks_basis_tags():
 
 def test_trajectory_to_site_equals_pointwise_rotation():
     rng = np.random.default_rng(31)
-    times = np.linspace(0.0, 2000.0, 401)
-    for phi0 in (FMO_PHI0, -1.1, 0.0):
-        traj = analytic_trajectory(random_state(rng), times, FMO_PARAMS)
-        site = trajectory_to_site(traj, phi0)
-        for rho, rotated in zip(traj, site):
-            state = OneExcitationState(rho=rho, basis="exciton")
-            assert np.array_equal(rotated, to_site_basis(state, phi0).rho)
+    every = (FMO_PHI0, -1.1, 0.0, math.pi / 2, -math.pi / 2)
+    for points, angles in ((1, every), (2, every), (401, every[1:4]), (3001, every[::4])):
+        times = np.linspace(0.0, 2000.0, points)
+        s = random_state(rng)
+        for traj in (analytic_trajectory(s, times, FMO_PARAMS), numeric_trajectory(s, times, 0.01, FMO_PARAMS)):
+            states = [OneExcitationState(rho=rho, basis="exciton") for rho in traj]
+            for phi0 in angles:
+                site = trajectory_to_site(traj, phi0)
+                assert site.shape == traj.shape
+                for state, rotated in zip(states, site):
+                    assert np.array_equal(rotated, to_site_basis(state, phi0).rho)
+
+
+def accepted_initial_states(rng, phi0):
+    """Exciton-basis states that pass the initial check: the pure presets in both bases,
+    random full-rank, rank-one and rank-two states, and random custom site-basis states."""
+    states = [OneExcitationState.pure(i, basis) for basis in ("exciton", "site") for i in (0, 1, 2)]
+    for _ in range(2):
+        states.append(random_state(rng))
+        vs = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        vs /= np.linalg.norm(vs, axis=1)[:, None]
+        pure = np.outer(vs[0], vs[0].conj())
+        states.append(OneExcitationState(rho=pure, basis="exciton"))
+        w = rng.uniform()
+        states.append(OneExcitationState(rho=w * pure + (1.0 - w) * np.outer(vs[1], vs[1].conj()), basis="exciton"))
+        states.append(OneExcitationState(rho=random_state(rng).rho, basis="site"))
+    return [from_site_basis(s, phi0) if s.basis == "site" else s for s in states]
+
+
+@pytest.mark.filterwarnings("ignore:renormalized gap:UserWarning")
+def test_unchecked_stacks_keep_the_state_rules():
+    # analytic_trajectory and trajectory_to_site return unchecked stacks: the closed forms are a
+    # CPTP image turned by a diagonal unitary and the rotation is real orthogonal, so states
+    # positive to round-off stay within the rules, undamped at 1e9 fs too
+    rng = np.random.default_rng(67)
+    for i, p in enumerate(seeded_dimer_params(rng, 12)):
+        times = np.linspace(0.0, 1e9 if i % 4 == 0 else 10.0 ** rng.uniform(1.0, 9.0), 201)
+        for s in accepted_initial_states(rng, p.phi0):
+            traj = analytic_trajectory(s, times, p)
+            _check_states(traj)
+            for phi0 in (p.phi0, FMO_PHI0, 0.0, math.pi / 2, -math.pi / 2):
+                _check_states(trajectory_to_site(traj, phi0))
+
+
+@pytest.mark.filterwarnings("ignore:renormalized gap:UserWarning")
+def test_analytic_stack_keeps_the_negative_part_of_a_boundary_state():
+    # the state check admits eigenvalues down to -1e-10; the closed forms are CPTP up to a
+    # diagonal unitary, so no state goes below minus the summed negative eigenvalues at t = 0
+    rng = np.random.default_rng(71)
+    for i, p in enumerate(seeded_dimer_params(rng, 240)):
+        lam = -1e-10 * rng.uniform(0.0, 0.999, size=2) * (1.0, i % 2)  # one or two negative
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        rho = (u * np.array([*lam, 1.0 - lam.sum()])) @ u.conj().T
+        s = OneExcitationState(rho=0.5 * (rho + rho.conj().T), basis="exciton")
+        negative = -np.linalg.eigvalsh(s.rho).clip(max=0.0).sum()
+        times = np.linspace(0.0, 10.0 ** rng.uniform(1.0, 9.0), 201)
+        assert np.linalg.eigvalsh(analytic_trajectory(s, times, p))[:, 0].min() >= -negative - 1e-15
+
+
+@pytest.mark.parametrize("basis", ["exciton", "site"])
+@pytest.mark.parametrize("preset", ["exciton1", "site2"])
+def test_evolve_checks_one_trajectory_stack(basis, preset, tmp_path, monkeypatch):
+    sizes = []
+    check = dynamics._check_states
+
+    def counted(rhos):
+        sizes.append(len(rhos))
+        check(rhos)
+
+    monkeypatch.setattr(dynamics, "_check_states", counted)
+    argv = ["evolve", "--basis", basis, "--preset", preset, "--time-points", "301", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    # the numeric stack, and the initial state once per construction: the preset, then its exciton form
+    assert sizes == ([1, 301] if preset.startswith("exciton") else [1, 1, 301])
 
 
 def test_site_map_rejects_angle_outside_half_turn():
@@ -551,7 +619,7 @@ def test_numeric_trajectory_equals_chained_evolve():
 
 
 def seeded_dimer_params(rng, count):
-    """EvolutionParams of ``count`` seeded dimers: both signs of j12, every third at gamma_d = 0."""
+    """EvolutionParams of ``count`` seeded dimers: both signs of j12, 1 to 1000 K, every third at gamma_d = 0."""
     out = []
     for i in range(count):
         dimer = DimerParams(
@@ -562,7 +630,7 @@ def seeded_dimer_params(rng, count):
             eta_abs=rng.uniform(0.0, 1.5),
             theta=rng.uniform(-math.pi, math.pi),
         )
-        bath = BathSpec(temperature=rng.uniform(1.0, 400.0), gamma_d=0.0 if i % 3 == 0 else rng.uniform(0.001, 0.1))
+        bath = BathSpec(temperature=10.0 ** rng.uniform(0.0, 3.0), gamma_d=0.0 if i % 3 == 0 else rng.uniform(0.001, 0.1))
         out.append(EvolutionParams.for_dimer(dimer, bath))
     return out
 

@@ -21,16 +21,19 @@ Closed-form solutions, with G = gamma*(1 + 2*nbar0) and P = 1 - rho00:
 The vacuum-coherence phases rotate at the exciton frequencies
 omega_plus and omega_minus (the natural reading on this subspace; bare
 site frequencies never appear in the diagonal frame).  The numerical
-propagator integrates the same generator, written out as a 9x9 matrix
-on the flattened rho, with a classical fixed-step fourth-order scheme
-and shares no code with the closed forms, so the two paths
-cross-validate each other.  It applies the n steps of an interval at
-once, as a power of the one-step map found by binary powering, so its
-cost grows with log n rather than n.  In this frame the generator only
-scales rho01, rho02 and rho12 and only moves population between rho11
-and rho22, and every power of the step map keeps that shape exactly, so
-a trajectory is carried from interval to interval as five scalar
-recurrences rather than as a 9x9 product.
+propagator integrates the same generator with a classical fixed-step
+fourth-order scheme and shares no code with the closed forms, so the two
+paths cross-validate each other.  In this frame the generator is
+diagonal up to a projector: it scales rho01, rho02 and rho12 by
+lam01 = -dn/2 + i omega_plus, lam02 = -up/2 + i omega_minus and
+lam12 = -G/2 - i omega0, and acts on (rho11, rho22) as -G Q with the
+projector Q = [[dn, -up], [-dn, up]] / G, where dn = gamma (nbar0 + 1)
+is the emission rate, up = gamma nbar0 the absorption rate, G = dn + up
+and omega0 = omega_plus - omega_minus.  So n RK4 steps of h multiply
+each coherence by R(h lam)^n and add (R(-h G)^n - 1) Q to the
+populations, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the step's
+stability polynomial: four scalar powers per distinct step, found by
+binary powering, so the cost grows with log n rather than n.
 
 Of the stacks only the numeric one is checked: RK4 is not positive by
 construction.  The closed forms conjugate the upper triangle into the
@@ -58,9 +61,6 @@ BASES = ("exciton", "site")
 
 # (row, column) indices of rho01, rho02, rho12
 _UPPER = ((0, 0, 1), (1, 2, 2))
-# entries of a powered increment E on the flattened rho that numeric_trajectory
-# reads: the factors of rho01, rho02, rho12 and the rho11 row, E[4, 4] and E[4, 8]
-_READ = ((1, 2, 5, 4, 4), (1, 2, 5, 4, 8))
 
 TRAJECTORY_CSV_HEADER = (
     "t_fs",
@@ -84,7 +84,11 @@ def _check_states(rhos: np.ndarray) -> None:
     """Raise ValueError at the first state of a (T, 3, 3) stack that breaks a rule.
 
     The rules, in order: finite, Hermitian to 1e-12, unit trace to 1e-12,
-    smallest eigenvalue >= -1e-10 (one stacked eigvalsh for the stack).
+    smallest eigenvalue >= -1e-10.  A stack that keeps the first three is
+    accepted if one stacked Cholesky of H + (1e-10 - 1e-14) I succeeds, H
+    the Hermitian part: for trace-one states its round-off, and eigvalsh's,
+    lie far below the 1e-14 margin, so such a stack also has eigmin >= -1e-10.
+    Otherwise one stacked eigvalsh decides and names the first bad state.
     """
     import numpy as np
     finite = np.isfinite(rhos).all(axis=(1, 2))
@@ -93,8 +97,16 @@ def _check_states(rhos: np.ndarray) -> None:
     adj = rhos.conj().transpose(0, 2, 1)
     asym = np.abs(rhos - adj).max(axis=(1, 2))
     trace = rhos.trace(axis1=1, axis2=2)
-    eigmin = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0]
-    ok = finite & (asym <= 1e-12) & (np.abs(trace - 1.0) <= 1e-12) & (eigmin >= -1e-10)
+    herm = 0.5 * (rhos + adj)
+    ok = finite & (asym <= 1e-12) & (np.abs(trace - 1.0) <= 1e-12)
+    if ok.all():
+        try:
+            np.linalg.cholesky(herm + (1e-10 - 1e-14) * np.eye(3))
+            return
+        except np.linalg.LinAlgError:
+            pass
+    eigmin = np.linalg.eigvalsh(herm)[:, 0]
+    ok &= eigmin >= -1e-10
     if ok.all():
         return
     i = int(ok.argmin())
@@ -297,59 +309,32 @@ def from_site_basis(state: OneExcitationState, phi0: float) -> OneExcitationStat
     return OneExcitationState(rho=t.T @ state.rho @ t, basis="exciton")
 
 
-def _generator_matrix(p: EvolutionParams) -> np.ndarray:
-    """9x9 matrix of the generator acting on row-major flattened rho.
+def _eigenvalues(p: EvolutionParams) -> tuple[complex, complex, complex, float, float, float]:
+    """lam01, lam02, lam12 and -G, the generator's eigenvalues (module notes), then dn and up."""
+    wp, wm = wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)
+    dn, up = p.gamma * (p.nbar0 + 1.0), p.gamma * p.nbar0
+    g = dn + up
+    return complex(-0.5 * dn, wp), complex(-0.5 * up, wm), complex(-0.5 * g, -(wp - wm)), -g, dn, up
 
-    Written out entry by entry: commutator with diag(0, omega_plus,
-    omega_minus) in angular units plus the two-jump dissipator.  The
-    commutator and the anticommutator terms are diagonal, and the two
-    jumps feed rho11 from rho22 and back, so the map is trace-free.
+
+def _powered_factor(lam: complex | float, h: float, n: int) -> complex | float:
+    """R(h lam)^n - 1 for n >= 1, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4 step factor.
+
+    Binary powering on the increment d = R - 1: squares as d <- 2d + d d and
+    combines as a + b + a b, so 1 + d is never formed and the 1 never
+    swamps a small increment (scaling and squaring with the increment kept
+    apart from 1; Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179).
     """
-    import numpy as np
-    w = np.array(
-        [0.0, wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)]
-    )
-    rate_up = p.gamma * p.nbar0  # absorption, e2 -> e1
-    rate_dn = p.gamma * (p.nbar0 + 1.0)  # emission, e1 -> e2
-    loss = np.array([0.0, rate_dn, rate_up])  # out-rate of each level
-    m = np.diag(
-        (-1j * (w[:, None] - w[None, :]) - 0.5 * (loss[:, None] + loss[None, :])).reshape(9)
-    )
-    m[4, 8] = rate_up
-    m[8, 4] = rate_dn
-    return m
-
-
-def _rk4_increment(hm: np.ndarray) -> np.ndarray:
-    """Increment D of one classical 4-stage step, y -> y + D y, for y' = M y.
-
-    hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24: the k1..k4 combination
-    collapsed onto a linear autonomous system.
-    """
-    import numpy as np
-    eye = np.eye(9, dtype=complex)
-    return hm @ (eye + hm @ (eye / 2.0 + hm @ (eye / 6.0 + hm / 24.0)))
-
-
-def _powered_increment(incr: np.ndarray, n: int) -> np.ndarray:
-    """E with (I + D)^n = I + E, for n >= 1, by binary powering.
-
-    Squares as E <- 2E + E E and combines as E_a + E_b + E_a E_b, so
-    I + D is never formed and the identity never swamps the small
-    increment (scaling and squaring with the increment kept apart from
-    I; Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179).  The rho11
-    and rho22 rows of D are exact negatives and its rho00 row is zero,
-    as for the generator; the left factor of every product has that
-    structure, so each E keeps it and y + E y has exactly the trace of y.
-    """
+    z = h * lam
+    d = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
     out = None
     while True:
         if n & 1:
-            out = incr if out is None else out + incr + out @ incr
+            out = d if out is None else out + d + out * d
         n >>= 1
         if not n:
             return out
-        incr = 2.0 * incr + incr @ incr
+        d = 2.0 * d + d * d
 
 
 def numeric_trajectory(
@@ -360,15 +345,17 @@ def numeric_trajectory(
     ``state`` is the state at ``times[0]``; ``times`` must be non-empty
     and non-decreasing.
     Each interval t is covered by n = ceil(t/dt) equal steps h = t/n, and
-    the n steps are applied at once as I + E = (I + D)^n, with D the RK4
-    increment and E found by binary powering: O(log n) 9x9 products per
-    distinct (n, h), each built once per call.  E keeps the shape of the
-    generator (module notes), so y + E y is carried as five recurrences
-    on Python complex numbers with the same roundings as the mat-vec:
-    c += E[k, k] c for rho01, rho02, rho12 (k = 1, 2, 5), and
-    inc = E[4, 4] rho11 + E[4, 8] rho22, rho11 += inc, rho22 -= inc.
-    rho00 is copied and the lower triangle is the conjugate of the upper,
-    so every state after the first is Hermitian by construction.  Serves
+    the n steps are applied at once: on each eigenvector of the generator
+    (module notes) they multiply by R(h lam)^n, whose increment d comes
+    from :func:`_powered_factor`, once per distinct (n, h) and
+    eigenvalue.  The state is carried as five recurrences on Python
+    complex numbers: c += d c for rho01, rho02, rho12, and, with f the
+    population increment, inc = (f dn/G) rho11 - (f up/G) rho22,
+    rho11 += inc, rho22 -= inc.  numpy's array complex multiply may fuse
+    multiply-adds, so a vectorized recurrence could round differently
+    from one CPU to another.  rho00 is copied and the lower triangle is
+    the conjugate of the upper, so every state after the first is
+    Hermitian by construction.  Serves
     as an independent cross-check of :func:`analytic_evolve`; the step
     must resolve the fastest timescale, dt <= 0.1 * min over the
     relaxation time and the unitary phase periods.  The trace is kept
@@ -400,22 +387,22 @@ def numeric_trajectory(
     if not math.isfinite(longest / dt):
         raise ValueError(f"t/dt must be finite, got t = {longest} fs, dt = {dt} fs")
 
-    m = _generator_matrix(p)
-    # the five read entries of E per distinct interval, and per distinct (n, h); None for t = 0
-    factors: dict[float, list[complex] | None] = {}
-    powered: dict[tuple[int, float], list[complex]] = {}
-    # the exact solution is bounded, so anything non-finite is round-off grown unchecked; refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in set(intervals.tolist()):
-            if t == 0.0:
-                factors[t] = None
-                continue
-            n_steps = max(1, math.ceil(t / dt - 1e-9))
-            h = t / n_steps
-            e = powered.get((n_steps, h))
-            if e is None:
-                e = powered[(n_steps, h)] = _powered_increment(_rk4_increment(h * m), n_steps)[_READ].tolist()
-            factors[t] = e
+    *lams, dn, up = _eigenvalues(p)
+    g = dn + up
+    # the five factors per distinct interval, and per distinct (n, h); None for t = 0
+    factors: dict[float, tuple[complex, ...] | None] = {}
+    powered: dict[tuple[int, float], tuple[complex, ...]] = {}
+    for t in set(intervals.tolist()):
+        if t == 0.0:
+            factors[t] = None
+            continue
+        n_steps = max(1, math.ceil(t / dt - 1e-9))
+        h = t / n_steps
+        e = powered.get((n_steps, h))
+        if e is None:
+            d01, d02, d12, f = (_powered_factor(lam, h, n_steps) for lam in lams)
+            e = powered[(n_steps, h)] = (d01, d02, d12, f * dn / g, -f * up / g) if g else (d01, d02, d12, 0.0, 0.0)
+        factors[t] = e
     r = state.rho
     p11, p22, c01, c02, c12 = r[(1, 2) + _UPPER[0], (1, 2) + _UPPER[1]].tolist()
     flat: list[complex] = []

@@ -35,9 +35,16 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_table(table: np.ndarray) -> str:
-    """A 2-D float array as CSV rows, each value as _fmt gives it, in one format pass."""
-    rows, cols = table.shape
-    return (",".join(["%.9g"] * cols) + "\n") * rows % tuple((table + 0.0).ravel().tolist())
+    """A 2-D float array as CSV rows, each value as _fmt gives it, in one format pass.
+
+    A column whose every value equals the first row's is formatted once, into the row format.
+    """
+    if not len(table):
+        return ""
+    table = table + 0.0
+    same = (table == table[0]).all(axis=0)
+    row = ",".join("%.9g" % v if c else "%.9g" for v, c in zip(table[0].tolist(), same.tolist()))
+    return (row + "\n") * len(table) % tuple(table[:, ~same].ravel().tolist())
 
 
 def wavenumber_to_angular(omega_cm1: float) -> float:

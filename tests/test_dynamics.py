@@ -1,15 +1,18 @@
 """One-excitation reduced dynamics: state type, closed forms, propagator."""
 
 import io
+import json
 import math
 import random
 import time
 
 import numpy as np
+import oracle
 import pytest
 
 from dimerdecay import dynamics
-from dimerdecay.cli import main
+from dimerdecay.cli import _initial_state as initial_state
+from dimerdecay.cli import build_config, build_parser, main
 from dimerdecay.dynamics import (
     TRAJECTORY_CSV_HEADER,
     EvolutionParams,
@@ -24,7 +27,7 @@ from dimerdecay.dynamics import (
     trajectory_to_site,
     write_trajectory_csv,
 )
-from dimerdecay.dynamics import _check_states, _generator_matrix, _powered_increment, _rk4_increment
+from dimerdecay.dynamics import _check_states, _eigenvalues, _powered_factor
 from dimerdecay.excitons import DimerParams, exciton_frame
 from dimerdecay.rates import BathSpec, rate_set
 from dimerdecay.units import wavenumber_to_angular
@@ -37,6 +40,7 @@ FMO_OMEGA0 = 318.95057292470882
 FMO_NBAR0 = 0.27650142946590151
 FMO_GAMMA = 0.00091336083688468896  # alpha * gamma_d at gamma_d = 0.02
 EQ_SITE_COHERENCE = 0.19380973655293942  # sin(phi0) / (2 (1 + 2 nbar0))
+EPS = 2.0**-52
 
 FMO = DimerParams(
     omega1=60.0, omega2=-60.0, j12=-96.0, lambda1=35.0, eta_abs=0.71, theta=0.0
@@ -95,7 +99,8 @@ def lindblad_generator(p):
 
     Commutator with diag(0, omega_plus, omega_minus) in angular units
     plus the two-jump dissipator: the reference that the entry-by-entry
-    _generator_matrix is checked against.
+    oracle.generator_matrix and the dimer-built oracle.dimer_generator are
+    checked against.
     """
     h = np.diag(
         [0.0, wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)]
@@ -215,6 +220,93 @@ def test_check_states_rejects_one_bad_state_in_a_stack(rule):
     with pytest.raises(ValueError) as first:
         _check_states(stack)
     assert str(first.value) == str(single.value)
+
+
+def eigvalsh_rule(rhos):
+    """The state rules with one stacked eigvalsh deciding positivity, and no Cholesky before it."""
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    if not finite.all():
+        rhos = np.where(finite[:, None, None], rhos, 0.0)
+    adj = rhos.conj().transpose(0, 2, 1)
+    asym = np.abs(rhos - adj).max(axis=(1, 2))
+    trace = rhos.trace(axis1=1, axis2=2)
+    eigmin = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0]
+    ok = finite & (asym <= 1e-12) & (np.abs(trace - 1.0) <= 1e-12) & (eigmin >= -1e-10)
+    if ok.all():
+        return
+    i = int(ok.argmin())
+    if not finite[i]:
+        raise ValueError("rho must be finite")
+    if not asym[i] <= 1e-12:
+        raise ValueError("rho must be Hermitian to 1e-12")
+    if not abs(trace[i] - 1.0) <= 1e-12:
+        raise ValueError(f"rho must have unit trace to 1e-12, got {trace[i]}")
+    raise ValueError(f"rho must be positive semidefinite, eigmin={float(eigmin[i])}")
+
+
+def verdict(check, rhos):
+    try:
+        check(rhos)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def edge_state(rng):
+    """A random 3x3 state near the edges of the rules: its smallest eigenvalue within 1e-6 relative of
+    -1e-10 or of the Cholesky shift -(1e-10 - 1e-14), pure or rank two, or off Hermitian or unit trace
+    by about 1e-12, or not finite."""
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    kind = rng.integers(8)
+    edge = (-1e-10, -1e-10 + 1e-14)[kind % 2] * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0))
+    w = rng.dirichlet((1.0, 1.0, 1.0))
+    if kind < 2:  # one eigenvalue at an edge
+        w = np.array([edge, *(w[:2] / w[:2].sum() * (1.0 - edge))])
+    elif kind < 4:  # pure or rank two: zero eigenvalues
+        w[: kind - 1] = 0.0
+        w /= w.sum()
+    elif kind == 4:  # two eigenvalues near -1e-10, refused
+        w = np.array([edge, edge, 1.0 - 2.0 * edge])
+    rho = (u * w) @ u.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    if kind == 5:  # off Hermitian by about 1e-12
+        rho[0, 1] += 1e-12 * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0))
+    elif kind == 6:  # off unit trace by about 1e-12
+        rho[1, 1] += 1e-12 * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0))
+    elif kind == 7:
+        rho[2, 0] = (math.nan, math.inf)[int(rng.integers(2))]
+    return rho
+
+
+def test_check_states_decides_as_the_eigenvalue_rule():
+    # the Cholesky of H + (1e-10 - 1e-14) I accepts a stack only where eigvalsh would, so every
+    # decision and message is the eigvalsh rule's, at both edges and with mixed failures
+    rng = np.random.default_rng(79)
+    refused, accepted = 0, 0
+    for _ in range(3000):
+        stack = np.array([edge_state(rng) for _ in range(int(rng.integers(1, 4)))])
+        expected = verdict(eigvalsh_rule, stack)
+        assert verdict(_check_states, stack) == expected
+        refused += expected is not None
+        accepted += expected is None
+    assert refused > 500 and accepted > 500
+
+
+def test_check_states_accepts_a_passing_stack_without_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    stack = numeric_trajectory(coherent_state(), np.linspace(0.0, 2000.0, 3001), 0.01, FMO_PARAMS)
+    assert calls == []
+    stack[1777] = bad_state("positive semidefinite")
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        _check_states(stack)
+    assert calls == [3001]
 
 
 # --------------------------------------------------------------- parameters
@@ -591,19 +683,82 @@ def test_generator_matrix_equals_probe_of_generator():
             unit = np.zeros(9, dtype=complex)
             unit[k] = 1.0
             probe[:, k] = act(unit.reshape(3, 3)).reshape(9)
-        assert np.array_equal(_generator_matrix(p), probe)
+        assert np.array_equal(oracle.generator_matrix(p), probe)
+
+
+def generator_probe(p):
+    """lindblad_generator(p) as a 9x9 matrix on the row-major flattened rho."""
+    act = lindblad_generator(p)
+    return np.column_stack([act(unit.reshape(3, 3)).reshape(9) for unit in np.eye(9, dtype=complex)])
+
+
+def oracle_dimers():
+    """Seeded dimers for the oracle checks: both signs of j12, every third undamped, and negative dressed gaps."""
+    rng = np.random.default_rng(73)
+    dimers = [(FMO, BATH300)] + seeded_dimers(rng, 40) + negative_gap_dimers(rng, 12)
+    assert {d.j12 > 0 for d, _ in dimers} == {True, False}
+    assert sum(exciton_frame(d).omega1p < exciton_frame(d).omega2p for d, _ in dimers) >= 12
+    assert sum(b.gamma_d == 0.0 for _, b in dimers) >= 10
+    return dimers
+
+
+@pytest.mark.filterwarnings("ignore:renormalized gap:UserWarning")
+def test_dimer_generator_equals_probe_of_generator():
+    # the generator from the Bohr components of V against the one EvolutionParams.for_dimer
+    # feeds the solvers: the same zeros exactly, every other entry to 1e-10 relative (eigh's
+    # eigenvectors carry round-off of order eps |H| / omega0; worst seen 1.4e-12 over 300 draws)
+    for dimer, bath in oracle_dimers():
+        probe = generator_probe(EvolutionParams.for_dimer(dimer, bath))
+        m = oracle.dimer_generator(dimer, bath)
+        zero = probe == 0.0
+        assert np.all(m[zero] == 0.0)
+        assert np.all(np.abs(m[~zero] - probe[~zero]) <= 1e-10 * np.abs(probe[~zero]))
+
+
+@pytest.mark.filterwarnings("ignore:renormalized gap:UserWarning")
+def test_eigenvalues_diagonalize_the_dimer_generator():
+    # numeric_trajectory powers four scalars: the eigenvalues of the dimer-built generator on
+    # rho01, rho02, rho12 (their conjugates on the lower triangle) and -G on the populations, whose
+    # block is -G times the projector Q = [[dn, -up], [-dn, up]] / G
+    for dimer, bath in oracle_dimers():
+        m = oracle.dimer_generator(dimer, bath)
+        lam01, lam02, lam12, lam_pop, dn, up = _eigenvalues(EvolutionParams.for_dimer(dimer, bath))
+        tol = 1e-10 * np.abs(m).max()
+        for k, lam in ((1, lam01), (2, lam02), (5, lam12), (3, lam01.conjugate()), (6, lam02.conjugate()),
+                       (7, lam12.conjugate())):
+            unit = np.eye(9)[k]
+            assert supnorm(m @ unit, lam * unit) <= tol, k
+        assert np.all(m[0] == 0.0) and np.all(m[:, 0] == 0.0)
+        pops = np.ix_((4, 8), (4, 8))
+        decaying, steady = np.array([1.0, -1.0]), np.array([up, dn])
+        assert supnorm(m[pops] @ decaying, lam_pop * decaying) <= tol
+        assert supnorm(m[pops] @ steady, 0.0) <= tol
+        g = -lam_pop
+        if g:
+            q = np.array([[dn, -up], [-dn, up]]) / g
+            assert supnorm(q @ q, q) <= 1e-15
+            assert supnorm(m[pops], lam_pop * q) <= tol
+        else:
+            assert np.all(m[pops] == 0.0)
 
 
 # --------------------------------------------------------------- propagator
 
 def test_powered_increment_matches_step_loop():
     y0 = coherent_state().rho.reshape(9)
-    incr = _rk4_increment(0.01 * _generator_matrix(FMO_PARAMS))
+    incr = oracle.rk4_increment(0.01 * oracle.generator_matrix(FMO_PARAMS))
+    lams = _eigenvalues(FMO_PARAMS)[:4]
     for n in list(range(1, 34)) + [1000]:
         y = y0.copy()
         for _ in range(n):
             y = y + incr @ y
-        assert supnorm(y0 + _powered_increment(incr, n) @ y0, y) <= 1e-14, n
+        assert supnorm(y0 + oracle.powered_increment(incr, n) @ y0, y) <= 1e-14, n
+        # the scalar factors of numeric_trajectory against n explicit RK4 steps on each eigenvalue
+        for lam in lams:
+            z, c = 0.01 * lam, 1.0
+            for _ in range(n):
+                c += c * (z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+            assert abs(_powered_factor(lam, 0.01, n) - (c - 1.0)) <= 1e-14, n
 
 
 def test_numeric_trajectory_equals_chained_evolve():
@@ -618,8 +773,8 @@ def test_numeric_trajectory_equals_chained_evolve():
         assert np.array_equal(a, b.rho)
 
 
-def seeded_dimer_params(rng, count):
-    """EvolutionParams of ``count`` seeded dimers: both signs of j12, 1 to 1000 K, every third at gamma_d = 0."""
+def seeded_dimers(rng, count):
+    """``count`` seeded (DimerParams, BathSpec) pairs: both signs of j12, 1 to 1000 K, every third at gamma_d = 0."""
     out = []
     for i in range(count):
         dimer = DimerParams(
@@ -631,7 +786,29 @@ def seeded_dimer_params(rng, count):
             theta=rng.uniform(-math.pi, math.pi),
         )
         bath = BathSpec(temperature=10.0 ** rng.uniform(0.0, 3.0), gamma_d=0.0 if i % 3 == 0 else rng.uniform(0.001, 0.1))
-        out.append(EvolutionParams.for_dimer(dimer, bath))
+        out.append((dimer, bath))
+    return out
+
+
+def seeded_dimer_params(rng, count):
+    """EvolutionParams of :func:`seeded_dimers`."""
+    return [EvolutionParams.for_dimer(dimer, bath) for dimer, bath in seeded_dimers(rng, count)]
+
+
+def negative_gap_dimers(rng, count):
+    """``count`` seeded (DimerParams, BathSpec) pairs whose dressed gap is negative: a bare gap
+    under 20 cm^-1 and 2 lambda1 |eta| (2 cos(theta) + |eta|) below -21 cm^-1."""
+    out = []
+    for i in range(count):
+        dimer = DimerParams(
+            omega1=rng.uniform(0.0, 10.0),
+            omega2=rng.uniform(-10.0, 0.0),
+            j12=(-1.0) ** i * rng.uniform(1.0, 150.0),
+            lambda1=rng.uniform(30.0, 60.0),
+            eta_abs=rng.uniform(0.5, 1.0),
+            theta=rng.choice((-1.0, 1.0)) * rng.uniform(2.6, math.pi),
+        )
+        out.append((dimer, BathSpec(temperature=10.0 ** rng.uniform(0.0, 3.0), gamma_d=rng.uniform(0.001, 0.1))))
     return out
 
 
@@ -659,10 +836,10 @@ def test_powered_increment_keeps_the_one_excitation_structure():
     kept = np.eye(9, dtype=bool)
     kept[4, 8] = kept[8, 4] = True
     for p in [FMO_PARAMS] + seeded_dimer_params(rng, 12):
-        m = _generator_matrix(p)
+        m = oracle.generator_matrix(p)
         h = resolving_step(p) * rng.uniform(1.0, 10.0)
         for n in (1, 2, 67, 1000, 200000, 50000000000):
-            e = _powered_increment(_rk4_increment(h * m), n)
+            e = oracle.powered_increment(oracle.rk4_increment(h * m), n)
             assert np.isfinite(e).all()
             assert np.all(e[~kept] == 0.0), n
             assert np.all(e[0] == 0.0), n
@@ -672,8 +849,8 @@ def test_powered_increment_keeps_the_one_excitation_structure():
 
 
 def reference_trajectory(state, times, dt, p):
-    """numeric_trajectory as a 9x9 mat-vec per interval, y = y + E y, from the unchanged helpers."""
-    m = _generator_matrix(p)
+    """numeric_trajectory as a 9x9 mat-vec per interval, y = y + E y, on the oracle's powered increments."""
+    m = oracle.generator_matrix(p)
     powered = {}
     ys = [state.rho.reshape(9)]
     for t in np.diff(np.asarray(times, dtype=float)).tolist():
@@ -682,13 +859,17 @@ def reference_trajectory(state, times, dt, p):
             n = max(1, math.ceil(t / dt - 1e-9))
             key = (n, t / n)
             if key not in powered:
-                powered[key] = _powered_increment(_rk4_increment(key[1] * m), n)
+                powered[key] = oracle.powered_increment(oracle.rk4_increment(key[1] * m), n)
             y = y + powered[key] @ y
         ys.append(y)
     return np.array(ys).reshape(len(ys), 3, 3)
 
 
 def test_numeric_trajectory_equals_the_matrix_vector_loop():
+    # numeric_trajectory powers four scalars where the reference powers the 9x9 increment; the two
+    # round apart (numpy's matmul may fuse multiply-adds, Python's complex product does not), and
+    # states of trace one carry that as a few ulps of 1: worst seen 4.4e-16 here and over 300
+    # further seeded dimers to 1e9 fs, so the bound is 4 eps, twice that
     rng = np.random.default_rng(61)
     presets = [OneExcitationState.pure(int(name[-1]), name[:-1]) for name in ("exciton1", "exciton2", "site1", "site2")]
     params = [FMO_PARAMS] + seeded_dimer_params(rng, 5)
@@ -704,7 +885,7 @@ def test_numeric_trajectory_equals_the_matrix_vector_loop():
         ]
         for s in pure + [hermitian_state(rng), hermitian_state(rng)]:
             for ts in grids:
-                assert np.array_equal(numeric_trajectory(s, ts, dt, p), reference_trajectory(s, ts, dt, p))
+                assert supnorm(numeric_trajectory(s, ts, dt, p), reference_trajectory(s, ts, dt, p)) <= 4.0 * EPS
 
 
 @pytest.mark.parametrize("t_max", [2e4, 1e9])
@@ -722,6 +903,48 @@ def test_long_horizons_keep_trace_and_closed_forms(t_max, tmp_path):
     for t, out in zip(times, numeric_trajectory(s, times, 0.01, FMO_PARAMS)):
         assert abs(out.trace() - 1.0) <= 1e-12
         assert supnorm(out, analytic_evolve(s, float(t), FMO_PARAMS).rho) <= 1e-8
+
+
+def test_printed_supnorm_is_the_predicted_rk4_error(tmp_path, capsys):
+    # the numeric factors are R(h lam)^n, so the printed error of each row is oracle.rk4_error's,
+    # turned to the output basis, up to round-off: the closed forms and the powering each round the
+    # phase lam t to a few eps |lam| t; worst seen 4.25 eps (1 + |lam| t) over 96 seeded runs
+    rng = np.random.default_rng(83)
+    dominated = 0
+    for i in range(16):
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        rho = (u * (rng.dirichlet((1.0, 1.0, 1.0)) * 0.85 + 0.05)) @ u.conj().T  # eigenvalues >= 0.05
+        rho = 0.5 * (rho + rho.conj().T)
+        state_file = tmp_path / f"state{i}.json"
+        basis_in = ("exciton", "site")[i % 3 == 1]
+        state_file.write_text(json.dumps({"basis": basis_in, "rho": [[[c.real, c.imag] for c in row] for row in rho.tolist()]}))
+        t_max = 1e14 if i % 4 == 0 else float(10.0 ** rng.uniform(2.0, 14.0))
+        argv = ["evolve", "--basis", ("exciton", "site")[i % 2], "--preset", "custom", "--state-file", str(state_file),
+                "--t-max", repr(t_max), "--gamma-d", "0" if i % 3 == 0 else repr(float(10.0 ** rng.uniform(-4.0, -1.0))),
+                "--j12", repr(float(rng.choice((-1.0, 1.0)) * rng.uniform(20.0, 150.0))),
+                "--temperature", repr(float(10.0 ** rng.uniform(0.5, 3.0))),
+                "--time-points", str(int(rng.integers(11, 61))), "--output-dir", str(tmp_path)]
+        cfg = build_config(build_parser().parse_args(argv))
+        p = EvolutionParams.for_dimer(cfg.dimer, cfg.bath)
+        *lams, dn, up = _eigenvalues(p)
+        fastest = max(abs(lam) for lam in lams)
+        # a step whose truncation error at t_max is about 1e-10 to 1e-3, within the step rule
+        target = 10.0 ** rng.uniform(-10.0, -3.0)
+        dt = min((120.0 * target / (t_max * fastest**5)) ** 0.25, 0.09 / fastest)
+        assert main(argv + ["--dt", repr(dt)]) == 0
+        times = np.linspace(0.0, t_max, cfg.time_points)
+        error = oracle.rk4_error(initial_state(cfg, p.phi0).rho, times, dt, lams, dn, up)
+        if cfg.basis == "site":
+            t = dynamics._site_map(p.phi0)
+            error = t @ error @ t.T
+        predicted = np.abs(error).reshape(len(times), 9).max(axis=1)
+        with open(tmp_path / "trajectory_numeric.csv", encoding="utf-8") as fh:
+            printed = np.array([float(line.rsplit(",", 1)[1]) for line in fh.readlines()[1:]])
+        round_off = EPS * (1.0 + fastest * times)
+        assert np.all(np.abs(printed - predicted) <= 0.01 * predicted + 8.0 * round_off), i
+        assert capsys.readouterr().out == f"max |analytic - numeric| over the grid: {printed.max():.3e}\n"
+        dominated += predicted.max() > 100.0 * round_off[-1]
+    assert dominated >= 4  # runs where the prediction, not round-off, sets the printed error
 
 
 def test_evolve_builds_no_state_per_grid_point(tmp_path, monkeypatch):

@@ -108,6 +108,20 @@ def test_fmt_table_formats_every_value_as_fmt():
     rng = np.random.default_rng(7)
     values = np.concatenate([specials, rng.normal(size=3000) * 10.0 ** rng.integers(-300, 300, 3000)])
     table = values[: len(values) // 4 * 4].reshape(-1, 4)
-    expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in table.tolist())
-    assert _fmt_table(table) == expected
+    rows = len(table)
+    signed_zeros = np.where(rng.integers(2, size=rows) == 1, -0.0, 0.0)
+    tables = [
+        table,
+        # constant columns are formatted once, into the row format
+        np.column_stack([table[:, 0], np.zeros(rows), table[:, 1], np.zeros(rows)]),  # all-zero columns
+        np.column_stack([signed_zeros, table[:, 2]]),  # 0.0 and -0.0 mixed
+        np.column_stack([np.full(rows, math.inf), table[:, 3], np.full(rows, -math.inf)]),
+        np.column_stack([table[:, 0], np.full(rows, math.nan)]),  # nan never equals itself
+        table[:1], table[1:2, :2], np.array([[-0.0, math.nan, math.inf]]),  # one row
+        np.tile([0.1, -0.0, 1.0 / 3.0, 5e-324], (7, 1)),  # every column constant
+        np.tile([-0.0], (3, 1)),
+    ]
+    for t in tables:
+        expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in t.tolist())
+        assert _fmt_table(t) == expected
     assert _fmt_table(np.empty((0, 3))) == ""

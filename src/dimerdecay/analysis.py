@@ -344,11 +344,21 @@ def estimate_eta_limit(gap0: float, j12: float, target_ratio: float) -> float:
 
 
 def write_sweep_csv(fh: IO[str], results: Sequence[SweepResult]) -> None:
-    """Serialize sweep curves: one row per (theta, eta) sample."""
+    """Serialize sweep curves: one row per (theta, eta) sample.
+
+    Each grid is formatted once per sweep and each theta once per phase,
+    with the same bytes as formatting every cell.
+    """
     import numpy as np
-    table = np.concatenate([np.empty((0, 3)), *(np.insert(res.points, 0, res.theta, axis=1) for res in results)])
     # formatted numbers hold no separator or quote, so rows need no csv quoting
-    fh.write(",".join(SWEEP_CSV_HEADER) + "\n" + _fmt_table(table))
+    fh.write(",".join(SWEEP_CSV_HEADER) + "\n")
+    grid = None
+    for res in results:
+        if grid is None or not np.array_equal(res.points[:, 0], grid):
+            grid = res.points[:, 0]
+            # one "<theta>,<eta>,%.9g" row per grid point; each phase puts in its theta
+            rows = "".join(f"<theta>,{eta},%.9g\n" for eta in _fmt_table(grid[:, None]).splitlines())
+        fh.write(rows.replace("<theta>", _fmt(res.theta)) % tuple((res.points[:, 1] + 0.0).tolist()))
 
 
 def write_theta_table_csv(

@@ -587,3 +587,73 @@ def test_theta_table_csv_golden():
 def test_theta_table_csv_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         write_theta_table_csv(io.StringIO(), [0.0, 1.5], [("eta_min", [1.0])])
+
+
+def _stacked_sweep_csv(results):
+    """The sweep CSV as a stacked (theta, eta, 1/alpha) table with every cell formatted: the reference bytes."""
+    from dimerdecay.units import _fmt_table
+    table = np.concatenate([np.empty((0, 3)), *(np.insert(res.points, 0, res.theta, axis=1) for res in results)])
+    return ",".join(SWEEP_CSV_HEADER) + "\n" + _fmt_table(table)
+
+
+def _sweep_results(rng, grids, thetas, specials=False):
+    results = []
+    for grid, theta in zip(grids, thetas):
+        values = rng.lognormal(2.0, 3.0, len(grid)) * rng.choice([1.0, 1e-300, 1e300], len(grid))
+        if specials:
+            values[rng.random(len(grid)) < 0.3] = np.inf
+            values[rng.random(len(grid)) < 0.2] = np.nan
+            values[rng.random(len(grid)) < 0.1] = -0.0
+        results.append(SweepResult(theta=theta, points=np.column_stack((grid, values)), minimum=(1.0, -np.inf)))
+    return results
+
+
+def _grid(rng, n):
+    return np.cumsum(rng.lognormal(-2.0, 2.0, n)) * rng.choice([1e-5, 1.0, 1e7])
+
+
+def test_sweep_csv_is_the_stacked_table_byte_for_byte():
+    rng = np.random.default_rng(23)
+    shared = _grid(rng, 50)
+    cases = [
+        ([shared] * 7, rng.uniform(0.0, math.pi, 7), False),
+        ([_grid(rng, 50) for _ in range(7)], rng.uniform(0.0, math.pi, 7), False),
+        ([_grid(rng, n) for n in (1, 2, 40, 40, 3, 1, 17)], rng.uniform(-math.pi, math.pi, 7), True),
+        ([np.array([0.7])] * 5, rng.uniform(0.0, math.pi, 5), False),
+        ([np.array([0.7]), np.array([1.3])] * 2, [0.0, -0.0, math.pi, -math.pi], True),
+        ([shared] * 4, [0.0, -0.0, math.pi, -math.pi], True),
+        ([shared, _grid(rng, 50)] * 3, [1e-300, -1e-17, 2.5, 2.5, 1e9, math.pi], True),
+        ([np.empty(0), shared, np.empty(0), np.empty(0)], [0.5, 1.0, 1.5, 2.0], False),
+        ([], [], False),
+    ]
+    for seed in range(20):
+        n = int(rng.integers(1, 9))
+        grids = [_grid(rng, int(rng.integers(1, 30))) for _ in range(3)]
+        cases.append(([grids[i] for i in rng.integers(0, 3, n)], rng.uniform(-4.0, 4.0, n), bool(seed % 2)))
+    for grids, thetas, specials in cases:
+        results = _sweep_results(rng, grids, thetas, specials)
+        fh = io.StringIO()
+        write_sweep_csv(fh, results)
+        assert fh.getvalue() == _stacked_sweep_csv(results)
+    fh = io.StringIO()
+    write_sweep_csv(fh, [])
+    assert fh.getvalue() == "theta_rad,eta_abs,inverse_alpha\n"
+
+
+def test_sweep_csv_formats_each_grid_once(monkeypatch):
+    from dimerdecay import analysis
+    fmt_table, shapes = analysis._fmt_table, []
+
+    def recorded(table):
+        shapes.append(table.shape)
+        return fmt_table(table)
+
+    monkeypatch.setattr(analysis, "_fmt_table", recorded)
+    rng = np.random.default_rng(7)
+    grid = _grid(rng, 400)
+    write_sweep_csv(io.StringIO(), _sweep_results(rng, [grid] * 7, rng.uniform(0.0, math.pi, 7)))
+    assert shapes == [(400, 1)]
+    shapes.clear()
+    other = _grid(rng, 30)
+    write_sweep_csv(io.StringIO(), _sweep_results(rng, [grid, grid, other, other, grid, other], [0.0] * 6))
+    assert shapes == [(400, 1), (30, 1), (400, 1), (30, 1)]

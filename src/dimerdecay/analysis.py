@@ -8,18 +8,16 @@ magnitude x = |eta| at fixed phase theta:
 * which |eta| reproduces a measured lifetime ratio gamma_d/gamma.
 
 With g = gap/|j12|, l = lambda1/|j12| and the scaled gap polynomial
-D~(x) = 2 l x^2 + 4 l cos(theta) x + g, 1/alpha = (D~^2 + 4) / x^2, so
-the minimum and the inversion are positive real roots of quartics
-A D~ + B, each factor a (c2, c1, c0) float triple: companion-matrix
-eigenvalues, refined by Horner's rule on the factors and checked by
-back-substitution.  A theta list is prepared in list order up to the
-first theta refused, whose refusal is held; the quartics prepared are
-solved in one stacked eigenvalue call per degree; each theta is then
-finished in order, and the held refusal is raised last.  So the first
-theta that fails raises the error it raises alone.  For lambda1 > 0
-an interior minimum always exists and a target ratio below it has no
-solution; for lambda1 = 0, 1/alpha only falls.  A quartic whose
-coefficients leave the float range is refused.  1/alpha at a root is
+D~(x) = 2 l x^2 + 4 l cos(theta) x + g, 1/alpha = (D~^2 + 4) / x^2, and
+d(1/alpha)/dx has the sign of f = (2 l x^2 - g) D~ - 4.  On x > 0,
+f'' = 48 l^2 x (x + cos(theta)) changes sign only at -cos(theta), so f,
+and 1/alpha between its stationary points, are monotone on pieces whose
+ends are closed forms or roots of f'; one bracketed root finder finds
+the root on each piece that changes sign.  Each theta is solved alone,
+and a theta list is a loop whose first failing theta raises.  For
+lambda1 > 0 an interior minimum always exists and a target ratio below
+it has no solution; for lambda1 = 0, 1/alpha only falls.  A quartic
+that overflows at its root bound is refused.  1/alpha at a root is
 Python float arithmetic, which reads inf past the float range without
 a warning; only sweep's array evaluation enters numpy.errstate.
 """
@@ -27,7 +25,6 @@ a warning; only sweep's array evaluation enters numpy.errstate.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Sequence
 
@@ -96,118 +93,109 @@ def _gap_polynomial(p: DimerParams, theta: float) -> Triple:
     return (2.0 * l, 4.0 * l * math.cos(theta), p.gap / abs(p.j12))
 
 
-def _expanded(a: Triple, d: Triple, b: Triple) -> list[float]:
-    """f = A D + B, highest power first (lambda1 = 0 gives leading zeros); refused where a
-    coefficient, or its ratio to the leading one, leaves the float range, and where a
-    nonzero a2 d2 underflows (it would be trimmed as a zero).  f(0) must not vanish."""
-    (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = a, d, b
-    f = [a2 * d2, a2 * d1 + a1 * d2, a2 * d0 + a1 * d1 + a0 * d2 + b2, a1 * d0 + a0 * d1 + b1, a0 * d0 + b0]
-    k = next(j for j, c in enumerate(f) if c)
-    if (a2 and d2 and abs(f[0]) < sys.float_info.min) or not all(math.isfinite(c / f[k]) for c in f):
-        raise ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {d0:.6g})")
-    return f
+def _root(fn, lo: float, hi: float, rising: bool) -> float:
+    """The root of fn in (lo, hi), across which it changes sign once; fn(x) = (value, slope).
 
-
-def _companion_roots(polys: Sequence[Sequence[float]]) -> list[list[complex]]:
-    """The roots of each polynomial, highest power first, from one stacked
-    eigvals call per degree.
-
-    Each companion matrix is built as numpy's polynomial root finder builds
-    it: leading zeros trimmed, -f[1:]/f[0] in the top row, ones on the
-    subdiagonal; so the roots have its bits and its order.  The constant
-    terms must not vanish.
+    Newton steps that land inside the bracket shrink it, bisection
+    otherwise: geometric where hi > 4 lo > 0, so a root many powers of ten
+    from an end takes few steps.  Ends where a Newton step rounds to
+    nothing, or at the point of least |value| once the bracket closes.
     """
-    import numpy as np
-    out: list[list[complex]] = [[] for _ in polys]
-    by_degree: dict[int, tuple[list[int], list[Sequence[float]]]] = {}
-    for i, f in enumerate(polys):
-        f = f[next(k for k, c in enumerate(f) if c):]
-        if len(f) > 1:
-            slots, rows = by_degree.setdefault(len(f) - 1, ([], []))
-            slots.append(i)
-            rows.append(f)
-    for n, (slots, rows) in by_degree.items():
-        f = np.array(rows)
-        m = np.zeros((len(rows), n, n))
-        m[:, 0, :] = -f[:, 1:] / f[:, :1]
-        m.reshape(len(rows), n * n)[:, n::n + 1] = 1.0  # the subdiagonal
-        for i, z in zip(slots, np.linalg.eigvals(m).tolist()):
-            out[i] = z
-    return out
+    x, last = _middle(lo, hi), hi - lo
+    best = (math.inf, x)
+    while True:
+        v, s = fn(x)
+        best = min(best, (abs(v), x))
+        if v == 0.0:
+            return x
+        if (v < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        step = x - v / s if 0.0 < abs(s) < math.inf else math.nan
+        if step == x:
+            return x
+        # bisect where Newton leaves the bracket or gains less than half the last step
+        if not (lo < step < hi and abs(step - x) <= 0.5 * last):
+            step = _middle(lo, hi)
+            if not lo < step < hi:
+                return best[1]
+        x, last = step, abs(step - x)
 
 
-def _refined_roots(a: Triple, d: Triple, b: Triple, zs: list[complex]) -> list[float]:
-    """Sorted positive real roots of f = A D + B from its companion roots zs.
+def _middle(lo: float, hi: float) -> float:
+    return math.sqrt(lo) * math.sqrt(hi) if 0.0 < 4.0 * lo < hi else lo + 0.5 * (hi - lo)
 
-    The companion matrix of the expanded f places them, but the expanded
-    coefficients lose accuracy where D nearly cancels: a close pair of
-    real roots can come out complex, and a complex pair real.  So every
-    root within 1e-3 of the positive real axis is replaced by the roots
-    of the quadratic Taylor model of f at its real part, with f, f' and
-    f'' taken in the factored form: a real root by the nearer model
-    root, a complex pair by both, and either by none when the model
-    roots are complex.  Refused where f overflows at a root.
+
+def _roots(fn, ends: Sequence[float]) -> list[float]:
+    """The roots of fn(x) = (value, slope) in (ends[0], ends[-1]), fn monotone between consecutive ends."""
+    roots = []
+    values = [fn(x)[0] for x in ends]
+    for k in range(len(ends) - 1):
+        (a, b), (va, vb) = ends[k:k + 2], values[k:k + 2]
+        if va == 0.0 and k:
+            roots.append(a)
+        elif va and vb and (va < 0.0) != (vb < 0.0):
+            roots.append(_root(fn, a, b, va < 0.0))
+    return roots
+
+
+def _stationary(d: Triple, c: float) -> list[float]:
+    """The stationary points of 1/alpha at cos(theta) = c, the roots in x > 0 of
+    f = (d2 x^2 - g) D~ - 4, which has the sign of d(1/alpha)/dx.
+
+    f(0) < 0 and f'' = 6 d2 x (2 d2 x + d1) = 48 l^2 x (x + c), so f is
+    convex for c >= 0; for c < 0, f' falls to its least value at -c and
+    rises again, with f'(-1.5 c) = f'(0) > 0.  The roots of f' in (0, -c)
+    and (-c, -1.5 c), if f'(-c) < 0, so split x > 0 into pieces on which
+    f is monotone, the last bounded by twice Fujiwara's bound on the
+    roots of f.  Refused where f is not finite there.
     """
-    (a2, a1, a0), (d2, d1, d0), (b2, b1, b0) = a, d, b
-    roots = set()
-    for z in zs:
-        x = z.real
-        # one root of each conjugate pair
-        if not (x > 0.0 and 0.0 <= z.imag <= 1e-3 * x):
-            continue
-        # each factor and its first derivative at x by Horner's rule; q''/2 is c2
-        av, dv, bv = (a2 * x + a1) * x + a0, (d2 * x + d1) * x + d0, (b2 * x + b1) * x + b0
-        ad, dd, bd = 2.0 * a2 * x + a1, 2.0 * d2 * x + d1, 2.0 * b2 * x + b1
-        f0 = av * dv + bv
-        f1 = ad * dv + av * dd + bd
-        f2 = a2 * dv + ad * dd + av * d2 + b2
-        if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)):
-            raise ValueError(f"the quartic in |eta| overflows at its root near |eta| = {x:.6g}")
-        # scaled by a power of two so that f1^2 stays in range; the model roots are ratios
-        e = -math.frexp(max(abs(f0), abs(f1), abs(f2)))[1]
-        f0, f1, f2 = math.ldexp(f0, e), math.ldexp(f1, e), math.ldexp(f2, e)
-        disc = f1 * f1 - 4.0 * f0 * f2
-        if disc < 0.0:
-            continue
-        # model roots f0/q and q/f2, the first the nearer one
-        q = -0.5 * (f1 + math.copysign(math.sqrt(disc), f1))
-        roots.add(x + f0 / q if q else x)
-        if z.imag > 0.0 and f2:
-            roots.add(x + q / f2)
-    return sorted(x for x in roots if x > 0.0)
+    d2, d1, g = d
+
+    def slope(x):  # f' and f''; f = d2^2 x^4 + d2 d1 x^3 - g d1 x - g^2 - 4
+        return d2 * x * x * (4.0 * d2 * x + 3.0 * d1) - g * d1, 6.0 * d2 * x * (2.0 * d2 * x + d1)
+
+    def f(x):
+        return (d2 * x * x - g) * ((d2 * x + d1) * x + g) - 4.0, slope(x)[0]
+
+    # for lambda1 = 0, f = -(g^2 + 4) has no root
+    outer = 2.0 * max(2.0 * abs(c), (2.0 * abs(c) * g / d2) ** (1 / 3), math.sqrt(math.hypot(g, 2.0) / d2)) if d2 else 0.0
+    if not math.isfinite(f(outer)[0]):
+        raise ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {g:.6g})")
+    if not d2:
+        return []
+    knees = []
+    # f'(0) = f'(-1.5 c) = -g d1 > 0 exactly; f' at -1.5 c in floats is round-off of its cancelling terms
+    if c < 0.0 and slope(-c)[0] < 0.0:
+        knees = [_root(slope, 0.0, -c, False), _root(slope, -c, -1.5 * c, True)]
+    return _roots(f, [0.0, *knees, outer])
 
 
-def _solved(p: DimerParams, thetas: Sequence[float], target_ratio: float | None = None):
-    """Yield (theta, roots...) for each theta in list order: the sorted
-    positive roots of D~^2 + 4 - target_ratio x^2 when a target is given,
-    then those of the minimum quartic x D~' D~ - D~^2 - 4.
+def _crossings(p: DimerParams, d: Triple, c: float, r: float, stationary: list[float]) -> list[float]:
+    """The roots of 1/alpha = r at cos(theta) = c, given the stationary points of 1/alpha.
 
-    The quartics are expanded theta by theta up to the first refusal,
-    which is held; those expanded are solved in one stacked eigenvalue
-    call per degree; each theta is refined and yielded in turn, and the
-    refusal is raised last.  So the first theta that fails, here or in
-    the caller, raises the error it raises alone.
+    1/alpha >= 4/x^2 > r below 2/sqrt(r), and D~ > sqrt(r) x above
+    (sqrt(r) + |d1|)/d2, so between the ends below and above those
+    bounds 1/alpha - r is monotone on each piece between stationary
+    points.  For lambda1 = 0, 1/alpha = (g^2 + 4)/x^2.
     """
-    prepared, polys, refusal = [], [], None
-    try:
-        for theta in thetas:
-            d = _gap_polynomial(p, theta)
-            # x D~' D~ - D~^2 - 4 = (x D~' - D~) D~ - 4, and x D~' - D~ = 2 l x^2 - g
-            minimum = ((d[0], 0.0, -d[2]), d, (0.0, 0.0, -4.0))
-            quartics = [minimum] if target_ratio is None else [(d, d, (-target_ratio, 0.0, 4.0)), minimum]
-            polys += [_expanded(*q) for q in quartics]
-            prepared.append((theta, quartics))
-    except ValueError as exc:
-        refusal = exc
-    zs = iter(_companion_roots(polys))
-    for theta, quartics in prepared:
-        yield (theta, *[_refined_roots(*q, next(zs)) for q in quartics])
-    if refusal is not None:
-        raise refusal
+    d2, d1, g = d
+
+    def excess(x):
+        # 1/alpha = u^2 + w^2, u = D~/x and w = 2/x; the value as back-substitution takes it
+        u, w = g / x + d1 + d2 * x, 2.0 / x
+        return _inverse_attenuation(p, x, c) - r, 2.0 * u * (d2 - g / x / x) - w * w * w
+
+    root = math.sqrt(r)
+    hi = 2.0 * max((root + abs(d1)) / d2, stationary[-1]) if d2 else 2.0 * math.hypot(g, 2.0) / root
+    if not math.isfinite(hi):
+        raise ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {g:.6g})")
+    return _roots(excess, [0.5 * min([2.0 / root, *stationary[:1]]), *stationary, hi])
 
 
 def _least(p: DimerParams, theta: float, roots: list[float]) -> tuple[float, float]:
-    """The stationary point of least 1/alpha among the roots of the minimum quartic at theta."""
+    """Of roots, the stationary points of 1/alpha at theta, the one of least 1/alpha, with that value."""
     if not roots:
         raise NoSolutionError(f"no interior minimum of 1/alpha at lambda1 = {p.lambda1:.6g} "
                               "(1/alpha decreases monotonically in |eta|)")
@@ -215,6 +203,11 @@ def _least(p: DimerParams, theta: float, roots: list[float]) -> tuple[float, flo
     values = [_inverse_attenuation(p, x, c) for x in roots]
     k = values.index(min(values))
     return roots[k], values[k]
+
+
+def _minimum(p: DimerParams, theta: float) -> tuple[float, float]:
+    """(eta_min, inv_alpha_min) at theta."""
+    return _least(p, theta, _stationary(_gap_polynomial(p, theta), math.cos(theta)))
 
 
 def sweep_inverse_alpha(
@@ -230,8 +223,8 @@ def sweep_inverse_alphas(
     """Evaluate 1/alpha over eta_grid at each phase of thetas.
 
     The template's eta_abs/theta are overridden by the grid and theta.
-    1/alpha reads inf where it exceeds the float range.  The minima are
-    solved together; the first theta that fails raises.
+    1/alpha reads inf where it exceeds the float range.  The first theta
+    that fails raises.
     """
     import numpy as np
     grid = np.asarray(eta_grid, dtype=float)
@@ -244,9 +237,9 @@ def sweep_inverse_alphas(
     if p.j12 == 0.0:
         raise NoSolutionError("attenuation vanishes on the whole grid (zero coupling?)")
     results = []
-    for theta, roots in _solved(p, thetas):
+    for theta in thetas:
         # the minimum first: it refuses a g or l that would show as nan on the grid
-        minimum = _least(p, theta, roots)
+        minimum = _minimum(p, theta)
         with np.errstate(over="ignore"):
             values = _inverse_attenuation(p, grid, math.cos(theta))
         results.append(SweepResult(theta=theta, points=np.column_stack((grid, values)), minimum=minimum))
@@ -261,15 +254,14 @@ def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
 def find_alpha_minima(p: DimerParams, thetas: Sequence[float]) -> list[tuple[float, float]]:
     """Interior minimum of 1/alpha over |eta| at each theta, as (eta_min, inv_alpha_min).
 
-    The stationary points of 1/alpha are the positive real roots of
-    x D~'(x) D~(x) - D~(x)^2 - 4, with D~'(x) = 4 l (cos(theta) + x);
-    the one with the smallest 1/alpha is returned.  Raises ValueError
-    where that quartic leaves the float range; the quartics of all the
-    thetas are solved together, and the first theta that fails raises.
+    The stationary points of 1/alpha are the positive roots of
+    x D~'(x) D~(x) - D~(x)^2 - 4 = (2 l x^2 - g) D~(x) - 4; the one with
+    the smallest 1/alpha is returned.  Raises ValueError where that
+    quartic leaves the float range; the first theta that fails raises.
     """
     if p.j12 == 0.0:
         raise NoSolutionError("j12 must be nonzero: 1/alpha is infinite without coupling")
-    return [_least(p, theta, roots) for theta, roots in _solved(p, thetas)]
+    return [_minimum(p, theta) for theta in thetas]
 
 
 def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:
@@ -284,37 +276,28 @@ def estimate_etas(p: DimerParams, thetas: Sequence[float], target_ratio: float) 
 
         D~(x)^2 + 4 - target_ratio * x^2 = 0
 
-    with D~(x) = g + 2 l x (2 cos(theta) + x).  Every positive real
-    root is found and verified by back-substitution into the
-    attenuation factor.  For lambda1 > 0, 1/alpha grows without bound
-    at both ends, so the roots must bracket its minimum; where they do
-    not, a root was lost to round-off and ValueError is raised.  Each
-    theta's quartic and its minimum quartic are solved with all the
-    others, and the first theta that fails raises.
+    with D~(x) = g + 2 l x (2 cos(theta) + x).  Every positive root is
+    found, one on each monotone piece of 1/alpha that crosses the
+    target, and verified by back-substitution into the attenuation
+    factor.  The first theta that fails raises.
     """
     if not target_ratio > 0.0:
         raise ValueError(f"target_ratio must be > 0, got {target_ratio}")
     if p.j12 == 0.0:
         raise NoSolutionError("attenuation vanishes identically for zero coupling; "
                               "no |eta| can reach a finite lifetime ratio")
-    return [_estimate(p, theta, target_ratio, roots, minimum_roots)
-            for theta, roots, minimum_roots in _solved(p, thetas, target_ratio)]
+    return [_estimate(p, theta, target_ratio) for theta in thetas]
 
 
-def _estimate(p: DimerParams, theta: float, target_ratio: float,
-              roots: list[float], minimum_roots: list[float]) -> EtaEstimate:
-    """One theta of estimate_etas, from the roots of its quartic and of its minimum quartic."""
-    if not roots or p.lambda1 > 0.0:
-        eta_min, inv_min = _least(p, theta, minimum_roots)
-        if not roots:
-            raise NoSolutionError(f"target ratio {target_ratio:.6g} is below the attainable minimum "
-                                  f"1/alpha = {inv_min:.6g} (at |eta| = {eta_min:.6g})")
-        # the slack admits the two halves of a double root at the minimum
-        if not (roots[0] <= eta_min * (1.0 + 1e-9) and roots[-1] >= eta_min * (1.0 - 1e-9)):
-            raise ValueError(f"a root of 1/alpha = {target_ratio:.6g} was lost to round-off: the roots "
-                             f"found do not bracket the minimum at |eta| = {eta_min:.6g}")
-
-    c = math.cos(theta)
+def _estimate(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:
+    """One theta of estimate_etas."""
+    d, c = _gap_polynomial(p, theta), math.cos(theta)
+    stationary = _stationary(d, c)
+    roots = _crossings(p, d, c, target_ratio, stationary)
+    if not roots:
+        eta_min, inv_min = _least(p, theta, stationary)
+        raise NoSolutionError(f"target ratio {target_ratio:.6g} is below the attainable minimum "
+                              f"1/alpha = {inv_min:.6g} (at |eta| = {eta_min:.6g})")
     for x in roots:
         back = _inverse_attenuation(p, x, c)
         if abs(back - target_ratio) > 1e-8 * target_ratio:

@@ -347,7 +347,7 @@ def numeric_trajectory(
     Each interval t is covered by n = ceil(t/dt) equal steps h = t/n, and
     the n steps are applied at once: on each eigenvector of the generator
     (module notes) they multiply by R(h lam)^n, whose increment d comes
-    from :func:`_powered_factor`, once per distinct (n, h) and
+    from :func:`_powered_factor`, once per distinct interval and
     eigenvalue.  The state is carried as five recurrences on Python
     complex numbers: c += d c for rho01, rho02, rho12, and, with f the
     population increment, inc = (f dn/G) rho11 - (f up/G) rho22,
@@ -389,20 +389,16 @@ def numeric_trajectory(
 
     *lams, dn, up = _eigenvalues(p)
     g = dn + up
-    # the five factors per distinct interval, and per distinct (n, h); None for t = 0
+    # the five factors per distinct interval; None for t = 0
     factors: dict[float, tuple[complex, ...] | None] = {}
-    powered: dict[tuple[int, float], tuple[complex, ...]] = {}
     for t in set(intervals.tolist()):
         if t == 0.0:
             factors[t] = None
             continue
         n_steps = max(1, math.ceil(t / dt - 1e-9))
         h = t / n_steps
-        e = powered.get((n_steps, h))
-        if e is None:
-            d01, d02, d12, f = (_powered_factor(lam, h, n_steps) for lam in lams)
-            e = powered[(n_steps, h)] = (d01, d02, d12, f * dn / g, -f * up / g) if g else (d01, d02, d12, 0.0, 0.0)
-        factors[t] = e
+        d01, d02, d12, f = (_powered_factor(lam, h, n_steps) for lam in lams)
+        factors[t] = (d01, d02, d12, f * dn / g, -f * up / g) if g else (d01, d02, d12, 0.0, 0.0)
     r = state.rho
     p11, p22, c01, c02, c12 = r[(1, 2) + _UPPER[0], (1, 2) + _UPPER[1]].tolist()
     flat: list[complex] = []

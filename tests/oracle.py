@@ -13,6 +13,7 @@ the RK4 step map on it and its n-th power.  rk4_error is the error of
 numeric_trajectory against the closed forms in 50-digit arithmetic.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -39,17 +40,37 @@ def least(d, j2, xs):
 
 def positive_roots(a, d, b):
     """Positive real roots of A D + B by mpmath.polyroots at 50 digits, the
-    float factors (c2, c1, c0) taken exactly."""
+    float factors (c2, c1, c0) taken exactly.  Its error is absolute, about
+    1e-50 of the largest root, so a root smaller than that reads 0 and is
+    dropped."""
     with mpmath.workdps(50):
         a, d, b = ([mpmath.mpf(c) for c in q] for q in (a, d, b))
         f = [a[0] * d[0], a[0] * d[1] + a[1] * d[0], a[0] * d[2] + a[1] * d[1] + a[2] * d[0] + b[0],
              a[1] * d[2] + a[2] * d[1] + b[1], a[2] * d[2] + b[2]]
-        # Durand-Kerner reaches the same roots from any generic start; the
-        # float roots, nudged off the real axis so a complex pair can form,
-        # only save steps
-        start = [complex(z) * (1.0 + 1e-8j) for z in np.roots([float(c) for c in f])]
-        roots = mpmath.polyroots(f, maxsteps=100, extraprec=60, roots_init=start)
+        f = f[next(k for k, c in enumerate(f) if c):]
+        if len(f) == 1:
+            return []
+        # Durand-Kerner reaches the same roots from any generic start; starts at
+        # the magnitudes of the Newton polygon only save steps, and the extra
+        # bits carry the spread of the coefficients, so roots 1e150 apart converge
+        spread = max(map(abs, f)) / min(abs(c) for c in f if c)
+        roots = mpmath.polyroots(f, maxsteps=200, extraprec=60 + int(mpmath.log(spread, 2)), roots_init=_starts(f))
         return sorted(r.real for r in map(mpmath.mpc, roots) if r.real > 0 and abs(r.imag) <= 1e-30 * abs(r))
+
+
+def _starts(f):
+    """Starting points for the roots of f, highest power first: on circles whose radii
+    are the slopes of the upper convex hull of (power, log|coefficient|), each
+    repeated as many times as its edge is wide, so each root starts near its magnitude."""
+    n = len(f) - 1
+    hull = []
+    for q in [(i, float(mpmath.log(abs(f[n - i])))) for i in range(n + 1) if f[n - i]]:
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])
+                                 <= (q[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(q)
+    return [math.exp((li - lj) / (j - i)) * cmath.exp(1j * (2.0 * math.pi * k / (j - i) + 0.4))
+            for (i, li), (j, lj) in zip(hull, hull[1:]) for k in range(j - i)]
 
 
 def minimum(p, theta):

@@ -165,7 +165,8 @@ def test_importing_the_cli_loads_every_layer_and_no_numpy():
 
 @pytest.mark.parametrize(
     "argv",
-    [["transform"], ["helix"], ["renorm", "--modes-file", str(ROOT / "tests" / "golden" / "modes.csv")]],
+    [["transform"], ["helix"], ["renorm", "--modes-file", str(ROOT / "tests" / "golden" / "modes.csv")],
+     ["minimize"], ["estimate"]],
     ids=lambda argv: argv[0],
 )
 def test_scalar_subcommands_never_load_numpy(argv, tmp_path):

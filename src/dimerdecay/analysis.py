@@ -337,11 +337,15 @@ def write_sweep_csv(fh: IO[str], results: Sequence[SweepResult]) -> None:
     fh.write(",".join(SWEEP_CSV_HEADER) + "\n")
     grid = None
     for res in results:
+        if not len(res.points):
+            continue
         if grid is None or not np.array_equal(res.points[:, 0], grid):
             grid = res.points[:, 0]
-            # one "<theta>,<eta>,%.9g" row per grid point; each phase puts in its theta
-            rows = "".join(f"<theta>,{eta},%.9g\n" for eta in _fmt_table(grid[:, None]).splitlines())
-        fh.write(rows.replace("<theta>", _fmt(res.theta)) % tuple((res.points[:, 1] + 0.0).tolist()))
+            etas = _fmt_table(grid[:, None]).splitlines()
+        # one "<theta>,<eta>,%.9g" row per grid point, joined around the formatted etas
+        lead = _fmt(res.theta) + ","
+        rows = lead + (",%.9g\n" + lead).join(etas) + ",%.9g\n"
+        fh.write(rows % tuple((res.points[:, 1] + 0.0).tolist()))
 
 
 def write_theta_table_csv(

@@ -6,8 +6,9 @@ sections, every value overridable by a command-line flag; one entry of
 KEYS per key gives its default, parser, flag and the subcommands that
 take the flag.  All file output is deterministic: same config, same bytes.
 
-Exit codes: 0 ok, 2 config error (a bad value or file, or any input the
-library refuses), 3 I/O error, 4 no solution (no interior minimum, or an
+Exit codes: 0 ok, 2 config error (a bad value, an input file that is
+missing or cannot be opened or read, or any input the library refuses),
+3 I/O error writing an output, 4 no solution (no interior minimum, or an
 unattainable lifetime ratio).
 """
 
@@ -115,7 +116,10 @@ def _modes(raw: str) -> tuple[tuple[float, float], ...]:
         return ()
     if not Path(path).is_file():
         raise ValueError(f"file not found: {path}")
-    modes = load_modes_csv(path)
+    try:
+        modes = load_modes_csv(path)
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
     if not modes:
         raise ValueError(f"{path} holds no modes")
     return modes
@@ -213,6 +217,14 @@ def _set_eta(merged: dict[str, dict[str, str]], raw: str) -> None:
     merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
 
 
+@functools.cache
+def _ini_parser() -> configparser.ConfigParser:
+    """The INI parser, built once per process; `_merge_config` empties it before each read."""
+    # no header can name the empty section, so [DEFAULT] reads as an
+    # ordinary section and is refused below like any unknown one
+    return configparser.ConfigParser(default_section="")
+
+
 def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
     """Raw values per section: the defaults of KEYS overlaid by the INI file."""
     merged: dict[str, dict[str, str]] = {}
@@ -222,13 +234,23 @@ def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
         return merged
     if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")
-    # no header can name the empty section, so [DEFAULT] reads as an
-    # ordinary section and is refused below like any unknown one
-    parser = configparser.ConfigParser(default_section="")
+    parser = _ini_parser()
+    # no section or key of an earlier file, read whole or in part, reaches this one
+    for section in parser.sections():
+        parser.remove_section(section)
     try:
-        parser.read(path, encoding="utf-8")
-        sections = {section: parser.items(section) for section in parser.sections()}
-    except (configparser.Error, ValueError) as exc:
+        # ConfigParser.read would skip a file that fails to open
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        # interpolation returns a value without "%" unchanged, so only the others take it
+        sections = {
+            section: [
+                (key, parser.get(section, key) if "%" in value else value)
+                for key, value in parser.items(section, raw=True)
+            ]
+            for section in parser.sections()
+        }
+    except (OSError, configparser.Error, ValueError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     for section, items in sections.items():
         if section not in merged:
@@ -313,6 +335,8 @@ def _initial_state(cfg: RunConfig, phi0: float) -> OneExcitationState:
         try:
             with open(cfg.state_file, encoding="utf-8") as fh:
                 payload = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"initial_state.file: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
             raise ConfigError(f"initial_state.file: invalid JSON: {exc}") from None
         if not isinstance(payload, dict) or "rho" not in payload:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, outputs, exit codes."""
 
 import argparse
+import configparser
 import csv
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from dimerdecay.cli import build_config, build_parser, main
+from dimerdecay.cli import KEYS, ConfigError, _merge_config, build_config, build_parser, main
 from dimerdecay.excitons import DimerParams, exciton_frame
 from dimerdecay.rates import frequency_renormalization
 
@@ -342,7 +343,8 @@ def test_only_library_warnings_become_stderr_lines(category, monkeypatch, tmp_pa
 
 
 FILE_CASES = {
-    # id: (the file is a config or a custom state, its bytes, start of the stderr line)
+    # id: (the file is a config, a custom state or a mode CSV, its bytes, start of the
+    # stderr line); bytes None: the file exists but opening it raises PermissionError
     "ini-not-utf8": ("config", b"\xff[dimer]\n", "config error: config file"),
     "ini-bare-percent": ("config", b"[dimer]\nj12 = 1%\n", "config error: config file"),
     "ini-no-section-header": ("config", b"j12 = 5\n", "config error: config file"),
@@ -367,21 +369,148 @@ FILE_CASES = {
         "state", b'{"rho": [[0,0,0],[0,1' + b"0" * 400 + b',0],[0,0,0]]}',
         "config error: initial_state.file: a number in rho lies outside the float range\n",
     ),
+    "ini-unopenable": ("config", None, "config error: config file {path}: [Errno 13] Permission denied"),
+    "state-unopenable": ("state", None, "config error: initial_state.file: [Errno 13] Permission denied"),
+    "modes-unopenable": ("modes", None, "config error: bath.modes_file: [Errno 13] Permission denied"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(FILE_CASES))
-def test_unreadable_input_files_exit_2(case, tmp_path, capsys):
+def refused_input(case, tmp_path, monkeypatch):
+    """Write the input file of FILE_CASES[case]; return the argv that reads it and its refusal."""
     kind, content, text = FILE_CASES[case]
     path = tmp_path / "input"
-    path.write_bytes(content)
-    if kind == "config":
-        argv = ["-c", str(path), "evolve"]
+    if content is None:
+        # a mode bit would not stop root, so the refusal comes from open itself
+        path.write_bytes(b"")
+        real_open = open
+
+        def refusing(file, *args, **kwargs):
+            if str(file) == str(path):
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", refusing)
     else:
-        argv = ["evolve", "--preset", "custom", "--state-file", str(path)]
-    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+        path.write_bytes(content)
+    argv = {
+        "config": ["-c", str(path), "evolve"],
+        "state": ["evolve", "--preset", "custom", "--state-file", str(path)],
+        "modes": ["evolve", "--modes-file", str(path)],
+    }[kind]
+    return argv + ["--output-dir", str(tmp_path)], text.replace("{path}", str(path))
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_unreadable_input_files_exit_2(case, monkeypatch, tmp_path, capsys):
+    argv, text = refused_input(case, tmp_path, monkeypatch)
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(text) and err.count("\n") == 1
+
+
+# --------------------------------------------------------------- INI semantics
+
+INI_SECTIONS = ("dimer", "dimer", "bath", "time", "output", "Dimer", "DEFAULT", "lattice")
+INI_KEYS = ("j12", "j12", "omega1", "theta", "eta", "temperature", "t_max", "directory", "J12", "coupling")
+INI_VALUES = (
+    "-96", "1e3", " 0.5 + 0.2j ", "out%%1", "%%", "%(j12)s", "x%(omega1)sy", "%(missing)s",
+    "1%", "%", "", "a b",
+)
+
+
+def ini_text(rng):
+    """One INI text of a small grammar: comments, both delimiters, upper-case keys,
+    continuation lines, blank lines inside values, duplicates and interpolation."""
+    lines = []
+    if rng.random() < 0.05:
+        lines.append("j12 = 5")  # before any section header
+    for _ in range(rng.randint(0, 3)):
+        lines += rng.choice(([], [], ["# note"], ["; note"], [""]))
+        lines.append(f"[{rng.choice(INI_SECTIONS)}]")
+        for _ in range(rng.randint(0, 4)):
+            lines += rng.choice(([], [], [], ["# c"], ["; c"], [""]))
+            lines.append(rng.choice(INI_KEYS) + rng.choice((" = ", "=", ": ", ":")) + rng.choice(INI_VALUES))
+            if rng.random() < 0.15:
+                lines += rng.choice(([], [""])) + ["    " + rng.choice(INI_VALUES)]
+    return "\n".join(lines) + "\n"
+
+
+def fresh_parser_merge(path):
+    """The defaults of KEYS overlaid by the file, through a ConfigParser built for this call alone."""
+    merged = {}
+    for key in KEYS:
+        merged.setdefault(key.section, {})[key.name] = key.default
+    parser = configparser.ConfigParser(default_section="")
+    try:
+        parser.read(path, encoding="utf-8")
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    for section, items in sections.items():
+        if section not in merged:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, value in items:
+            if section == "dimer" and key == "eta":
+                try:
+                    eta = complex(value.replace(" ", ""))
+                except ValueError:
+                    raise ConfigError(f"dimer.eta: not a complex number: {value!r}") from None
+                merged["dimer"]["eta_abs"] = repr(abs(eta))
+                merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
+            elif key not in merged[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
+            else:
+                merged[section][key] = value
+    return merged
+
+
+def merge_outcome(merge, path):
+    try:
+        merged = merge(path)
+    except ConfigError as exc:
+        return "refused", str(exc)
+    # the order of sections and keys is part of the result
+    return "merged", [(section, list(values.items())) for section, values in merged.items()]
+
+
+def test_ini_merge_matches_a_fresh_configparser(tmp_path):
+    rng = random.Random(25)
+    path = tmp_path / "run.ini"
+    kinds = []
+    for _ in range(400):
+        path.write_text(ini_text(rng), encoding="utf-8")
+        expected = merge_outcome(fresh_parser_merge, str(path))
+        assert merge_outcome(_merge_config, str(path)) == expected, path.read_text(encoding="utf-8")
+        kinds.append(expected[0])
+    assert kinds.count("merged") >= 50 and kinds.count("refused") >= 50
+
+
+def test_an_escaped_percent_reaches_the_output_directory(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text("[output]\ndirectory = out%%1\n", encoding="utf-8")
+    assert main(["-c", "run.ini", "transform"]) == 0
+    assert (tmp_path / "out%1" / "transform.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "case", ["accepted", *sorted(case for case, row in FILE_CASES.items() if row[0] == "config")]
+)
+def test_no_ini_section_or_key_outlives_a_call(case, monkeypatch, tmp_path, capsys):
+    # the first call reads a file that sets keys, or a file it refuses, perhaps half read
+    with monkeypatch.context() as patched:
+        if case == "accepted":
+            first = tmp_path / "first.ini"
+            first.write_text("[dimer]\nj12 = -50\neta = 0.3+0.4j\n[bath]\ntemperature = 77\n", encoding="utf-8")
+            assert main(["-c", str(first), "transform", "--output-dir", str(tmp_path / "first")]) == 0
+        else:
+            argv, _ = refused_input(case, tmp_path, patched)
+            assert main(argv) == 2
+    capsys.readouterr()
+    second = tmp_path / "second.ini"
+    second.write_text("[bath]\ngamma_d = 0.02\n", encoding="utf-8")
+    assert outputs(["-c", str(second), "transform"], tmp_path / "second", capsys) == outputs(
+        ["transform"], tmp_path / "none", capsys
+    )
 
 
 # --------------------------------------------------------------- sweep
@@ -819,6 +948,25 @@ def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):
     assert main(argv) == 0
     assert built == []
     assert build_parser() is build_parser()
+
+
+def test_the_ini_parser_is_built_at_most_once_per_process(monkeypatch, tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[dimer]\nj12 = -80\n", encoding="utf-8")
+    argv = ["-c", str(ini), "transform", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    built = []
+    init = configparser.RawConfigParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(configparser.RawConfigParser, "__init__", counted)
+    assert main(argv) == 0
+    ini.write_text("[bath]\ntemperature = 77\n", encoding="utf-8")
+    assert main(argv) == 0
+    assert built == []
 
 
 def outputs(argv, outdir, capsys):

@@ -13,13 +13,12 @@ d(1/alpha)/dx has the sign of f = (2 l x^2 - g) D~ - 4.  On x > 0,
 f'' = 48 l^2 x (x + cos(theta)) changes sign only at -cos(theta), so f,
 and 1/alpha between its stationary points, are monotone on pieces whose
 ends are closed forms or roots of f'; one bracketed root finder finds
-the root on each piece that changes sign.  Each theta is solved alone,
-and a theta list is a loop whose first failing theta raises.  For
-lambda1 > 0 an interior minimum always exists and a target ratio below
-it has no solution; for lambda1 = 0, 1/alpha only falls.  A quartic
-that overflows at its root bound is refused.  1/alpha at a root is
-Python float arithmetic, which reads inf past the float range without
-a warning; only sweep's array evaluation enters numpy.errstate.
+the root on each piece that changes sign.  For lambda1 > 0 an interior
+minimum always exists and a target ratio below it has no solution; for
+lambda1 = 0, 1/alpha only falls.  A quartic that overflows at its root
+bound is refused.  1/alpha at a root is Python float arithmetic, which
+reads inf past the float range without a warning; only sweep's array
+evaluation enters numpy.errstate.
 """
 
 from __future__ import annotations
@@ -205,26 +204,13 @@ def _least(p: DimerParams, theta: float, roots: list[float]) -> tuple[float, flo
     return roots[k], values[k]
 
 
-def _minimum(p: DimerParams, theta: float) -> tuple[float, float]:
-    """(eta_min, inv_alpha_min) at theta."""
-    return _least(p, theta, _stationary(_gap_polynomial(p, theta), math.cos(theta)))
-
-
 def sweep_inverse_alpha(
     p: DimerParams, theta: float, eta_grid: Sequence[float]
 ) -> SweepResult:
-    """Evaluate 1/alpha over eta_grid at phase theta: sweep_inverse_alphas at one theta."""
-    return sweep_inverse_alphas(p, [theta], eta_grid)[0]
-
-
-def sweep_inverse_alphas(
-    p: DimerParams, thetas: Sequence[float], eta_grid: Sequence[float]
-) -> list[SweepResult]:
-    """Evaluate 1/alpha over eta_grid at each phase of thetas.
+    """Evaluate 1/alpha over eta_grid at phase theta.
 
     The template's eta_abs/theta are overridden by the grid and theta.
-    1/alpha reads inf where it exceeds the float range.  The first theta
-    that fails raises.
+    1/alpha reads inf where it exceeds the float range.
     """
     import numpy as np
     grid = np.asarray(eta_grid, dtype=float)
@@ -236,41 +222,28 @@ def sweep_inverse_alphas(
         raise ValueError("eta_grid must be strictly increasing")
     if p.j12 == 0.0:
         raise NoSolutionError("attenuation vanishes on the whole grid (zero coupling?)")
-    results = []
-    for theta in thetas:
-        # the minimum first: it refuses a g or l that would show as nan on the grid
-        minimum = _minimum(p, theta)
-        with np.errstate(over="ignore"):
-            values = _inverse_attenuation(p, grid, math.cos(theta))
-        results.append(SweepResult(theta=theta, points=np.column_stack((grid, values)), minimum=minimum))
-    return results
+    # the minimum first: it refuses a g or l that would show as nan on the grid
+    minimum = find_alpha_minimum(p, theta)
+    with np.errstate(over="ignore"):
+        values = _inverse_attenuation(p, grid, math.cos(theta))
+    return SweepResult(theta=theta, points=np.column_stack((grid, values)), minimum=minimum)
 
 
 def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
-    """Interior minimum of 1/alpha over |eta|, as (eta_min, inv_alpha_min): find_alpha_minima at one theta."""
-    return find_alpha_minima(p, [theta])[0]
-
-
-def find_alpha_minima(p: DimerParams, thetas: Sequence[float]) -> list[tuple[float, float]]:
-    """Interior minimum of 1/alpha over |eta| at each theta, as (eta_min, inv_alpha_min).
+    """Interior minimum of 1/alpha over |eta|, as (eta_min, inv_alpha_min).
 
     The stationary points of 1/alpha are the positive roots of
     x D~'(x) D~(x) - D~(x)^2 - 4 = (2 l x^2 - g) D~(x) - 4; the one with
     the smallest 1/alpha is returned.  Raises ValueError where that
-    quartic leaves the float range; the first theta that fails raises.
+    quartic leaves the float range.
     """
     if p.j12 == 0.0:
         raise NoSolutionError("j12 must be nonzero: 1/alpha is infinite without coupling")
-    return [_minimum(p, theta) for theta in thetas]
+    return _least(p, theta, _stationary(_gap_polynomial(p, theta), math.cos(theta)))
 
 
 def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:
-    """Solve 1/alpha = target_ratio for |eta|; return the smallest root: estimate_etas at one theta."""
-    return estimate_etas(p, [theta], target_ratio)[0]
-
-
-def estimate_etas(p: DimerParams, thetas: Sequence[float], target_ratio: float) -> list[EtaEstimate]:
-    """Solve 1/alpha = target_ratio for |eta| at each theta; return the smallest roots.
+    """Solve 1/alpha = target_ratio for |eta|; return the smallest root.
 
     The condition is a quartic in x = |eta|:
 
@@ -279,18 +252,13 @@ def estimate_etas(p: DimerParams, thetas: Sequence[float], target_ratio: float) 
     with D~(x) = g + 2 l x (2 cos(theta) + x).  Every positive root is
     found, one on each monotone piece of 1/alpha that crosses the
     target, and verified by back-substitution into the attenuation
-    factor.  The first theta that fails raises.
+    factor.
     """
     if not target_ratio > 0.0:
         raise ValueError(f"target_ratio must be > 0, got {target_ratio}")
     if p.j12 == 0.0:
         raise NoSolutionError("attenuation vanishes identically for zero coupling; "
                               "no |eta| can reach a finite lifetime ratio")
-    return [_estimate(p, theta, target_ratio) for theta in thetas]
-
-
-def _estimate(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:
-    """One theta of estimate_etas."""
     d, c = _gap_polynomial(p, theta), math.cos(theta)
     stationary = _stationary(d, c)
     roots = _crossings(p, d, c, target_ratio, stationary)

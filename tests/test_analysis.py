@@ -17,11 +17,8 @@ from dimerdecay.analysis import (
     SweepResult,
     estimate_eta,
     estimate_eta_limit,
-    estimate_etas,
-    find_alpha_minima,
     find_alpha_minimum,
     sweep_inverse_alpha,
-    sweep_inverse_alphas,
     write_sweep_csv,
     write_theta_table_csv,
 )
@@ -228,6 +225,13 @@ def test_find_alpha_minimum_needs_coupling():
     p = DimerParams(60.0, -60.0, -96.0, 0.0, 0.71, 0.0)
     with pytest.raises(NoSolutionError, match="no interior minimum"):
         find_alpha_minimum(p, 0.0)
+
+
+def test_a_phase_outside_minus_pi_to_pi_is_refused():
+    for solve in (lambda: find_alpha_minimum(FMO, 4.0), lambda: estimate_eta(FMO, -4.0, 22.0),
+                  lambda: sweep_inverse_alpha(FMO, 4.0, [0.5, 1.0])):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            solve()
 
 
 def test_stronger_reorganization_raises_floor():
@@ -437,82 +441,6 @@ def test_solvers_match_a_50_digit_oracle():
             want = oracle.least(d, j2, stationary)
             got = find_alpha_minimum(p, theta)[0]
             assert abs(got - want) <= 1e-12 * want, (p, theta)
-
-
-# --------------------------------------------------------------- batched solves
-
-def _outcome(solve, thetas):
-    """solve(thetas) as a comparable value: its results, or the type and message it raises."""
-    try:
-        return [(r.theta, r.points.tolist(), r.minimum) if isinstance(r, SweepResult) else r
-                for r in solve(thetas)]
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def _as_each_theta_alone(solve, thetas):
-    """Check that solve(thetas) ends as the one-theta calls in order do; return that outcome."""
-    alone = []
-    for theta in thetas:
-        one = _outcome(solve, [theta])
-        if isinstance(one, tuple):
-            alone = one
-            break
-        alone += one
-    assert _outcome(solve, thetas) == alone, thetas
-    return alone
-
-
-KINDS = ("solved", "no interior minimum", "below the attainable minimum", "theta must lie in",
-         "leaves the float range")
-
-
-def test_a_theta_list_solves_as_each_theta_alone():
-    # FMO-like dimers in units of |j12|, lambda1 = 0 among them (quartics of
-    # degree 2 and 0), lambda1/|j12| scaled by 1e160 (refused quartics), and
-    # theta lists of the last three phases drawn, some with an out-of-range phase
-    rng = np.random.default_rng(1818)
-    thetas, kinds = [], set()
-    for k in range(200):
-        l = 0.0 if k % 10 == 0 else 10.0 ** rng.uniform(-1.5, 0.0) * (1e160 if k % 25 == 1 else 1.0)
-        thetas.append(rng.uniform(-math.pi, math.pi))
-        p = from_gap(abs(rng.uniform(-1.0, 3.0)), (-1.0) ** k, l, 0.71, 0.0)
-        ratio = rng.uniform(1.0, 40.0)
-        batch = thetas[-3:]
-        if k % 7 == 3:
-            batch.insert(k % 3, 4.0)
-        for solve in (lambda ts: find_alpha_minima(p, ts), lambda ts: estimate_etas(p, ts, ratio),
-                      lambda ts: sweep_inverse_alphas(p, ts, [0.25, 1.0, 4.0])):
-            alone = _as_each_theta_alone(solve, batch)
-            text = alone[1] if isinstance(alone, tuple) else "solved"
-            kinds |= {kind for kind in KINDS if kind in text}
-    assert kinds == set(KINDS)
-
-
-def test_a_sweep_refused_after_its_minimum_decides_before_a_later_theta():
-    # j12 ~ 1e-11 lambda1: 1/alpha cancels to about 1e-9 on the grid, which then
-    # undercuts the minimum and SweepResult refuses it; that phase, not 4.0, decides
-    p = from_gap(0.0021178731884661647, 1.6690072363842657e-13, 0.019384610267345004, 0.71, 0.0)
-    grid = np.linspace(0.8777495747815968, 3.510998299126387, 400)
-    _as_each_theta_alone(lambda ts: sweep_inverse_alphas(p, ts, grid), [-2.675450011984105, 4.0])
-
-
-def test_the_first_failing_theta_decides():
-    no_minimum = DimerParams(60.0, -60.0, -96.0, 0.0, 0.71, 0.0)
-    with pytest.raises(NoSolutionError, match="no interior minimum"):
-        find_alpha_minima(no_minimum, [0.0, 4.0])
-    with pytest.raises(ValueError, match="theta must lie in"):
-        find_alpha_minima(no_minimum, [4.0, 0.0])
-    with pytest.raises(NoSolutionError, match="no interior minimum"):
-        sweep_inverse_alphas(no_minimum, [0.0, 4.0], [0.5, 1.0])
-    with pytest.raises(ValueError, match="theta must lie in"):
-        sweep_inverse_alphas(no_minimum, [4.0, 0.0], [0.5, 1.0])
-    assert estimate_etas(FMO, [0.0, 0.5 * math.pi], 22.0) == [estimate_eta(FMO, 0.0, 22.0),
-                                                               estimate_eta(FMO, 0.5 * math.pi, 22.0)]
-    with pytest.raises(NoSolutionError, match="below the attainable minimum"):
-        estimate_etas(FMO, [0.0, 4.0], 1.0)
-    with pytest.raises(ValueError, match="theta must lie in"):
-        estimate_etas(FMO, [4.0, 0.0], 1.0)
 
 
 # --------------------------------------------------------------- limit formula

@@ -236,6 +236,32 @@ EXIT_CASES = [
         "estimate --j12 1e-10 --theta 3.141592653589793 --omega1 -1 --theta-list 3.141592653589793,0",
         2, "config error: root 0.6035875164103436 fails back-substitution: 1/alpha = 21.999536105747833 vs target 22.0\n",
     ),
+    # phase pi solves and phase 0 is refused
+    (
+        "estimate --target-ratio 10 --theta-list 3.141592653589793,0",
+        4, "no solution: target ratio 10 is below the attainable minimum 1/alpha = 13.1587",
+    ),
+    # both phases leave the float range; the quartic's middle coefficient names the one that decides
+    (
+        "minimize --omega1 0.0015806336847602389 --omega2 -0.0015806336847602389 --j12 2.04887251289436e-234 "
+        "--lambda1 0.009673724125669976 --theta-list=0,-2.8055075071403315",
+        2, "config error: the quartic in |eta| leaves the float range at D/|j12| = (9.44297e+231, 1.88859e+232, ",
+    ),
+    (
+        "minimize --omega1 0.0015806336847602389 --omega2 -0.0015806336847602389 --j12 2.04887251289436e-234 "
+        "--lambda1 0.009673724125669976 --theta-list=-2.8055075071403315,0",
+        2, "config error: the quartic in |eta| leaves the float range at D/|j12| = (9.44297e+231, -1.78293e+232, ",
+    ),
+    (
+        "sweep --omega1 0.0015806336847602389 --omega2 -0.0015806336847602389 --j12 2.04887251289436e-234 "
+        "--lambda1 0.009673724125669976 --theta-list=0,-2.8055075071403315",
+        2, "config error: the quartic in |eta| leaves the float range at D/|j12| = (9.44297e+231, 1.88859e+232, ",
+    ),
+    (
+        "sweep --omega1 0.0015806336847602389 --omega2 -0.0015806336847602389 --j12 2.04887251289436e-234 "
+        "--lambda1 0.009673724125669976 --theta-list=-2.8055075071403315,0",
+        2, "config error: the quartic in |eta| leaves the float range at D/|j12| = (9.44297e+231, -1.78293e+232, ",
+    ),
     ("minimize --lambda1 1e-300 --j12 1e30 --theta-list 0", 2, "config error: the quartic in |eta| leaves the float range"),
     ("sweep --lambda1 1e-300 --j12 1e30 --theta-list 0", 2, "config error: the quartic in |eta| leaves the float range"),
     ("estimate --lambda1 1e-300 --j12 1e30 --theta-list 0", 2, "config error: the quartic in |eta| leaves the float range"),
@@ -280,8 +306,11 @@ def test_inverse_and_evolve_exit_codes(cmdline, code, text, tmp_path, capsys):
     argv = cmdline.replace("MODES", str(MODES)).replace("BOUNDARY", str(BOUNDARY)).split()
     assert main(argv + ["--output-dir", str(tmp_path)]) == code
     # one line on stderr for a refusal, none for a result; no traceback
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(text) and err.count("\n") == (code != 0)
+    # a refusal prints and writes nothing, even where earlier phases solved
+    if code:
+        assert out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The package as a whole: its documented top-level API, its dependency rule and its imports."""
 
 import ast
+import importlib
 import inspect
 import re
 import subprocess
@@ -38,6 +39,15 @@ def test_top_level_names_are_the_documented_ones():
     }
     documented = set(re.findall(r"\b[A-Za-z_]\w*\b", LIBRARY_USE))
     assert exported <= documented, exported - documented
+
+
+def test_library_use_calls_only_names_the_package_has():
+    # every `name(` the section shows must be a function the package still has
+    called = set(re.findall(r"`([A-Za-z_]\w*)\(", LIBRARY_USE))
+    modules = [dimerdecay] + [importlib.import_module(f"dimerdecay.{path.stem}")
+                              for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"]
+    assert called
+    assert {name for name in called if not any(hasattr(mod, name) for mod in modules)} == set()
 
 
 def foreign_imports(source):

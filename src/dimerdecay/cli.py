@@ -19,6 +19,7 @@ import configparser
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -114,7 +115,7 @@ def _modes(raw: str) -> tuple[tuple[float, float], ...]:
     path = raw.strip()
     if not path:
         return ()
-    if not Path(path).is_file():
+    if not os.path.isfile(path):
         raise ValueError(f"file not found: {path}")
     try:
         modes = load_modes_csv(path)
@@ -225,6 +226,33 @@ def _ini_parser() -> configparser.ConfigParser:
     return configparser.ConfigParser(default_section="")
 
 
+def _plain_sections(lines) -> dict[str, dict[str, str]] | None:
+    """The sections of INI lines as configparser reads them, or None at the first line it may read otherwise.
+
+    Read here: blank lines, full-line comments, `[name]` headers and unindented `key = value` lines
+    without "%" or a ":" before the "=", where no section or key repeats and a header comes first.
+    """
+    sections: dict[str, dict[str, str]] = {}
+    items = None
+    for line in lines:
+        text = line.strip()
+        if not text or text[0] in "#;":
+            continue
+        if line[0] != text[0] or "%" in text:
+            return None
+        if text[0] == "[":  # configparser's name lies between the first "[" and the last "]"
+            if text[-1] != "]" or len(text) < 3 or text[1:-1] in sections:
+                return None
+            items = sections[text[1:-1]] = {}
+            continue
+        key, eq, value = text.partition("=")
+        key = key.rstrip().lower()
+        if items is None or not eq or not key or ":" in key or key in items:
+            return None
+        items[key] = value.strip()
+    return sections
+
+
 def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
     """Raw values per section: the defaults of KEYS overlaid by the INI file."""
     merged: dict[str, dict[str, str]] = {}
@@ -232,30 +260,33 @@ def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
         merged.setdefault(key.section, {})[key.name] = key.default
     if path is None:
         return merged
-    if not Path(path).is_file():
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = _ini_parser()
-    # no section or key of an earlier file, read whole or in part, reaches this one
-    for section in parser.sections():
-        parser.remove_section(section)
     try:
         # ConfigParser.read would skip a file that fails to open
         with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-        # interpolation returns a value without "%" unchanged, so only the others take it
-        sections = {
-            section: [
-                (key, parser.get(section, key) if "%" in value else value)
-                for key, value in parser.items(section, raw=True)
-            ]
-            for section in parser.sections()
-        }
+            sections = _plain_sections(fh)
+            if sections is None:  # configparser reads the file again from the top
+                fh.seek(0)
+                parser = _ini_parser()
+                # no section or key of an earlier file, read whole or in part, reaches this one
+                for section in parser.sections():
+                    parser.remove_section(section)
+                parser.read_file(fh)
+                # interpolation returns a value without "%" unchanged, so only the others take it
+                sections = {
+                    section: {
+                        key: parser.get(section, key) if "%" in value else value
+                        for key, value in parser.items(section, raw=True)
+                    }
+                    for section in parser.sections()
+                }
     except (OSError, configparser.Error, ValueError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     for section, items in sections.items():
         if section not in merged:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, value in items:
+        for key, value in items.items():
             if section == "dimer" and key == "eta":
                 _set_eta(merged, value)
             elif key not in merged[section]:
@@ -312,15 +343,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _open_out(cfg: RunConfig, name: str) -> IO[str]:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return open(cfg.output_dir / name, "w", newline="", encoding="utf-8")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return open(os.path.join(cfg.output_dir, name), "w", newline="", encoding="utf-8")
 
 
 def _emit_pairs(cfg: RunConfig, name: str, items: Sequence[tuple[str, str]]) -> int:
     """Print `items` as an aligned key = value block and write them to the CSV `name`."""
     width = max(len(key) for key, _ in items)
-    for key, value in items:
-        print(f"{key:<{width}} = {value}")
+    print("\n".join(f"{key:<{width}} = {value}" for key, value in items))
     with _open_out(cfg, name) as fh:
         fh.write("key,value\n" + "".join(f"{key},{value}\n" for key, value in items))
     return 0

@@ -61,7 +61,7 @@ class BathSpec:
             raise ValueError(f"temperature must be > 0 K, got {self.temperature}")
         if self.gamma_d < 0.0 or not math.isfinite(self.gamma_d):
             raise ValueError(f"gamma_d must be >= 0 fs^-1, got {self.gamma_d}")
-        norm = tuple((float(w), float(v2)) for w, v2 in self.modes)
+        norm = tuple([(float(w), float(v2)) for w, v2 in self.modes])
         inf = math.inf
         for w, v2 in norm:
             if not (0.0 < w < inf and 0.0 <= v2 < inf):
@@ -107,16 +107,11 @@ _X_MIN = 1.0 / sys.float_info.max
 
 def _occupation(omega: float, kt: float, name: str) -> float:
     """1/(exp(x) - 1) at x = omega/kT for the frequency omega > 0 called `name`; 0 at kT = 0."""
-    if not kt:
-        return 0.0
-    x = omega / kt
-    if x > 700.0:
-        # expm1 overflows near x = 709; here 1/expm1(x) = exp(-x) to
-        # relative accuracy exp(-x) < 1e-304
-        return math.exp(-x)
+    x = omega / kt if kt else math.inf  # exp(-inf) = 0
     if x < _X_MIN:
         raise ValueError(f"the thermal occupation overflows at {name} = {omega:.6g} cm^-1: {name}/kT = {x:.6g}")
-    return 1.0 / math.expm1(x)
+    # expm1 overflows near x = 709; above 700, 1/expm1(x) = exp(-x) to relative accuracy exp(-x) < 1e-304
+    return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
 
 
 def bose_occupation(omega0: float, temperature_k: float) -> float:
@@ -137,10 +132,11 @@ def _inverse_attenuation(p: DimerParams, x, cos_theta):
     arithmetic only, so an array gives the same bits as the scalars point by point.
     """
     j = abs(p.j12)
-    # |j12| divides g and l where that shrinks them, and D/x where it would grow them:
-    # at a subnormal j12, u then reads inf, not the inf - inf of g/x and 2 l (2 cos(theta) + x)
-    if j > 1.0:
-        u = p.gap / j / x + 2.0 * (p.lambda1 / j) * (2.0 * cos_theta + x)
+    g, l = p.gap / j, p.lambda1 / j
+    # |j12| divides D/x last only where g or l overflows, at a subnormal j12: u then
+    # reads inf, not the inf - inf of g/x and 2 l (2 cos(theta) + x)
+    if math.isfinite(g) and math.isfinite(l):
+        u = g / x + 2.0 * l * (2.0 * cos_theta + x)
     else:
         u = (p.gap / x + 2.0 * p.lambda1 * (2.0 * cos_theta + x)) / j
     v = 2.0 / x
@@ -240,7 +236,7 @@ def frequency_renormalization(
     if not omega0 > 0.0:
         raise ValueError(f"omega0 must be > 0 cm^-1, got {omega0}")
     kt = _bath_energy(temperature_k)
-    inf = math.inf
+    inf, exp, expm1 = math.inf, math.exp, math.expm1
     delta_plus = 0.0
     delta_minus = 0.0
     for omega_k, v2_k in modes:
@@ -251,7 +247,11 @@ def frequency_renormalization(
                 f"mode at {omega_k} cm^-1 sits exactly on the exciton "
                 f"resonance omega0 = {omega0} cm^-1; exclude or shift it"
             )
-        nbar_k = _occupation(omega_k, kt, "omega_k")
+        # _occupation inlined but for its refusal
+        x = omega_k / kt if kt else inf
+        if x < _X_MIN:
+            _occupation(omega_k, kt, "omega_k")  # refuses
+        nbar_k = exp(-x) if x > 700.0 else 1.0 / expm1(x)
         delta_plus += v2_k * (nbar_k + 1.0) / (omega_k - omega0)
         delta_minus -= v2_k * nbar_k / (omega_k - omega0)
     if not (math.isfinite(delta_plus) and math.isfinite(delta_minus)):
@@ -264,8 +264,24 @@ def load_modes_csv(path: str) -> tuple[tuple[float, float], ...]:
 
     The header row must be exactly ``omega_k_cm1,V2_k_cm2``; each data
     row gives one mode's frequency (cm^-1) and squared coupling (cm^-2).
+
+    The lines stream through a plain pass: within the field limit, the matching
+    header and a row of two floats, which hold no quote, split as csv.reader
+    splits them.  At any other line csv.reader reads the file from the top.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        modes: list[tuple[float, float]] = []
+        append, limit = modes.append, csv.field_size_limit()
+        header = fh.readline()
+        if len(header) <= limit and tuple(h.strip() for h in header.split(",")) == MODES_CSV_HEADER:
+            try:
+                for line in fh:
+                    omega_k, v2_k = line.split(",") if len(line) <= limit else ()
+                    append((float(omega_k), float(v2_k)))
+                return tuple(modes)
+            except ValueError:  # a long line, a bad unpacking or float, or a decoding error csv.reader meets too
+                pass
+        fh.seek(0)
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -276,16 +292,14 @@ def load_modes_csv(path: str) -> tuple[tuple[float, float], ...]:
                 f"{path}: expected header {','.join(MODES_CSV_HEADER)}, "
                 f"got {','.join(header)}"
             )
-        modes: list[tuple[float, float]] = []
+        modes = []
         for i, row in enumerate(reader, start=2):
-            # the common row costs one unpacking and two floats; only a row that raises is examined
+            if not any(cell.strip() for cell in row):
+                continue  # a blank row
+            if len(row) != 2:
+                raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}")
             try:
-                omega_k, v2_k = row
-                modes.append((float(omega_k), float(v2_k)))
+                modes.append((float(row[0]), float(row[1])))
             except ValueError as exc:
-                if not any(cell.strip() for cell in row):
-                    continue  # a blank row
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}") from None
                 raise ValueError(f"{path}:{i}: {exc}") from None
     return tuple(modes)

@@ -3,6 +3,7 @@
 import argparse
 import configparser
 import csv
+import io
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from dimerdecay import cli
 from dimerdecay.cli import KEYS, ConfigError, _merge_config, build_config, build_parser, main
 from dimerdecay.excitons import DimerParams, exciton_frame
 from dimerdecay.rates import frequency_renormalization
@@ -225,7 +227,7 @@ EXIT_CASES = [
     ),
     (
         "estimate --j12 1e-10 --theta 3.141592653589793 --omega1 -1 --theta-list 3.141592653589793",
-        2, "config error: root 0.6035875164103436 fails back-substitution: 1/alpha = 21.9995",
+        2, "config error: root 0.6035875164103436 fails back-substitution: 1/alpha = 21.99984",
     ),
     # across a theta list the first failing phase decides: theta = 0 has no solution, pi is refused
     (
@@ -234,7 +236,7 @@ EXIT_CASES = [
     ),
     (
         "estimate --j12 1e-10 --theta 3.141592653589793 --omega1 -1 --theta-list 3.141592653589793,0",
-        2, "config error: root 0.6035875164103436 fails back-substitution: 1/alpha = 21.999536105747833 vs target 22.0\n",
+        2, "config error: root 0.6035875164103436 fails back-substitution: 1/alpha = 21.999844749350675 vs target 22.0\n",
     ),
     # phase pi solves and phase 0 is refused
     (
@@ -288,6 +290,13 @@ EXIT_CASES = [
     ("minimize --j12 1e200", 0, ""),
     ("minimize --j12 1e300", 0, ""),
     ("estimate --j12 1e150", 0, ""),
+    # gap/x subnormal: g = gap/|j12| and l = lambda1/|j12| are formed first, so the root is found, not a
+    # stray one near 1.13e+129
+    (
+        "estimate --gap 7.95392511622616e-196 --j12 5.441035539050754e-217 --lambda1 0 "
+        "--theta-list=-1.260777110177121 --target-ratio 3.1145384794612873e-258",
+        0, "|eta|=8.28329417e+149,",
+    ),
     # every float key is finite
     ("helix --helix-j12 nan", 2, "config error: helix.j12: must be finite"),
     ("helix --helix-j12 inf", 2, "config error: helix.j12: must be finite"),
@@ -305,9 +314,12 @@ BOUNDARY = Path(__file__).parent / "golden" / "boundary_state.json"
 def test_inverse_and_evolve_exit_codes(cmdline, code, text, tmp_path, capsys):
     argv = cmdline.replace("MODES", str(MODES)).replace("BOUNDARY", str(BOUNDARY)).split()
     assert main(argv + ["--output-dir", str(tmp_path)]) == code
-    # one line on stderr for a refusal, none for a result; no traceback
+    # one line on stderr for a refusal, none for a result, whose stdout holds text; no traceback
     out, err = capsys.readouterr()
-    assert err.startswith(text) and err.count("\n") == (code != 0)
+    if code:
+        assert err.startswith(text) and err.count("\n") == 1
+    else:
+        assert err == "" and text in out
     # a refusal prints and writes nothing, even where earlier phases solved
     if code:
         assert out == "" and list(tmp_path.iterdir()) == []
@@ -441,27 +453,39 @@ def test_unreadable_input_files_exit_2(case, monkeypatch, tmp_path, capsys):
 
 INI_SECTIONS = ("dimer", "dimer", "bath", "time", "output", "Dimer", "DEFAULT", "lattice")
 INI_KEYS = ("j12", "j12", "omega1", "theta", "eta", "temperature", "t_max", "directory", "J12", "coupling")
-INI_VALUES = (
-    "-96", "1e3", " 0.5 + 0.2j ", "out%%1", "%%", "%(j12)s", "x%(omega1)sy", "%(missing)s",
-    "1%", "%", "", "a b",
+INI_VALUES = ("-96", "1e3", " 0.5 + 0.2j ", "", "a b", "a:b", "x = y", "-96 ; not a comment", "\t7\t", "[x]")
+# lines configparser reads otherwise than a plain line, or refuses: other delimiters,
+# interpolation, indents, continuation lines after a blank line, look-alike headers,
+# lines without a key or a delimiter; and plain lines that may repeat a section or key
+INI_ODD_LINES = (
+    "j12: 5", "j12 :=5", "omega1:1e3", "directory = out%%1", "j12 = %(omega1)s", "omega1 = x%(j12)sy",
+    "j12 = %(missing)s", "j12 = 1%", "[dimer%]", "  x = 1", "    0.5+0.2j", "\n    1e3", "\t-96",
+    "[dimer] x", "[dimer]=1", "[]", "[dimer]]", "[[dimer]", "[dimer", "[x = 1", "=5", "x", "[dimer]", "j12 = 7", "J12 = 7",
 )
 
 
 def ini_text(rng):
-    """One INI text of a small grammar: comments, both delimiters, upper-case keys,
-    continuation lines, blank lines inside values, duplicates and interpolation."""
+    """One INI text of a small grammar: plain lines (comments, blank lines, headers,
+    `key = value` lines, upper-case keys) and, in about half the texts, one or two INI_ODD_LINES."""
     lines = []
-    if rng.random() < 0.05:
-        lines.append("j12 = 5")  # before any section header
     for _ in range(rng.randint(0, 3)):
-        lines += rng.choice(([], [], ["# note"], ["; note"], [""]))
+        lines += rng.choice(([], [], ["# note"], ["; note"], [""], ["  ; note %"]))
         lines.append(f"[{rng.choice(INI_SECTIONS)}]")
         for _ in range(rng.randint(0, 4)):
-            lines += rng.choice(([], [], [], ["# c"], ["; c"], [""]))
-            lines.append(rng.choice(INI_KEYS) + rng.choice((" = ", "=", ": ", ":")) + rng.choice(INI_VALUES))
-            if rng.random() < 0.15:
-                lines += rng.choice(([], [""])) + ["    " + rng.choice(INI_VALUES)]
+            lines += rng.choice(([], [], [], ["# c"], ["; c"], [""], ["  "]))
+            lines.append(rng.choice(INI_KEYS) + rng.choice((" = ", "=", "\t=  ")) + rng.choice(INI_VALUES))
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randint(0, len(lines))
+            lines[at:at] = rng.choice(INI_ODD_LINES).split("\n")
     return "\n".join(lines) + "\n"
+
+
+def configparser_sections(text):
+    """The sections of an INI text, interpolated, as a fresh ConfigParser reads them."""
+    parser = configparser.ConfigParser(default_section="")
+    parser.read_string(text)
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def fresh_parser_merge(path):
@@ -502,16 +526,29 @@ def merge_outcome(merge, path):
     return "merged", [(section, list(values.items())) for section, values in merged.items()]
 
 
-def test_ini_merge_matches_a_fresh_configparser(tmp_path):
+def test_ini_merge_matches_a_fresh_configparser(monkeypatch, tmp_path):
+    # the plain pass reads a text alone or hands it to the cached configparser: count which
+    handed = []
+    ini_parser = cli._ini_parser
+    monkeypatch.setattr(cli, "_ini_parser", lambda: handed.append(True) or ini_parser())
     rng = random.Random(25)
     path = tmp_path / "run.ini"
-    kinds = []
+    kinds, paths = [], []
     for _ in range(400):
-        path.write_text(ini_text(rng), encoding="utf-8")
+        text = ini_text(rng)
+        path.write_text(text, encoding="utf-8")
         expected = merge_outcome(fresh_parser_merge, str(path))
-        assert merge_outcome(_merge_config, str(path)) == expected, path.read_text(encoding="utf-8")
+        handed.clear()
+        assert merge_outcome(_merge_config, str(path)) == expected, text
         kinds.append(expected[0])
+        paths.append("configparser" if handed else "plain")
+        # what the plain pass returns, configparser returns too, before any key is merged
+        plain = cli._plain_sections(io.StringIO(text))
+        assert plain is None or plain == configparser_sections(text), text
     assert kinds.count("merged") >= 50 and kinds.count("refused") >= 50
+    assert paths.count("plain") >= 50 and paths.count("configparser") >= 50
+    # each path both merges and refuses
+    assert len(set(zip(kinds, paths))) == 4
 
 
 def test_an_escaped_percent_reaches_the_output_directory(monkeypatch, tmp_path):
@@ -1036,3 +1073,42 @@ def test_readme_config_equals_the_defaults(command, ini, tmp_path, capsys):
     assert outputs(["-c", str(config), command], tmp_path / "ini", capsys) == outputs(
         [command], tmp_path / "none", capsys
     )
+
+
+# an INI as the benchmark writes one: a complex eta, repr floats, a mode file and a theta list
+BENCH_INI = """[dimer]
+omega1 = 97.27130939029417
+omega2 = -41.10462281634516
+j12 = -83.61259254939286
+lambda1 = 31.772514012785773
+eta = 0.6158396232734434-0.9080536097617218j
+
+[bath]
+temperature = 254.04012440211283
+gamma_d = 0.02711404063052917
+modes_file = {modes}
+
+[sweep]
+theta_list = 0.0, 0.7853981633974483, 1.5707963267948966, 2.356194490192345, 3.141592653589793, 0.4125
+"""
+
+
+def test_plain_inputs_never_reach_configparser_or_csv_reader(monkeypatch, tmp_path):
+    rng = random.Random(6)
+    modes = tmp_path / "modes.csv"
+    modes.write_text(
+        "omega_k_cm1,V2_k_cm2\n" + "".join(f"{rng.uniform(20.0, 1500.0)!r},{rng.uniform(0.0, 50.0)!r}\n" for _ in range(3000)),
+        encoding="utf-8",
+    )
+    readme, bench = tmp_path / "readme.ini", tmp_path / "bench.ini"
+    readme.write_text(README_INI, encoding="utf-8")
+    bench.write_text(BENCH_INI.format(modes=modes), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain input was handed on")
+
+    monkeypatch.setattr(configparser.RawConfigParser, "read_file", refuse)
+    monkeypatch.setattr(csv, "reader", refuse)
+    assert _merge_config(str(readme))["dimer"]["eta_abs"] == "0.71"
+    assert main(["-c", str(bench), "renorm", "--output-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "renorm.csv").read_text(encoding="utf-8").endswith("\nn_modes,3000\n")

@@ -1,5 +1,6 @@
 """Decay constants: thermal occupation, attenuation, mode shifts, CSV input."""
 
+import csv
 import math
 import random
 
@@ -448,6 +449,7 @@ def test_load_modes_csv_reports_line_numbers(tmp_path):
 
 
 HEADER = "omega_k_cm1,V2_k_cm2\n"
+PLAIN_500 = "1.5,2\n" * 500
 # row text after the header -> the modes read, or the message with {path} for the file
 MODE_ROWS = {
     "blank-line": ("100,1\n\n200,2\n", ((100.0, 1.0), (200.0, 2.0))),
@@ -463,6 +465,12 @@ MODE_ROWS = {
     "empty-frequency": (",5\n", "{path}:2: could not convert string to float: ''"),
     "word": ("abc,1\n", "{path}:2: could not convert string to float: 'abc'"),
     "header-only": ("", ()),
+    # the plain pass gives up partway, and csv.reader reads the file again from the top
+    "quoted-after-500": (PLAIN_500 + '"3","4"\n', ((1.5, 2.0),) * 500 + ((3.0, 4.0),)),
+    "blank-after-500": (PLAIN_500 + "\n3,4\n", ((1.5, 2.0),) * 500 + ((3.0, 4.0),)),
+    "one-cell-after-500": (PLAIN_500 + "3\n", "{path}:502: expected 2 columns, got 1"),
+    "cr-line-ends": ("100,1\r200,2\r", ((100.0, 1.0), (200.0, 2.0))),
+    "no-final-newline": ("100,1\n200,2", ((100.0, 1.0), (200.0, 2.0))),
 }
 
 
@@ -477,3 +485,73 @@ def test_load_modes_csv_edge_rows(case, tmp_path):
         with pytest.raises(ValueError) as exc:
             load_modes_csv(str(path))
         assert str(exc.value) == expected.format(path=path)
+
+
+CSV_READER = csv.reader  # bound at import, before any test patches csv.reader
+
+
+def csv_reader_modes(path):
+    """The modes of a mode CSV as the csv.reader loop alone reads them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = CSV_READER(fh)
+        try:
+            header = next(rows)
+        except StopIteration:
+            raise ValueError(f"{path}: empty modes file, header row required")
+        if tuple(h.strip() for h in header) != MODES_CSV_HEADER:
+            raise ValueError(f"{path}: expected header {','.join(MODES_CSV_HEADER)}, got {','.join(header)}")
+        modes = []
+        for i, row in enumerate(rows, start=2):
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}")
+            try:
+                modes.append((float(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{i}: {exc}") from None
+    return tuple(modes)
+
+
+def mode_outcome(load, path):
+    try:
+        return "read", load(path)
+    except (ValueError, csv.Error) as exc:
+        return "refused", str(exc)
+
+
+# rows that stop the plain pass, or pass it: quotes, blanks, cell counts, padding, bad numbers
+ODD_MODE_ROWS = (
+    '"3","4"', '"3,5",4', "", "   ", " , ", "5", "5,6,7", "abc,1", "1e3,", " 7 , 8 ", "2,1_0", "9,\x0c1", "-inf,1",
+    "1" + "0" * csv.field_size_limit() + ",1",  # reads as inf, but csv.reader refuses the field
+)
+MODE_HEADERS = (HEADER,) * 8 + (
+    '"omega_k_cm1", V2_k_cm2\n', "omega_k_cm1;V2_k_cm2\n", "", "omega_k_cm1" + " " * csv.field_size_limit() + ",V2_k_cm2\n",
+)
+
+
+def mode_text(rng):
+    """A mode CSV of repr-float rows with a few odd rows, odd headers, line ends and final lines mixed in."""
+    end = rng.choice(("\n", "\r\n", "\r"))
+    rows = [f"{rng.uniform(20.0, 1500.0)!r},{rng.uniform(0.0, 50.0)!r}" for _ in range(rng.randint(0, 60))]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        rows.insert(rng.randint(0, len(rows)), rng.choice(ODD_MODE_ROWS))
+    text = rng.choice(MODE_HEADERS).replace("\n", end) + end.join(rows)
+    return text + end if rows and rng.random() < 0.8 else text
+
+
+def test_load_modes_csv_matches_the_csv_reader_loop(monkeypatch, tmp_path):
+    handed = []
+    monkeypatch.setattr(csv, "reader", lambda fh: handed.append(True) or CSV_READER(fh))
+    rng = random.Random(28)
+    path = tmp_path / "modes.csv"
+    kinds, paths = [], []
+    for _ in range(400):
+        path.write_bytes(mode_text(rng).encode("utf-8"))
+        expected = mode_outcome(csv_reader_modes, str(path))
+        handed.clear()
+        assert mode_outcome(load_modes_csv, str(path)) == expected, path.read_bytes()
+        kinds.append(expected[0])
+        paths.append("csv.reader" if handed else "plain")
+    assert kinds.count("read") >= 50 and kinds.count("refused") >= 50
+    assert paths.count("plain") >= 50 and paths.count("csv.reader") >= 50

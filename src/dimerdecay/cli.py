@@ -218,14 +218,6 @@ def _set_eta(merged: dict[str, dict[str, str]], raw: str) -> None:
     merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
 
 
-@functools.cache
-def _ini_parser() -> configparser.ConfigParser:
-    """The INI parser, built once per process; `_merge_config` empties it before each read."""
-    # no header can name the empty section, so [DEFAULT] reads as an
-    # ordinary section and is refused below like any unknown one
-    return configparser.ConfigParser(default_section="")
-
-
 def _plain_sections(lines) -> dict[str, dict[str, str]] | None:
     """The sections of INI lines as configparser reads them, or None at the first line it may read otherwise.
 
@@ -268,19 +260,11 @@ def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
             sections = _plain_sections(fh)
             if sections is None:  # configparser reads the file again from the top
                 fh.seek(0)
-                parser = _ini_parser()
-                # no section or key of an earlier file, read whole or in part, reaches this one
-                for section in parser.sections():
-                    parser.remove_section(section)
+                # no header can name the empty section, so [DEFAULT] reads as an
+                # ordinary section and is refused below like any unknown one
+                parser = configparser.ConfigParser(default_section="")
                 parser.read_file(fh)
-                # interpolation returns a value without "%" unchanged, so only the others take it
-                sections = {
-                    section: {
-                        key: parser.get(section, key) if "%" in value else value
-                        for key, value in parser.items(section, raw=True)
-                    }
-                    for section in parser.sections()
-                }
+                sections = {section: dict(parser.items(section)) for section in parser.sections()}
     except (OSError, configparser.Error, ValueError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     for section, items in sections.items():

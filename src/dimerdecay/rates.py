@@ -107,11 +107,16 @@ _X_MIN = 1.0 / sys.float_info.max
 
 def _occupation(omega: float, kt: float, name: str) -> float:
     """1/(exp(x) - 1) at x = omega/kT for the frequency omega > 0 called `name`; 0 at kT = 0."""
-    x = omega / kt if kt else math.inf  # exp(-inf) = 0
+    if not kt:
+        return 0.0
+    x = omega / kt
+    if x > 700.0:
+        # expm1 overflows near x = 709; here 1/expm1(x) = exp(-x) to
+        # relative accuracy exp(-x) < 1e-304
+        return math.exp(-x)
     if x < _X_MIN:
         raise ValueError(f"the thermal occupation overflows at {name} = {omega:.6g} cm^-1: {name}/kT = {x:.6g}")
-    # expm1 overflows near x = 709; above 700, 1/expm1(x) = exp(-x) to relative accuracy exp(-x) < 1e-304
-    return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
+    return 1.0 / math.expm1(x)
 
 
 def bose_occupation(omega0: float, temperature_k: float) -> float:
@@ -133,9 +138,10 @@ def _inverse_attenuation(p: DimerParams, x, cos_theta):
     """
     j = abs(p.j12)
     g, l = p.gap / j, p.lambda1 / j
-    # |j12| divides D/x last only where g or l overflows, at a subnormal j12: u then
-    # reads inf, not the inf - inf of g/x and 2 l (2 cos(theta) + x)
-    if math.isfinite(g) and math.isfinite(l):
+    # g/x keeps its digits where gap/x would be subnormal.  At |j12| <= 1, |j12| divides D/x
+    # last where g is not finite or 6 l reaches the float max: g/x overflows only at x < 1,
+    # where |2 l (2 cos(theta) + x)| < 6 l, so u reads inf there, not inf - inf
+    if j > 1.0 or (math.isfinite(g) and l < 1e307):
         u = g / x + 2.0 * l * (2.0 * cos_theta + x)
     else:
         u = (p.gap / x + 2.0 * p.lambda1 * (2.0 * cos_theta + x)) / j
@@ -236,7 +242,7 @@ def frequency_renormalization(
     if not omega0 > 0.0:
         raise ValueError(f"omega0 must be > 0 cm^-1, got {omega0}")
     kt = _bath_energy(temperature_k)
-    inf, exp, expm1 = math.inf, math.exp, math.expm1
+    inf = math.inf
     delta_plus = 0.0
     delta_minus = 0.0
     for omega_k, v2_k in modes:
@@ -247,11 +253,7 @@ def frequency_renormalization(
                 f"mode at {omega_k} cm^-1 sits exactly on the exciton "
                 f"resonance omega0 = {omega0} cm^-1; exclude or shift it"
             )
-        # _occupation inlined but for its refusal
-        x = omega_k / kt if kt else inf
-        if x < _X_MIN:
-            _occupation(omega_k, kt, "omega_k")  # refuses
-        nbar_k = exp(-x) if x > 700.0 else 1.0 / expm1(x)
+        nbar_k = _occupation(omega_k, kt, "omega_k")
         delta_plus += v2_k * (nbar_k + 1.0) / (omega_k - omega0)
         delta_minus -= v2_k * nbar_k / (omega_k - omega0)
     if not (math.isfinite(delta_plus) and math.isfinite(delta_minus)):

@@ -3,7 +3,6 @@
 import argparse
 import configparser
 import csv
-import io
 import json
 import math
 import random
@@ -453,7 +452,30 @@ def test_unreadable_input_files_exit_2(case, monkeypatch, tmp_path, capsys):
 
 INI_SECTIONS = ("dimer", "dimer", "bath", "time", "output", "Dimer", "DEFAULT", "lattice")
 INI_KEYS = ("j12", "j12", "omega1", "theta", "eta", "temperature", "t_max", "directory", "J12", "coupling")
-INI_VALUES = ("-96", "1e3", " 0.5 + 0.2j ", "", "a b", "a:b", "x = y", "-96 ; not a comment", "\t7\t", "[x]")
+INI_VALUES = (
+    "-96", "1e3", " 0.5 + 0.2j ", "out%%1", "%%", "%(j12)s", "x%(omega1)sy", "%(missing)s",
+    "1%", "%", "", "a b",
+)
+
+
+def ini_text(rng):
+    """One INI text of a small grammar: comments, both delimiters, upper-case keys,
+    continuation lines, blank lines inside values, duplicates and interpolation."""
+    lines = []
+    if rng.random() < 0.05:
+        lines.append("j12 = 5")  # before any section header
+    for _ in range(rng.randint(0, 3)):
+        lines += rng.choice(([], [], ["# note"], ["; note"], [""]))
+        lines.append(f"[{rng.choice(INI_SECTIONS)}]")
+        for _ in range(rng.randint(0, 4)):
+            lines += rng.choice(([], [], [], ["# c"], ["; c"], [""]))
+            lines.append(rng.choice(INI_KEYS) + rng.choice((" = ", "=", ": ", ":")) + rng.choice(INI_VALUES))
+            if rng.random() < 0.15:
+                lines += rng.choice(([], [""])) + ["    " + rng.choice(INI_VALUES)]
+    return "\n".join(lines) + "\n"
+
+
+PLAIN_INI_VALUES = ("-96", "1e3", " 0.5 + 0.2j ", "", "a b", "a:b", "x = y", "-96 ; not a comment", "\t7\t", "[x]")
 # lines configparser reads otherwise than a plain line, or refuses: other delimiters,
 # interpolation, indents, continuation lines after a blank line, look-alike headers,
 # lines without a key or a delimiter; and plain lines that may repeat a section or key
@@ -464,16 +486,16 @@ INI_ODD_LINES = (
 )
 
 
-def ini_text(rng):
-    """One INI text of a small grammar: plain lines (comments, blank lines, headers,
-    `key = value` lines, upper-case keys) and, in about half the texts, one or two INI_ODD_LINES."""
+def plain_ini_text(rng):
+    """One INI text of plain lines (comments, blank lines, headers, `key = value` lines,
+    upper-case keys) and, in about half the texts, one or two INI_ODD_LINES."""
     lines = []
     for _ in range(rng.randint(0, 3)):
         lines += rng.choice(([], [], ["# note"], ["; note"], [""], ["  ; note %"]))
         lines.append(f"[{rng.choice(INI_SECTIONS)}]")
         for _ in range(rng.randint(0, 4)):
             lines += rng.choice(([], [], [], ["# c"], ["; c"], [""], ["  "]))
-            lines.append(rng.choice(INI_KEYS) + rng.choice((" = ", "=", "\t=  ")) + rng.choice(INI_VALUES))
+            lines.append(rng.choice(INI_KEYS) + rng.choice((" = ", "=", "\t=  ")) + rng.choice(PLAIN_INI_VALUES))
     if rng.random() < 0.5:
         for _ in range(rng.randint(1, 2)):
             at = rng.randint(0, len(lines))
@@ -527,24 +549,23 @@ def merge_outcome(merge, path):
 
 
 def test_ini_merge_matches_a_fresh_configparser(monkeypatch, tmp_path):
-    # the plain pass reads a text alone or hands it to the cached configparser: count which
-    handed = []
-    ini_parser = cli._ini_parser
-    monkeypatch.setattr(cli, "_ini_parser", lambda: handed.append(True) or ini_parser())
+    # the plain pass reads a text alone or hands it to configparser: count which
+    plain = []
+    plain_sections = cli._plain_sections
+    monkeypatch.setattr(cli, "_plain_sections", lambda lines: plain.append(plain_sections(lines)) or plain[-1])
     rng = random.Random(25)
     path = tmp_path / "run.ini"
     kinds, paths = [], []
-    for _ in range(400):
-        text = ini_text(rng)
+    for i in range(400):
+        # half the texts as the plain pass reads them, half rich in interpolation, ":" and continuations
+        text = (plain_ini_text if i % 2 else ini_text)(rng)
         path.write_text(text, encoding="utf-8")
         expected = merge_outcome(fresh_parser_merge, str(path))
-        handed.clear()
         assert merge_outcome(_merge_config, str(path)) == expected, text
         kinds.append(expected[0])
-        paths.append("configparser" if handed else "plain")
+        paths.append("configparser" if plain[-1] is None else "plain")
         # what the plain pass returns, configparser returns too, before any key is merged
-        plain = cli._plain_sections(io.StringIO(text))
-        assert plain is None or plain == configparser_sections(text), text
+        assert plain[-1] is None or plain[-1] == configparser_sections(text), text
     assert kinds.count("merged") >= 50 and kinds.count("refused") >= 50
     assert paths.count("plain") >= 50 and paths.count("configparser") >= 50
     # each path both merges and refuses
@@ -1016,7 +1037,7 @@ def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):
     assert build_parser() is build_parser()
 
 
-def test_the_ini_parser_is_built_at_most_once_per_process(monkeypatch, tmp_path):
+def test_plain_ini_files_build_no_configparser(monkeypatch, tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[dimer]\nj12 = -80\n", encoding="utf-8")
     argv = ["-c", str(ini), "transform", "--output-dir", str(tmp_path)]

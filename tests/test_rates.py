@@ -252,6 +252,13 @@ def test_rate_set_at_subnormal_coupling():
         assert (rs.alpha, rs.inverse_alpha) == (0.0, math.inf)
 
 
+def test_attenuation_where_g_and_l_near_the_float_max():
+    # g = gap/|j12| and l = lambda1/|j12| are finite, but at theta = pi g/x and
+    # 2 l (2 cos(theta) + x) would overflow with opposite signs: alpha = 0, not a refused nan
+    for theta in (0.0, math.pi):
+        assert attenuation_factor(DimerParams(1e303, 0.0, 1e-5, 1e303, 0.1, theta)) == 0.0
+
+
 @pytest.mark.parametrize("carrier", [0.0, 1e6, 1e10, 1e15])
 def test_rate_set_alpha_reads_the_frame_splitting(carrier):
     # alpha = (|eta| j12 / omega0)^2 with the frame's omega0, also where a large

@@ -60,7 +60,7 @@ class SweepResult:
         points = np.array(self.points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError(f"sweep points must have shape (n, 2), got {points.shape}")
-        if np.any(np.diff(points[:, 0]) <= 0.0):
+        if not np.all(np.diff(points[:, 0]) > 0.0):
             raise ValueError("sweep points must be strictly increasing in eta_abs")
         # the refined minimum can undercut grid samples only by round-off
         slack = 1e-9 * max(1.0, abs(self.minimum[1]))
@@ -98,7 +98,8 @@ def _root(fn, lo: float, hi: float, rising: bool) -> float:
     Newton steps that land inside the bracket shrink it, bisection
     otherwise: geometric where hi > 4 lo > 0, so a root many powers of ten
     from an end takes few steps.  Ends where a Newton step rounds to
-    nothing, or at the point of least |value| once the bracket closes.
+    nothing, or once the bracket closes at the point of least |value|, or
+    at its upper end if every value overflowed.
     """
     x, last = _middle(lo, hi), hi - lo
     best = (math.inf, x)
@@ -118,7 +119,7 @@ def _root(fn, lo: float, hi: float, rising: bool) -> float:
         if not (lo < step < hi and abs(step - x) <= 0.5 * last):
             step = _middle(lo, hi)
             if not lo < step < hi:
-                return best[1]
+                return best[1] if best[0] < math.inf else hi
         x, last = step, abs(step - x)
 
 
@@ -148,7 +149,8 @@ def _stationary(d: Triple, c: float) -> list[float]:
     rises again, with f'(-1.5 c) = f'(0) > 0.  The roots of f' in (0, -c)
     and (-c, -1.5 c), if f'(-c) < 0, so split x > 0 into pieces on which
     f is monotone, the last bounded by twice Fujiwara's bound on the
-    roots of f.  Refused where f is not finite there.
+    roots of f.  Refused where D~, that bound or f there is not finite,
+    but for f = +inf, which keeps the sign the bound guarantees.
     """
     d2, d1, g = d
 
@@ -159,11 +161,11 @@ def _stationary(d: Triple, c: float) -> list[float]:
         return (d2 * x * x - g) * ((d2 * x + d1) * x + g) - 4.0, slope(x)[0]
 
     # for lambda1 = 0, f = -(g^2 + 4) has no root
-    outer = 2.0 * max(2.0 * abs(c), (2.0 * abs(c) * g / d2) ** (1 / 3), math.sqrt(math.hypot(g, 2.0) / d2)) if d2 else 0.0
-    if not math.isfinite(f(outer)[0]):
-        raise ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {g:.6g})")
     if not d2:
         return []
+    outer = 2.0 * max(2.0 * abs(c), (2.0 * abs(c) * g / d2) ** (1 / 3), math.sqrt(math.hypot(g, 2.0) / d2))
+    if not (all(map(math.isfinite, (*d, outer))) and f(outer)[0] > 0.0):
+        raise _out_of_range(d)
     knees = []
     # f'(0) = f'(-1.5 c) = -g d1 > 0 exactly; f' at -1.5 c in floats is round-off of its cancelling terms
     if c < 0.0 and slope(-c)[0] < 0.0:
@@ -189,18 +191,31 @@ def _crossings(p: DimerParams, d: Triple, c: float, r: float, stationary: list[f
     root = math.sqrt(r)
     hi = 2.0 * max((root + abs(d1)) / d2, stationary[-1]) if d2 else 2.0 * math.hypot(g, 2.0) / root
     if not math.isfinite(hi):
-        raise ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d2:.6g}, {d1:.6g}, {g:.6g})")
+        raise _out_of_range(d)
     return _roots(excess, [0.5 * min([2.0 / root, *stationary[:1]]), *stationary, hi])
 
 
-def _least(p: DimerParams, theta: float, roots: list[float]) -> tuple[float, float]:
-    """Of roots, the stationary points of 1/alpha at theta, the one of least 1/alpha, with that value."""
+def _out_of_range(d: Triple) -> ValueError:
+    return ValueError(f"the quartic in |eta| leaves the float range at D/|j12| = ({d[0]:.6g}, {d[1]:.6g}, {d[2]:.6g})")
+
+
+def _least(p: DimerParams, d: Triple, c: float, roots: list[float]) -> tuple[float, float]:
+    """Of roots, the stationary points of 1/alpha at cos(theta) = c, the one of least 1/alpha,
+    with that value; refused where that value is not finite, or more than twice what 1/alpha
+    may fall to within one ulp of some root, in a dip that no float resolves."""
     if not roots:
         raise NoSolutionError(f"no interior minimum of 1/alpha at lambda1 = {p.lambda1:.6g} "
                               "(1/alpha decreases monotonically in |eta|)")
-    c = math.cos(theta)
     values = [_inverse_attenuation(p, x, c) for x in roots]
     k = values.index(min(values))
+    d2, d1, g = d
+    lows = []
+    for x in roots:
+        # 1/alpha = u^2 + (2/x)^2, u = D~/x known to 2^-50 of its terms, the rounding of x included
+        u = max(0.0, abs(g / x + d1 + d2 * x) - 2.0 ** -50 * (g / x + abs(d1) + 2.0 * d2 * x))
+        lows.append(u * u + 4.0 / x / x)
+    if not (math.isfinite(values[k]) and values[k] <= 2.0 * min(lows)):
+        raise _out_of_range(d)
     return roots[k], values[k]
 
 
@@ -210,7 +225,8 @@ def sweep_inverse_alpha(
     """Evaluate 1/alpha over eta_grid at phase theta.
 
     The template's eta_abs/theta are overridden by the grid and theta.
-    1/alpha reads inf where it exceeds the float range.
+    The grid must be positive and increasing (SweepResult checks that,
+    after the minimum); 1/alpha reads inf past the float range.
     """
     import numpy as np
     grid = np.asarray(eta_grid, dtype=float)
@@ -218,8 +234,6 @@ def sweep_inverse_alpha(
         raise ValueError("eta_grid must not be empty")
     if not np.all(grid > 0.0):
         raise ValueError("eta_grid values must be > 0")
-    if not np.all(np.diff(grid) > 0.0):
-        raise ValueError("eta_grid must be strictly increasing")
     if p.j12 == 0.0:
         raise NoSolutionError("attenuation vanishes on the whole grid (zero coupling?)")
     # the minimum first: it refuses a g or l that would show as nan on the grid
@@ -235,11 +249,12 @@ def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
     The stationary points of 1/alpha are the positive roots of
     x D~'(x) D~(x) - D~(x)^2 - 4 = (2 l x^2 - g) D~(x) - 4; the one with
     the smallest 1/alpha is returned.  Raises ValueError where that
-    quartic leaves the float range.
+    quartic, or the least 1/alpha, leaves the float range.
     """
     if p.j12 == 0.0:
         raise NoSolutionError("j12 must be nonzero: 1/alpha is infinite without coupling")
-    return _least(p, theta, _stationary(_gap_polynomial(p, theta), math.cos(theta)))
+    d, c = _gap_polynomial(p, theta), math.cos(theta)
+    return _least(p, d, c, _stationary(d, c))
 
 
 def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstimate:
@@ -263,7 +278,7 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
     stationary = _stationary(d, c)
     roots = _crossings(p, d, c, target_ratio, stationary)
     if not roots:
-        eta_min, inv_min = _least(p, theta, stationary)
+        eta_min, inv_min = _least(p, d, c, stationary)
         raise NoSolutionError(f"target ratio {target_ratio:.6g} is below the attainable minimum "
                               f"1/alpha = {inv_min:.6g} (at |eta| = {eta_min:.6g})")
     for x in roots:

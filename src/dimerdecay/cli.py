@@ -90,10 +90,6 @@ INVERSE = ("sweep", "minimize", "estimate")
 EVOLVE = ("evolve",)
 
 
-class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
-
-
 def _float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -136,7 +132,7 @@ class Key:
     flag and help, the subcommands that take the flag, and an optional
     (predicate, message) check on the parsed value.
 
-    `dest`, the flag's argparse destination, names the RunConfig attribute,
+    `dest`, the flag's argparse destination, names the attribute build_config sets,
     or the DimerParams/BathSpec argument, that the value fills."""
 
     section: str
@@ -201,19 +197,12 @@ KEYS = (
 )
 
 
-class RunConfig(argparse.Namespace):
-    """A checked run configuration: `dimer` (DimerParams), `bath` (BathSpec)
-    and one typed attribute per other entry of KEYS, named by its flag
-    (`t_max`, `time_points`, `theta_list`, `spacing`, `output_dir`, ...),
-    and `gnuplot`, which only sweep's flag sets."""
-
-
 def _set_eta(merged: dict[str, dict[str, str]], raw: str) -> None:
     """Expand a complex eta into dimer.eta_abs and dimer.theta."""
     try:
         eta = complex(raw.replace(" ", ""))
     except ValueError:
-        raise ConfigError(f"dimer.eta: not a complex number: {raw!r}") from None
+        raise ValueError(f"dimer.eta: not a complex number: {raw!r}") from None
     merged["dimer"]["eta_abs"] = repr(abs(eta))
     merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
 
@@ -253,7 +242,7 @@ def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
     if path is None:
         return merged
     if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     try:
         # ConfigParser.read would skip a file that fails to open
         with open(path, encoding="utf-8") as fh:
@@ -266,21 +255,25 @@ def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
                 parser.read_file(fh)
                 sections = {section: dict(parser.items(section)) for section in parser.sections()}
     except (OSError, configparser.Error, ValueError) as exc:
-        raise ConfigError(f"config file {path}: {exc}") from None
+        raise ValueError(f"config file {path}: {exc}") from None
     for section, items in sections.items():
         if section not in merged:
-            raise ConfigError(f"unknown config section [{section}]")
+            raise ValueError(f"unknown config section [{section}]")
         for key, value in items.items():
             if section == "dimer" and key == "eta":
                 _set_eta(merged, value)
             elif key not in merged[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
+                raise ValueError(f"unknown config key {section}.{key}")
             else:
                 merged[section][key] = value
     return merged
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """A checked run configuration: `dimer` (DimerParams), `bath` (BathSpec)
+    and one typed attribute per other entry of KEYS, named by its flag
+    (`t_max`, `time_points`, `theta_list`, `spacing`, `output_dir`, ...),
+    and `gnuplot`, which only sweep's flag sets."""
     merged = _merge_config(args.config)
     # the derived inputs expand first, so an explicit flag for a key they set wins
     if getattr(args, "eta", None) is not None:
@@ -295,43 +288,43 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         try:
             value = key.parse(merged[key.section][key.name] if raw is None else raw)
         except ValueError as exc:
-            raise ConfigError(f"{key.section}.{key.name}: {exc}") from None
+            raise ValueError(f"{key.section}.{key.name}: {exc}") from None
         if key.check is not None and not key.check[0](value):
-            raise ConfigError(f"{key.section}.{key.name}: {key.check[1]}, got {value!r}")
+            raise ValueError(f"{key.section}.{key.name}: {key.check[1]}, got {value!r}")
         values.setdefault(key.section, {})[key.dest] = value
 
     try:
         dimer = DimerParams(**values.pop("dimer"))
     except ValueError as exc:
-        raise ConfigError(f"dimer: {exc}") from None
+        raise ValueError(f"dimer: {exc}") from None
     bath = values.pop("bath")
     try:
         bath = BathSpec(bath["temperature"], bath["gamma_d"], modes=bath["modes_file"])
     except ValueError as exc:
-        raise ConfigError(f"bath: {exc}") from None
+        raise ValueError(f"bath: {exc}") from None
 
     run = {dest: value for section in values.values() for dest, value in section.items()}
     if run["preset"] == "custom":
         if not run["state_file"]:
-            raise ConfigError("initial_state.file: required for preset = custom")
+            raise ValueError("initial_state.file: required for preset = custom")
         if not Path(run["state_file"]).is_file():
-            raise ConfigError(f"initial_state.file: file not found: {run['state_file']}")
+            raise ValueError(f"initial_state.file: file not found: {run['state_file']}")
     t_max, dt = run["t_max"], run["dt"]
     if not math.isfinite(t_max / dt):
-        raise ConfigError(f"time.t_max: t_max/dt must be finite, got {t_max} fs / {dt} fs")
+        raise ValueError(f"time.t_max: t_max/dt must be finite, got {t_max} fs / {dt} fs")
     if not 0.0 < run["eta_lo"] < run["eta_hi"]:
-        raise ConfigError(
+        raise ValueError(
             f"sweep.eta_lo/eta_hi: need 0 < lo < hi, got {run['eta_lo']}, {run['eta_hi']}"
         )
-    return RunConfig(dimer=dimer, bath=bath, gnuplot=getattr(args, "gnuplot", False), **run)
+    return argparse.Namespace(dimer=dimer, bath=bath, gnuplot=getattr(args, "gnuplot", False), **run)
 
 
-def _open_out(cfg: RunConfig, name: str) -> IO[str]:
+def _open_out(cfg: argparse.Namespace, name: str) -> IO[str]:
     os.makedirs(cfg.output_dir, exist_ok=True)
     return open(os.path.join(cfg.output_dir, name), "w", newline="", encoding="utf-8")
 
 
-def _emit_pairs(cfg: RunConfig, name: str, items: Sequence[tuple[str, str]]) -> int:
+def _emit_pairs(cfg: argparse.Namespace, name: str, items: Sequence[tuple[str, str]]) -> int:
     """Print `items` as an aligned key = value block and write them to the CSV `name`."""
     width = max(len(key) for key, _ in items)
     print("\n".join(f"{key:<{width}} = {value}" for key, value in items))
@@ -340,7 +333,7 @@ def _emit_pairs(cfg: RunConfig, name: str, items: Sequence[tuple[str, str]]) -> 
     return 0
 
 
-def _initial_state(cfg: RunConfig, phi0: float) -> OneExcitationState:
+def _initial_state(cfg: argparse.Namespace, phi0: float) -> OneExcitationState:
     """Build the configured initial state in the exciton basis."""
     import numpy as np
     if cfg.preset != "custom":  # a preset names a basis and the excited level in it
@@ -350,17 +343,17 @@ def _initial_state(cfg: RunConfig, phi0: float) -> OneExcitationState:
             with open(cfg.state_file, encoding="utf-8") as fh:
                 payload = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"initial_state.file: {exc}") from None
+            raise ValueError(f"initial_state.file: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
-            raise ConfigError(f"initial_state.file: invalid JSON: {exc}") from None
+            raise ValueError(f"initial_state.file: invalid JSON: {exc}") from None
         if not isinstance(payload, dict) or "rho" not in payload:
-            raise ConfigError('initial_state.file: expected {"basis": ..., "rho": ...}')
+            raise ValueError('initial_state.file: expected {"basis": ..., "rho": ...}')
         try:
             rows = payload["rho"]
             rho = np.array([[_json_complex(cell) for cell in row] for row in rows], dtype=complex)
             state = OneExcitationState(rho=rho, basis=payload.get("basis", "exciton"))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"initial_state.file: {exc}") from None
+            raise ValueError(f"initial_state.file: {exc}") from None
     if state.basis == "site":
         return from_site_basis(state, phi0)
     return state
@@ -377,7 +370,7 @@ def _json_complex(cell) -> complex:
         raise ValueError("a number in rho lies outside the float range") from None
 
 
-def cmd_transform(cfg: RunConfig) -> int:
+def cmd_transform(cfg: argparse.Namespace) -> int:
     rates = rate_set(cfg.dimer, cfg.bath)
     frame = rates.frame
     return _emit_pairs(cfg, "transform.csv", [
@@ -396,7 +389,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     ])
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     import numpy as np
     grid = np.linspace(cfg.eta_lo, cfg.eta_hi, cfg.sweep_points)
     results = [sweep_inverse_alpha(cfg.dimer, th, grid) for th in cfg.theta_list]
@@ -430,7 +423,7 @@ def _gnuplot_script(theta_list: Sequence[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_minimize(cfg: RunConfig) -> int:
+def cmd_minimize(cfg: argparse.Namespace) -> int:
     minima = [find_alpha_minimum(cfg.dimer, th) for th in cfg.theta_list]
     rows = [
         ("eta_min", [m[0] for m in minima]),
@@ -443,7 +436,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def cmd_estimate(cfg: argparse.Namespace) -> int:
     estimates = [estimate_eta(cfg.dimer, th, cfg.target_ratio) for th in cfg.theta_list]
     rows = [
         ("eta_abs", [e.eta_abs for e in estimates]),
@@ -459,7 +452,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
+def cmd_evolve(cfg: argparse.Namespace) -> int:
     import numpy as np
     params = EvolutionParams.for_dimer(cfg.dimer, cfg.bath)
     rho0 = _initial_state(cfg, params.phi0)
@@ -469,7 +462,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     try:
         numeric = numeric_trajectory(rho0, times, cfg.dt, params)
     except StepSizeError as exc:
-        raise ConfigError(f"time.dt: {exc}") from None
+        raise ValueError(f"time.dt: {exc}") from None
 
     if cfg.basis == "site":
         analytic = trajectory_to_site(analytic, params.phi0)
@@ -490,7 +483,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_helix(cfg: RunConfig) -> int:
+def cmd_helix(cfg: argparse.Namespace) -> int:
     alpha = helix_attenuation(cfg.spacing, cfg.sound_speed, cfg.helix_j12)
     gamma = decay_constant(alpha, cfg.bath.gamma_d)
     return _emit_pairs(cfg, "helix.csv", [
@@ -504,9 +497,9 @@ def cmd_helix(cfg: RunConfig) -> int:
     ])
 
 
-def cmd_renorm(cfg: RunConfig) -> int:
+def cmd_renorm(cfg: argparse.Namespace) -> int:
     if not cfg.bath.modes:
-        raise ConfigError("bath.modes_file: required for the renorm subcommand")
+        raise ValueError("bath.modes_file: required for the renorm subcommand")
     frame = exciton_frame(cfg.dimer)
     delta_plus, delta_minus = frequency_renormalization(
         cfg.bath.modes, frame.omega0, cfg.bath.temperature
@@ -560,7 +553,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = globals()[f"cmd_{args.command}"](build_config(args))
         except NoSolutionError as exc:
             code, error = 4, (f"no solution: {exc}",)
-        except ValueError as exc:  # ConfigError and every input the library refuses
+        except ValueError as exc:  # a bad config and every input the library refuses
             code, error = 2, (f"config error: {exc}",)
         except OSError as exc:
             code, error = 3, (f"i/o error: {exc}",)

@@ -28,10 +28,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class DegenerateDimerError(ValueError):
-    """Raised when the mixing angle is undefined (gap = coupling = 0)."""
-
-
 @dataclass(frozen=True)
 class DimerParams:
     """Bare parameters of the dissipative dimer.
@@ -125,10 +121,12 @@ def lambda2_from_eta(lambda1: float, eta_abs: float, theta: float) -> float:
             = lambda1 (1 + |eta| (2 cos(theta) + |eta|)),
 
     evaluated as a sum of two squares, so it is nonnegative for every
-    input.
+    input, and 0 for lambda1 = 0 however large |eta| is.
     """
     if lambda1 < 0:
         raise ValueError(f"lambda1 must be >= 0, got {lambda1}")
+    if lambda1 == 0.0:  # 0 * inf where |eta|^2 overflows
+        return 0.0
     real = 1.0 + eta_abs * math.cos(theta)
     imag = eta_abs * math.sin(theta)
     return lambda1 * (real * real + imag * imag)
@@ -143,7 +141,7 @@ def mixing_angle(gap: float, j12: float) -> float:
     allowed with a warning; the fold keeps the branch consistent.
     """
     if gap == 0.0 and j12 == 0.0:
-        raise DegenerateDimerError(
+        raise ValueError(
             "mixing angle undefined: gap and coupling are both zero"
         )
     if gap < 0.0:

@@ -32,10 +32,6 @@ from .units import thermal_energy, wavenumber_to_angular
 MODES_CSV_HEADER = ("omega_k_cm1", "V2_k_cm2")
 
 
-class ResonantModeError(ValueError):
-    """A discrete phonon mode sits exactly on the exciton resonance."""
-
-
 @dataclass(frozen=True)
 class BathSpec:
     """Phonon-bath inputs.
@@ -249,7 +245,7 @@ def frequency_renormalization(
         if not (0.0 < omega_k < inf and 0.0 <= v2_k < inf):
             _check_mode(omega_k, v2_k)
         if omega_k == omega0:
-            raise ResonantModeError(
+            raise ValueError(
                 f"mode at {omega_k} cm^-1 sits exactly on the exciton "
                 f"resonance omega0 = {omega0} cm^-1; exclude or shift it"
             )
@@ -284,24 +280,26 @@ def load_modes_csv(path: str) -> tuple[tuple[float, float], ...]:
             except ValueError:  # a long line, a bad unpacking or float, or a decoding error csv.reader meets too
                 pass
         fh.seek(0)
-        reader = csv.reader(fh)
+        reader, i = csv.reader(fh), 0  # i: the last record read, numbered as the refusals number it
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty modes file, header row required")
-        if tuple(h.strip() for h in header) != MODES_CSV_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(MODES_CSV_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        modes = []
-        for i, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue  # a blank row
-            if len(row) != 2:
-                raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}")
-            try:
-                modes.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{i}: {exc}") from None
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty modes file, header row required")
+            if tuple(h.strip() for h in header) != MODES_CSV_HEADER:
+                raise ValueError(
+                    f"{path}: expected header {','.join(MODES_CSV_HEADER)}, "
+                    f"got {','.join(header)}"
+                )
+            modes, i = [], 1
+            for i, row in enumerate(reader, start=2):
+                if not any(cell.strip() for cell in row):
+                    continue  # a blank row
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}")
+                try:
+                    modes.append((float(row[0]), float(row[1])))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{i}: {exc}") from None
+        except csv.Error as exc:  # not a ValueError: a field past the limit, say, in the next record
+            raise ValueError(f"{path}:{i + 1}: {exc}") from None
     return tuple(modes)

@@ -323,6 +323,43 @@ def test_a_minimum_far_out_matches_a_50_digit_oracle():
     assert abs(got - want) <= 1e-12 * want
 
 
+def test_a_minimum_where_the_quartic_overflows_at_its_outer_bound():
+    # f = (2 l x^2 - g) D~ - 4 reads +inf at the outer bound, the sign that bound guarantees.
+    # The one stationary point lies in (1, 2), about 4e-308 from -2 cos(theta), where D cancels
+    # across some 300 orders of magnitude: bisect it at 320 digits
+    gap, j12, lam, theta = 3.5397493633080285e-204, -9.844138212927632e+100, 1.9325692867049005e+254, -2.8309059746152343
+    eta, inv = find_alpha_minimum(from_gap(gap, j12, lam, 0.71, 0.0), theta)
+    with mpmath.workdps(320):
+        g, l, j, c = (mpmath.mpf(v) for v in (gap, lam, j12, math.cos(theta)))
+        lo, hi = mpmath.mpf(1), mpmath.mpf(2)
+        for _ in range(1100):
+            x = (lo + hi) / 2
+            if (2 * l * x * x - g) * (g + 2 * l * x * (2 * c + x)) > 4 * j * j:
+                hi = x
+            else:
+                lo = x
+        want = (g + 2 * l * x * (2 * c + x)) ** 2 / (x * x * j * j) + 4 / (x * x)
+        assert abs(eta - x) <= 1e-15 * x and abs(inv - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize(
+    "gap, j12, lam, theta",
+    [
+        # the least stationary point found, 1.986, reads 2.27e84 against a true 1.014 there
+        (4.349080738580299e-14, 2.396053374843137e-60, 0.03343563601663846, -3.0235499826923324),
+        # the least one found, 1.96e-123 with 1.04e246, is right there, but the true minimum is
+        # 1.323 at 1.739, where the float nearest the dip reads far above it
+        (2.3162293627593012e-182, 2.1406062207550678e-216, 3.3906533875012867e-60, -2.624648241964127),
+    ],
+)
+def test_a_dip_narrower_than_one_ulp_is_refused(gap, j12, lam, theta):
+    p = from_gap(gap, j12, lam, 0.71, 0.0)
+    with pytest.raises(ValueError, match="the quartic in \\|eta\\| leaves the float range"):
+        find_alpha_minimum(p, theta)
+    with pytest.raises(ValueError, match="the quartic in \\|eta\\| leaves the float range"):
+        estimate_eta(p, theta, 1e4)
+
+
 @pytest.mark.parametrize("j12", [1e23, 1e24, 1e50, 1e150])
 def test_estimate_eta_finds_roots_far_apart(j12):
     # the roots, 0.426 and 6.7e-2 j12, are too far apart for a companion matrix of

@@ -15,7 +15,7 @@ import mpmath
 import pytest
 
 from dimerdecay import cli
-from dimerdecay.cli import KEYS, ConfigError, _merge_config, build_config, build_parser, main
+from dimerdecay.cli import KEYS, _merge_config, build_config, build_parser, main
 from dimerdecay.excitons import DimerParams, exciton_frame
 from dimerdecay.rates import frequency_renormalization
 
@@ -288,6 +288,54 @@ EXIT_CASES = [
     # the minimum lies near 1.69e99 and 1.69e149, and the roots near 0.426 and 6.7e148
     ("minimize --j12 1e200", 0, ""),
     ("minimize --j12 1e300", 0, ""),
+    # the quartic overflows to +inf at its outer bound, which keeps its sign there; the minimum
+    # sits at |eta| = -2 cos(theta), as a 320-digit bisection in test_analysis.py confirms
+    (
+        "minimize --gap 3.5397493633080285e-204 --j12=-9.844138212927632e+100 --lambda1 1.9325692867049005e+254 "
+        "--theta-list=-2.8309059746152343",
+        0, "eta_min=1.90424774, inv_alpha_min=1.10309546",
+    ),
+    # the dip at |eta| = -2 cos(theta) is narrower than one ulp: 1/alpha reads 1.18e263 at the nearest
+    # float, where D/|j12| is below its rounding error, against a true minimum of 3.617
+    (
+        "minimize --gap 2.9387764396875234e-15 --j12=-8.12263576515887e-147 --lambda1 3.984448444933818e+122 "
+        "--theta-list 2.12446401893746",
+        2, "config error: the quartic in |eta| leaves the float range",
+    ),
+    (
+        "estimate --gap 2.9387764396875234e-15 --j12=-8.12263576515887e-147 --lambda1 3.984448444933818e+122 "
+        "--theta-list 2.12446401893746 --target-ratio 4678.196110874603",
+        2, "config error: the quartic in |eta| leaves the float range",
+    ),
+    # g^2 and (2 l)^2 x^4 overflow, so f reads -inf below the root and +inf above it, and bisection
+    # alone closes in; the 80-digit root is 3.4706353803270964e+128, with 1/alpha 3.7002593361267623e+67
+    (
+        "minimize --gap 3.003635398016865e+262 --j12 2.845457728783878e+100 --lambda1 124680.70195727742 "
+        "--theta-list=-1.1348195448403233",
+        0, "eta_min=3.47063538e+128, inv_alpha_min=3.70025934e+67",
+    ),
+    # lambda1/|j12| overflows, so D/|j12| reads (inf, inf, g)
+    (
+        "minimize --gap 4.512402310128062e-45 --j12 4.72039685613429e-267 --lambda1 9.990801395411427e+41 "
+        "--theta-list=-0.544123579373962",
+        2, "config error: the quartic in |eta| leaves the float range at D/|j12| = (inf, inf, ",
+    ),
+    (
+        "estimate --gap 4.512402310128062e-45 --j12 4.72039685613429e-267 --lambda1 9.990801395411427e+41 "
+        "--theta-list=-0.544123579373962",
+        2, "config error: the quartic in |eta| leaves the float range at D/|j12| = (inf, inf, ",
+    ),
+    # g underflows to 0, and the bound on the roots, 2 sqrt(2/(2 lambda1/|j12|)), overflows
+    (
+        "minimize --gap 7.611216223228282e-244 --j12 1.104144954520663e+101 --lambda1 2.2521666884306807e-220 "
+        "--theta-list 0.47069462785757876",
+        2, "config error: the quartic in |eta| leaves the float range",
+    ),
+    (
+        "estimate --gap 7.611216223228282e-244 --j12 1.104144954520663e+101 --lambda1 2.2521666884306807e-220 "
+        "--theta-list 0.47069462785757876",
+        2, "config error: the quartic in |eta| leaves the float range",
+    ),
     ("estimate --j12 1e150", 0, ""),
     # gap/x subnormal: g = gap/|j12| and l = lambda1/|j12| are formed first, so the root is found, not a
     # stray one near 1.13e+129
@@ -296,10 +344,20 @@ EXIT_CASES = [
         "--theta-list=-1.260777110177121 --target-ratio 3.1145384794612873e-258",
         0, "|eta|=8.28329417e+149,",
     ),
+    # lambda1 = 0 with g = gap/|j12| past 1e154, where g^2 overflows: 1/alpha = (g^2 + 4)/|eta|^2
+    # has no interior minimum, its one root is hypot(g, 2)/sqrt(22), and lambda2 = 0 however large |eta|
+    ("minimize --gap 1e200 --j12 1e-10 --lambda1 0 --theta-list 0", 4, "no solution: no interior minimum"),
+    ("estimate --gap 1e200 --j12 1e-10 --lambda1 0 --theta-list 0", 0, "|eta|=2.13200716e+209, lambda2=0 cm^-1"),
+    ("estimate --gap 1e150 --j12 1 --lambda1 0 --theta-list 0 --target-ratio 1e-10", 0, "|eta|=1e+155, lambda2=0 cm^-1"),
     # every float key is finite
     ("helix --helix-j12 nan", 2, "config error: helix.j12: must be finite"),
     ("helix --helix-j12 inf", 2, "config error: helix.j12: must be finite"),
     ("sweep --eta-hi inf", 2, "config error: sweep.eta_hi: must be finite"),
+    # lo < hi, but the grid of 10 points between them repeats floats
+    (
+        "sweep --eta-lo 1 --eta-hi 1.0000000000000002 --sweep-points 10",
+        2, "config error: sweep points must be strictly increasing in eta_abs\n",
+    ),
     ("estimate --target-ratio inf", 2, "config error: estimate.target_ratio: must be finite"),
     ("helix --spacing inf", 2, "config error: helix.spacing_angstrom: must be finite"),
 ]
@@ -412,6 +470,11 @@ FILE_CASES = {
     "ini-unopenable": ("config", None, "config error: config file {path}: [Errno 13] Permission denied"),
     "state-unopenable": ("state", None, "config error: initial_state.file: [Errno 13] Permission denied"),
     "modes-unopenable": ("modes", None, "config error: bath.modes_file: [Errno 13] Permission denied"),
+    # csv.reader refuses a field past its limit with csv.Error, which is not a ValueError
+    "modes-field-past-limit": (
+        "modes", b"omega_k_cm1,V2_k_cm2\n1" + b"0" * 131072 + b",1\n",
+        "config error: bath.modes_file: {path}:2: field larger than field limit (131072)\n",
+    ),
 }
 
 
@@ -520,20 +583,20 @@ def fresh_parser_merge(path):
         parser.read(path, encoding="utf-8")
         sections = {section: parser.items(section) for section in parser.sections()}
     except (configparser.Error, ValueError) as exc:
-        raise ConfigError(f"config file {path}: {exc}") from None
+        raise ValueError(f"config file {path}: {exc}") from None
     for section, items in sections.items():
         if section not in merged:
-            raise ConfigError(f"unknown config section [{section}]")
+            raise ValueError(f"unknown config section [{section}]")
         for key, value in items:
             if section == "dimer" and key == "eta":
                 try:
                     eta = complex(value.replace(" ", ""))
                 except ValueError:
-                    raise ConfigError(f"dimer.eta: not a complex number: {value!r}") from None
+                    raise ValueError(f"dimer.eta: not a complex number: {value!r}") from None
                 merged["dimer"]["eta_abs"] = repr(abs(eta))
                 merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
             elif key not in merged[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
+                raise ValueError(f"unknown config key {section}.{key}")
             else:
                 merged[section][key] = value
     return merged
@@ -542,7 +605,7 @@ def fresh_parser_merge(path):
 def merge_outcome(merge, path):
     try:
         merged = merge(path)
-    except ConfigError as exc:
+    except ValueError as exc:
         return "refused", str(exc)
     # the order of sections and keys is part of the result
     return "merged", [(section, list(values.items())) for section, values in merged.items()]

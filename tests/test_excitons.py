@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dimerdecay.excitons import (
-    DegenerateDimerError,
     DimerParams,
     basis_map,
     exciton_frame,
@@ -111,7 +110,7 @@ def test_mixing_angle_resonant_sites():
 
 
 def test_mixing_angle_degenerate():
-    with pytest.raises(DegenerateDimerError):
+    with pytest.raises(ValueError, match="mixing angle undefined"):
         mixing_angle(0.0, 0.0)
 
 

@@ -93,6 +93,24 @@ def test_no_private_attribute_access():
         assert private_attributes(path.read_text(encoding="utf-8")) == [], path.name
 
 
+def caught_names(source):
+    """The names that the `except` clauses of `source` catch."""
+    return {getattr(name, "id", getattr(name, "attr", None))
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ExceptHandler) and node.type is not None
+            for name in ast.walk(node.type)}
+
+
+def test_every_exception_class_is_caught_by_name():
+    # a refusal is a ValueError; a subclass earns its place only where a caller tells it apart
+    modules = [dimerdecay] + [importlib.import_module(f"dimerdecay.{path.stem}")
+                              for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"]
+    defined = {name for mod in modules for name, obj in vars(mod).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == mod.__name__}
+    caught = set().union(*(caught_names(path.read_text(encoding="utf-8")) for path in PACKAGE_DIR.glob("*.py")))
+    assert defined == {"NoSolutionError", "StepSizeError"}
+    assert defined <= caught
+
+
 def module_scope_numpy_imports(source):
     """Line and text of every numpy import in `source` that runs when the module is imported.
 

@@ -12,7 +12,6 @@ from dimerdecay.excitons import DimerParams
 from dimerdecay.rates import (
     MODES_CSV_HEADER,
     BathSpec,
-    ResonantModeError,
     attenuation_factor,
     bose_occupation,
     decay_constant,
@@ -332,7 +331,7 @@ def test_frequency_renormalization_antisymmetric_cancellation():
 
 
 def test_frequency_renormalization_resonant_mode():
-    with pytest.raises(ResonantModeError, match="resonance"):
+    with pytest.raises(ValueError, match="resonance"):
         frequency_renormalization(((100.0, 1.0),), 100.0, 300.0)
 
 
@@ -478,6 +477,12 @@ MODE_ROWS = {
     "one-cell-after-500": (PLAIN_500 + "3\n", "{path}:502: expected 2 columns, got 1"),
     "cr-line-ends": ("100,1\r200,2\r", ((100.0, 1.0), (200.0, 2.0))),
     "no-final-newline": ("100,1\n200,2", ((100.0, 1.0), (200.0, 2.0))),
+    # refusals count records, not lines: a quoted newline keeps record 3 on lines 3-4
+    "field-past-limit-after-quoted-newline": (
+        '"1\n",2\n1' + "0" * csv.field_size_limit() + ",1\n",
+        f"{{path}}:3: field larger than field limit ({csv.field_size_limit()})",
+    ),
+    "word-after-quoted-newline": ('"1\n",2\nabc,1\n', "{path}:3: could not convert string to float: 'abc'"),
 }
 
 
@@ -498,32 +503,34 @@ CSV_READER = csv.reader  # bound at import, before any test patches csv.reader
 
 
 def csv_reader_modes(path):
-    """The modes of a mode CSV as the csv.reader loop alone reads them."""
+    """The modes of a mode CSV as the csv.reader loop alone reads them, a csv.Error named by its record."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = CSV_READER(fh)
+        rows, i = CSV_READER(fh), 0
         try:
-            header = next(rows)
-        except StopIteration:
-            raise ValueError(f"{path}: empty modes file, header row required")
-        if tuple(h.strip() for h in header) != MODES_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(MODES_CSV_HEADER)}, got {','.join(header)}")
-        modes = []
-        for i, row in enumerate(rows, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}")
-            try:
-                modes.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{i}: {exc}") from None
+            header = next(rows, None)
+            if header is None:
+                raise ValueError(f"{path}: empty modes file, header row required")
+            if tuple(h.strip() for h in header) != MODES_CSV_HEADER:
+                raise ValueError(f"{path}: expected header {','.join(MODES_CSV_HEADER)}, got {','.join(header)}")
+            modes, i = [], 1
+            for i, row in enumerate(rows, start=2):
+                if not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}")
+                try:
+                    modes.append((float(row[0]), float(row[1])))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{i}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{i + 1}: {exc}") from None
     return tuple(modes)
 
 
 def mode_outcome(load, path):
     try:
         return "read", load(path)
-    except (ValueError, csv.Error) as exc:
+    except ValueError as exc:
         return "refused", str(exc)
 
 

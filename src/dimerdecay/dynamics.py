@@ -62,6 +62,10 @@ BASES = ("exciton", "site")
 # (row, column) indices of rho01, rho02, rho12
 _UPPER = ((0, 0, 1), (1, 2, 2))
 
+# output points per block: the per-point temporaries of the numeric path and of the
+# trajectory writer live for one block, so a run holds its stacks plus one block
+_BLOCK = 1024
+
 TRAJECTORY_CSV_HEADER = (
     "t_fs",
     "rho00",
@@ -355,7 +359,8 @@ def numeric_trajectory(
     multiply-adds, so a vectorized recurrence could round differently
     from one CPU to another.  rho00 is copied and the lower triangle is
     the conjugate of the upper, so every state after the first is
-    Hermitian by construction.  Serves
+    Hermitian by construction.  The recurrences run, and the stack is
+    checked, one block of _BLOCK output points at a time.  Serves
     as an independent cross-check of :func:`analytic_evolve`; the step
     must resolve the fastest timescale, dt <= 0.1 * min over the
     relaxation time and the unitary phase periods.  The trace is kept
@@ -401,28 +406,32 @@ def numeric_trajectory(
         factors[t] = (d01, d02, d12, f * dn / g, -f * up / g) if g else (d01, d02, d12, 0.0, 0.0)
     r = state.rho
     p11, p22, c01, c02, c12 = r[(1, 2) + _UPPER[0], (1, 2) + _UPPER[1]].tolist()
-    flat: list[complex] = []
-    for t in intervals.tolist():
-        e = factors[t]
-        if e is not None:
-            d01, d02, d12, e44, e48 = e
-            c01 += d01 * c01
-            c02 += d02 * c02
-            c12 += d12 * c12
-            inc = e44 * p11 + e48 * p22
-            p11 += inc
-            p22 -= inc
-        flat += (p11, p22, c01, c02, c12)
-    rows = np.fromiter(flat, complex, len(flat)).reshape(-1, 5)
     out = np.empty((len(ts), 3, 3), dtype=complex)
     out[0] = r
     out[1:, 0, 0] = r[0, 0]
-    out[1:, (1, 2), (1, 2)] = rows[:, :2]
-    out[1:, _UPPER[0], _UPPER[1]] = rows[:, 2:]
-    out[1:, _UPPER[1], _UPPER[0]] = rows[:, 2:].conj()
-    if not np.isfinite(out).all():
-        raise ValueError(f"round-off in the RK4 propagator overflows over {longest:.6g} fs at dt = {dt:.6g} fs: too little decay")
-    _check_states(out)
+    for lo in range(0, len(intervals), _BLOCK):
+        flat: list[complex] = []
+        for t in intervals[lo:lo + _BLOCK].tolist():
+            e = factors[t]
+            if e is not None:
+                d01, d02, d12, e44, e48 = e
+                c01 += d01 * c01
+                c02 += d02 * c02
+                c12 += d12 * c12
+                inc = e44 * p11 + e48 * p22
+                p11 += inc
+                p22 -= inc
+            flat += (p11, p22, c01, c02, c12)
+        rows = np.fromiter(flat, complex, len(flat)).reshape(-1, 5)
+        if not np.isfinite(rows).all():
+            raise ValueError(f"round-off in the RK4 propagator overflows over {longest:.6g} fs at dt = {dt:.6g} fs: too little decay")
+        block = out[lo + 1:lo + 1 + len(rows)]
+        block[:, (1, 2), (1, 2)] = rows[:, :2]
+        block[:, _UPPER[0], _UPPER[1]] = rows[:, 2:]
+        block[:, _UPPER[1], _UPPER[0]] = rows[:, 2:].conj()
+    # checked only once all is finite: an overflow anywhere is refused before a bad state
+    for lo in range(0, len(out), _BLOCK):
+        _check_states(out[lo:lo + _BLOCK])
     return out
 
 
@@ -445,17 +454,20 @@ def write_trajectory_csv(
     Columns: t_fs, the three populations, then Re/Im of the three
     independent coherences (upper triangle), optionally followed by
     extra columns supplied by the caller.  Values at 9 significant
-    digits, LF line endings.
+    digits, LF line endings.  Rows are built, formatted and written one
+    block of _BLOCK at a time.
     """
     import numpy as np
     if len(times) != len(rhos):
         raise ValueError("times and states must have equal length")
-    upper = rhos[:, _UPPER[0], _UPPER[1]]
-    # populations, then Re and Im of rho01, rho02, rho12 as interleaved pairs
-    pairs = np.dstack([upper.real, upper.imag]).reshape(len(rhos), 6)
-    cols = [times, rhos.diagonal(axis1=1, axis2=2).real, pairs]
-    if extra_rows is not None:
-        cols.append(extra_rows)
     # formatted numbers hold no separator or quote, so rows need no csv quoting
-    header = ",".join([*TRAJECTORY_CSV_HEADER, *extra_header]) + "\n"
-    fh.write(header + _fmt_table(np.column_stack(cols)))
+    fh.write(",".join([*TRAJECTORY_CSV_HEADER, *extra_header]) + "\n")
+    for lo in range(0, len(rhos), _BLOCK):
+        block = rhos[lo:lo + _BLOCK]
+        upper = block[:, _UPPER[0], _UPPER[1]]
+        # populations, then Re and Im of rho01, rho02, rho12 as interleaved pairs
+        pairs = np.dstack([upper.real, upper.imag]).reshape(len(block), 6)
+        cols = [times[lo:lo + _BLOCK], block.diagonal(axis1=1, axis2=2).real, pairs]
+        if extra_rows is not None:
+            cols.append(extra_rows[lo:lo + _BLOCK])
+        fh.write(_fmt_table(np.column_stack(cols)))

@@ -273,6 +273,11 @@ EXIT_CASES = [
     ("transform --gap 1e-308 --lambda1 0 --j12 0 --temperature 1e300", 2, "config error: the thermal occupation overflows"),
     # t_max times a rate beyond what the propagators can carry
     ("evolve --gamma-d 0 --t-max 1e24", 2, "config error: round-off in the RK4 propagator overflows"),
+    # no coherence to overflow: the zero vacuum coherences times non-finite RK4 factors read nan
+    (
+        "evolve --preset exciton1 --gamma-d 0 --t-max 1e24",
+        2, "config error: round-off in the RK4 propagator overflows over 5e+21 fs at dt = 0.01 fs: too little decay\n",
+    ),
     ("evolve --j12 0 --t-max 1e30", 2, "config error: round-off in the RK4 propagator overflows"),
     ("evolve --gap 1e150 --t-max 1e300", 2, "config error: the phases omega t leave the float range"),
     ("evolve --j12 1e-6 --t-max 1e300 --eta 0", 2, "config error: round-off in the RK4 propagator overflows"),
@@ -360,6 +365,25 @@ EXIT_CASES = [
     ),
     ("estimate --target-ratio inf", 2, "config error: estimate.target_ratio: must be finite"),
     ("helix --spacing inf", 2, "config error: helix.spacing_angstrom: must be finite"),
+    # refusals of the config builder
+    ("minimize --theta-list ,", 2, "config error: sweep.theta_list: must not be empty\n"),
+    ("renorm --modes-file no/such/modes.csv", 2, "config error: bath.modes_file: file not found: no/such/modes.csv\n"),
+    ("evolve --preset custom", 2, "config error: initial_state.file: required for preset = custom\n"),
+    (
+        "evolve --preset custom --state-file no/such/state.json",
+        2, "config error: initial_state.file: file not found: no/such/state.json\n",
+    ),
+    # the target is the least 1/alpha to the bit, so 1/alpha - target is exactly 0 at the
+    # stationary point, a piece end of the root search: the tangent counts as one root
+    (
+        "estimate --target-ratio 13.158734514524669 --theta-list 0",
+        0, "theta=0: |eta|=1.64095668, lambda2=244.112827 cm^-1 (1 roots)\n",
+    ),
+    # the stationary points are finite, but above them 1/alpha reaches 1e300 only past the float range
+    (
+        "estimate --lambda1 1e-300 --target-ratio 1e300 --theta-list 0",
+        2, "config error: the quartic in |eta| leaves the float range at D/|j12| = (2.08333e-302, 4.16667e-302, 1.25)\n",
+    ),
 ]
 MODES = Path(__file__).parent / "golden" / "modes.csv"
 BOUNDARY = Path(__file__).parent / "golden" / "boundary_state.json"
@@ -462,6 +486,9 @@ FILE_CASES = {
     "state-string-pair": (
         "state", b'{"rho": [[0,0,0],[0,["1","0"],0],[0,0,0]]}',
         "config error: initial_state.file: expected number or [re, im], got ['1', '0']\n",
+    ),
+    "state-without-rho": (
+        "state", b'{"basis": "exciton"}', 'config error: initial_state.file: expected {"basis": ..., "rho": ...}\n',
     ),
     "state-integer-past-float-range": (
         "state", b'{"rho": [[0,0,0],[0,1' + b"0" * 400 + b',0],[0,0,0]]}',

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import oracle
@@ -30,7 +31,7 @@ from dimerdecay.dynamics import (
 from dimerdecay.dynamics import _check_states, _eigenvalues, _powered_factor
 from dimerdecay.excitons import DimerParams, exciton_frame
 from dimerdecay.rates import BathSpec, rate_set
-from dimerdecay.units import wavenumber_to_angular
+from dimerdecay.units import _fmt, wavenumber_to_angular
 
 # frozen from 40-digit evaluations of the transform chain
 FMO_PHI0 = 0.6459710864886066
@@ -961,6 +962,55 @@ def test_evolve_builds_no_state_per_grid_point(tmp_path, monkeypatch):
     assert len(built) < 10
 
 
+def test_evolve_holds_its_two_stacks_and_one_block(tmp_path, capsys):
+    # tracemalloc counts numpy's buffers too; a first run keeps imports and caches out of the peak
+    argv = ["evolve", "--preset", "exciton2", "--output-dir", str(tmp_path)]
+    assert main(argv + ["--time-points", "11"]) == 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv + ["--time-points", "20001"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # two (T, 3, 3) complex stacks are 288 B per point and the sup-norm over them 216 more;
+    # full-size temporaries of the check and the CSV writer took the peak to about 1.19 KB
+    assert peak / 20001 < 800.0
+
+
+def test_numeric_trajectory_is_its_two_halves_chained():
+    # the recurrence carries its five numbers from block to block exactly
+    rng = np.random.default_rng(31)
+    n = 2 * dynamics._BLOCK + 1
+    times = np.concatenate([[0.0, 0.0], np.sort(rng.uniform(0.0, 2000.0, n - 2))])
+    whole = numeric_trajectory(coherent_state(), times, 0.01, FMO_PARAMS)
+    half = n // 2
+    first = numeric_trajectory(coherent_state(), times[:half + 1], 0.01, FMO_PARAMS)
+    second = numeric_trajectory(OneExcitationState(rho=first[-1], basis="exciton"), times[half:], 0.01, FMO_PARAMS)
+    assert np.array_equal(whole, np.concatenate([first, second[1:]]))
+
+
+def test_numeric_trajectory_checks_its_blocks_in_order(monkeypatch):
+    # undamped, the coherent state's RK4 phase errors pass -1e-10 from state 1221 on, into the last block
+    p = EvolutionParams(gamma=0.0, nbar0=0.0, omega_plus=FMO_OMEGA_PLUS, omega_minus=FMO_OMEGA_MINUS)
+    state, times = coherent_state(), np.linspace(0.0, 1e8, 2 * dynamics._BLOCK + 1)
+    with pytest.raises(ValueError, match="positive semidefinite") as blocked:
+        numeric_trajectory(state, times, 0.01, p)
+    # an overflow in a later block is refused before the bad states of the earlier ones
+    with pytest.raises(ValueError, match="RK4 propagator overflows"):
+        numeric_trajectory(state, [*times, 1e24], 0.01, p)
+    seen = []
+    monkeypatch.setattr(dynamics, "_check_states", lambda rhos: seen.append(rhos.copy()))
+    stack = numeric_trajectory(state, times, 0.01, p)
+    assert [len(block) for block in seen] == [dynamics._BLOCK, dynamics._BLOCK, 1]
+    assert np.array_equal(np.concatenate(seen), stack)
+    # the first bad state names the refusal, as a check of the whole stack would
+    assert str(blocked.value) == verdict(_check_states, stack)
+    assert verdict(_check_states, seen[0]) is None
+    assert verdict(_check_states, seen[2]) is not None
+
+
 def test_numeric_evolve_validation():
     s = coherent_state()
     with pytest.raises(ValueError, match="exciton"):
@@ -1053,6 +1103,25 @@ def test_trajectory_csv_formatting():
     assert lines[0].endswith(",x")
     # nine significant digits, negative zero folded to plain zero
     assert lines[1] == "0.123456789,1,0,0,0,0,0,0,0,0,0"
+
+
+def test_trajectory_csv_in_blocks_formats_every_cell():
+    # re_rho12 is constant inside the middle block only; -0 and non-finite cells fold and print as _fmt does
+    n = 2 * dynamics._BLOCK + 1
+    times = np.linspace(0.0, 2000.0, n)
+    rhos = analytic_trajectory(coherent_state(), times, FMO_PARAMS)
+    rhos[dynamics._BLOCK:2 * dynamics._BLOCK, 1, 2] = complex(0.125, 0.5)
+    rhos[5, 0, 1] = complex(-0.0, -0.0)
+    extra = np.linspace(-1.0, 1.0, n)[:, None]
+    extra[7], extra[n - 1] = math.nan, -math.inf
+    fh = io.StringIO()
+    write_trajectory_csv(fh, times, rhos, extra_header=("x",), extra_rows=extra)
+    cells = [
+        [t, *rho.diagonal().real, *(part for c in rho[(0, 0, 1), (1, 2, 2)] for part in (c.real, c.imag)), x]
+        for t, rho, (x,) in zip(times.tolist(), rhos, extra.tolist())
+    ]
+    header = ",".join([*TRAJECTORY_CSV_HEADER, "x"]) + "\n"
+    assert fh.getvalue() == header + "".join(",".join(map(_fmt, row)) + "\n" for row in cells)
 
 
 def test_trajectory_csv_length_mismatch():

@@ -83,13 +83,21 @@ class EtaEstimate:
 
 def _gap_polynomial(p: DimerParams, theta: float) -> Triple:
     """Coefficients (c2, c1, c0) = (2 l, 4 l cos(theta), g) of D~ = D/|j12| at theta."""
+    j = _coupling(p.j12)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    l = p.lambda1 / abs(p.j12)
+    l = p.lambda1 / j
     if p.lambda1 and not l:  # it would read as lambda1 = 0, a quartic of lower degree
         raise ValueError(f"the quartic in |eta| leaves the float range: lambda1/|j12| = "
-                         f"{p.lambda1:.6g}/{abs(p.j12):.6g} underflows to 0")
-    return (2.0 * l, 4.0 * l * math.cos(theta), p.gap / abs(p.j12))
+                         f"{p.lambda1:.6g}/{j:.6g} underflows to 0")
+    return (2.0 * l, 4.0 * l * math.cos(theta), p.gap / j)
+
+
+def _coupling(j12: float) -> float:
+    """|j12|, which the inverse analyses divide by; at j12 = 0 they have no solution."""
+    if not j12:
+        raise NoSolutionError("attenuation vanishes without coupling (j12 = 0): 1/alpha is infinite for every |eta|")
+    return abs(j12)
 
 
 def _root(fn, lo: float, hi: float, rising: bool) -> float:
@@ -234,8 +242,6 @@ def sweep_inverse_alpha(
         raise ValueError("eta_grid must not be empty")
     if not np.all(grid > 0.0):
         raise ValueError("eta_grid values must be > 0")
-    if p.j12 == 0.0:
-        raise NoSolutionError("attenuation vanishes on the whole grid (zero coupling?)")
     # the minimum first: it refuses a g or l that would show as nan on the grid
     minimum = find_alpha_minimum(p, theta)
     with np.errstate(over="ignore"):
@@ -251,8 +257,6 @@ def find_alpha_minimum(p: DimerParams, theta: float) -> tuple[float, float]:
     the smallest 1/alpha is returned.  Raises ValueError where that
     quartic, or the least 1/alpha, leaves the float range.
     """
-    if p.j12 == 0.0:
-        raise NoSolutionError("j12 must be nonzero: 1/alpha is infinite without coupling")
     d, c = _gap_polynomial(p, theta), math.cos(theta)
     return _least(p, d, c, _stationary(d, c))
 
@@ -271,9 +275,6 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
     """
     if not target_ratio > 0.0:
         raise ValueError(f"target_ratio must be > 0, got {target_ratio}")
-    if p.j12 == 0.0:
-        raise NoSolutionError("attenuation vanishes identically for zero coupling; "
-                              "no |eta| can reach a finite lifetime ratio")
     d, c = _gap_polynomial(p, theta), math.cos(theta)
     stationary = _stationary(d, c)
     roots = _crossings(p, d, c, target_ratio, stationary)
@@ -304,9 +305,7 @@ def estimate_eta_limit(gap0: float, j12: float, target_ratio: float) -> float:
     """
     if not target_ratio > 0.0:
         raise ValueError(f"target_ratio must be > 0, got {target_ratio}")
-    if j12 == 0.0:
-        raise ValueError("j12 must be nonzero")
-    return (gap0 / abs(j12)) / math.sqrt(target_ratio)
+    return (gap0 / _coupling(j12)) / math.sqrt(target_ratio)
 
 
 def write_sweep_csv(fh: IO[str], results: Sequence[SweepResult]) -> None:

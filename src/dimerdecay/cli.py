@@ -6,10 +6,8 @@ sections, every value overridable by a command-line flag; one entry of
 KEYS per key gives its default, parser, flag and the subcommands that
 take the flag.  All file output is deterministic: same config, same bytes.
 
-Exit codes: 0 ok, 2 config error (a bad value, an input file that is
-missing or cannot be opened or read, or any input the library refuses),
-3 I/O error writing an output, 4 no solution (no interior minimum, or an
-unattainable lifetime ratio).
+Exit codes: 0 ok, 2 config error, 3 I/O error writing an output, 4 no
+solution; the README's refusal table lists every refusal with its code.
 """
 
 from __future__ import annotations
@@ -287,10 +285,10 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
         raw = getattr(args, key.dest, None)
         try:
             value = key.parse(merged[key.section][key.name] if raw is None else raw)
+            if key.check is not None and not key.check[0](value):
+                raise ValueError(f"{key.check[1]}, got {value!r}")
         except ValueError as exc:
             raise ValueError(f"{key.section}.{key.name}: {exc}") from None
-        if key.check is not None and not key.check[0](value):
-            raise ValueError(f"{key.section}.{key.name}: {key.check[1]}, got {value!r}")
         values.setdefault(key.section, {})[key.dest] = value
 
     try:

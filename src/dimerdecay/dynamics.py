@@ -453,13 +453,19 @@ def write_trajectory_csv(
 
     Columns: t_fs, the three populations, then Re/Im of the three
     independent coherences (upper triangle), optionally followed by
-    extra columns supplied by the caller.  Values at 9 significant
+    extra columns supplied by the caller, one row per time and one
+    cell per extra_header name.  Values at 9 significant
     digits, LF line endings.  Rows are built, formatted and written one
     block of _BLOCK at a time.
     """
     import numpy as np
     if len(times) != len(rhos):
         raise ValueError("times and states must have equal length")
+    # checked before the header: a misfit would otherwise surface blocks into the file
+    shape = (len(times), len(extra_header))
+    if (extra_rows is not None or extra_header) and np.shape(extra_rows) != shape:
+        raise ValueError(f"extra_rows must have shape {shape}, a row per time and a cell per extra_header name, "
+                         f"got {np.shape(extra_rows)}")
     # formatted numbers hold no separator or quote, so rows need no csv quoting
     fh.write(",".join([*TRAJECTORY_CSV_HEADER, *extra_header]) + "\n")
     for lo in range(0, len(rhos), _BLOCK):

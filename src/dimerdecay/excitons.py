@@ -121,10 +121,9 @@ def lambda2_from_eta(lambda1: float, eta_abs: float, theta: float) -> float:
             = lambda1 (1 + |eta| (2 cos(theta) + |eta|)),
 
     evaluated as a sum of two squares, so it is nonnegative for every
-    input, and 0 for lambda1 = 0 however large |eta| is.
+    lambda1 >= 0, which DimerParams checks, and 0 for lambda1 = 0 however
+    large |eta| is.
     """
-    if lambda1 < 0:
-        raise ValueError(f"lambda1 must be >= 0, got {lambda1}")
     if lambda1 == 0.0:  # 0 * inf where |eta|^2 overflows
         return 0.0
     real = 1.0 + eta_abs * math.cos(theta)

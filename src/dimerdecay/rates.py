@@ -90,13 +90,6 @@ def _check_mode(omega_k: float, v2_k: float) -> None:
         raise ValueError(f"squared coupling must be finite and >= 0, got {v2_k}")
 
 
-def _bath_energy(temperature_k: float) -> float:
-    """kT in cm^-1 of a bath at T >= 0 K; 0 at T = 0."""
-    if temperature_k < 0.0:
-        raise ValueError(f"temperature must be >= 0 K, got {temperature_k}")
-    return thermal_energy(temperature_k) if temperature_k else 0.0
-
-
 # below this omega/kT the occupation, about kT/omega, exceeds the float range
 _X_MIN = 1.0 / sys.float_info.max
 
@@ -123,7 +116,7 @@ def bose_occupation(omega0: float, temperature_k: float) -> float:
     """
     if not omega0 > 0.0:
         raise ValueError(f"omega0 must be > 0 cm^-1, got {omega0}")
-    return _occupation(omega0, _bath_energy(temperature_k), "omega0")
+    return _occupation(omega0, thermal_energy(temperature_k), "omega0")
 
 
 def _inverse_attenuation(p: DimerParams, x, cos_theta):
@@ -166,11 +159,7 @@ def attenuation_factor(p: DimerParams) -> float:
 
 
 def decay_constant(alpha: float, gamma_d: float) -> float:
-    """Collective decay constant gamma = alpha * gamma_d in fs^-1; refused where it overflows."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if gamma_d < 0.0:
-        raise ValueError(f"gamma_d must be >= 0 fs^-1, got {gamma_d}")
+    """gamma = alpha * gamma_d in fs^-1 for alpha and a BathSpec's gamma_d, both >= 0; refused where it overflows."""
     gamma = alpha * gamma_d
     if not math.isfinite(gamma):
         raise ValueError(f"the decay constant alpha * gamma_d overflows: alpha = {alpha:.6g}, gamma_d = {gamma_d:.6g}")
@@ -237,7 +226,7 @@ def frequency_renormalization(
     """
     if not omega0 > 0.0:
         raise ValueError(f"omega0 must be > 0 cm^-1, got {omega0}")
-    kt = _bath_energy(temperature_k)
+    kt = thermal_energy(temperature_k)
     inf = math.inf
     delta_plus = 0.0
     delta_minus = 0.0

@@ -59,11 +59,7 @@ def wavenumber_to_angular(omega_cm1: float) -> float:
 
 
 def thermal_energy(temperature_k: float) -> float:
-    """k_B T expressed as a wavenumber in cm^-1.
-
-    Temperature must be strictly positive; a physical bath at T = 0 is
-    handled separately by the occupation functions.
-    """
-    if not (temperature_k > 0.0) or not math.isfinite(temperature_k):
-        raise ValueError(f"temperature must be > 0 K, got {temperature_k}")
+    """k_B T expressed as a wavenumber in cm^-1, for 0 <= T < inf; 0 at T = 0."""
+    if not 0.0 <= temperature_k < math.inf:
+        raise ValueError(f"temperature must be >= 0 K and finite, got {temperature_k}")
     return KB_CM1_PER_K * temperature_k

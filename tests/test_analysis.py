@@ -129,10 +129,20 @@ def test_sweep_grid_validation():
         sweep_inverse_alpha(FMO, 0.0, [1.0, 1.0, 2.0])
 
 
+ZERO_COUPLING = "attenuation vanishes without coupling (j12 = 0): 1/alpha is infinite for every |eta|"
+
+
 def test_sweep_without_coupling_is_rejected():
+    # one refusal for every inverse analysis, ahead of the phase check
     p = DimerParams(60.0, -60.0, 0.0, 35.0, 0.71, 0.0)
-    with pytest.raises(ValueError, match="vanishes on the whole grid"):
-        sweep_inverse_alpha(p, 0.0, [0.5, 1.0, 2.0])
+    for analysis in (
+        lambda: sweep_inverse_alpha(p, 0.0, [0.5, 1.0, 2.0]),
+        lambda: find_alpha_minimum(p, 4.0),
+        lambda: estimate_eta(p, 4.0, 22.0),
+    ):
+        with pytest.raises(NoSolutionError) as info:
+            analysis()
+        assert str(info.value) == ZERO_COUPLING
 
 
 def test_sweep_reports_overflowing_inverse_alpha_as_inf():
@@ -219,7 +229,7 @@ def test_find_alpha_minimum_is_local_minimum():
 
 def test_find_alpha_minimum_needs_coupling():
     p = DimerParams(60.0, -60.0, 0.0, 35.0, 0.71, 0.0)
-    with pytest.raises(ValueError, match="j12 must be nonzero"):
+    with pytest.raises(NoSolutionError, match=re.escape(ZERO_COUPLING)):
         find_alpha_minimum(p, 0.0)
     # at lambda1 = 0, 1/alpha = (gap^2 + 4 j12^2) / (|eta| j12)^2 only falls
     p = DimerParams(60.0, -60.0, -96.0, 0.0, 0.71, 0.0)
@@ -396,12 +406,6 @@ def test_estimate_eta_unattainable_ratio():
     )
     with pytest.raises(NoSolutionError, match="1.8756"):
         estimate_eta(p, -2.3893797339403404, 0.48032721955858054)
-
-
-def test_estimate_eta_without_coupling():
-    p = DimerParams(60.0, -60.0, 0.0, 35.0, 0.71, 0.0)
-    with pytest.raises(NoSolutionError, match="zero coupling"):
-        estimate_eta(p, 0.0, 22.0)
 
 
 def test_estimate_eta_rejects_bad_ratio():

@@ -185,7 +185,8 @@ def test_unattainable_ratio_exit_4(tmp_path, capsys):
 
 EXIT_CASES = [
     ("sweep --j12 0", 4, "no solution: attenuation vanishes"),
-    ("minimize --j12 0", 4, "no solution: j12 must be nonzero"),
+    ("minimize --j12 0", 4, "no solution: attenuation vanishes without coupling (j12 = 0): 1/alpha is infinite for every |eta|\n"),
+    ("estimate --j12 0", 4, "no solution: attenuation vanishes without coupling (j12 = 0): 1/alpha is infinite for every |eta|\n"),
     ("sweep --lambda1 0", 4, "no solution: no interior minimum"),
     ("minimize --lambda1 0", 4, "no solution: no interior minimum"),
     ("sweep --theta-list 4", 2, "config error: sweep.theta_list"),
@@ -367,6 +368,29 @@ EXIT_CASES = [
     ("helix --spacing inf", 2, "config error: helix.spacing_angstrom: must be finite"),
     # refusals of the config builder
     ("minimize --theta-list ,", 2, "config error: sweep.theta_list: must not be empty\n"),
+    ("-c no/such/run.ini transform", 2, "config error: config file not found: no/such/run.ini\n"),
+    ("transform --eta abc", 2, "config error: dimer.eta: not a complex number: 'abc'\n"),
+    ("evolve --dt 0", 2, "config error: time.dt: must be > 0, got 0.0\n"),
+    ("evolve --time-points 1", 2, "config error: time.n_points: must be >= 2, got 1\n"),
+    (
+        "evolve --preset site3",
+        2, "config error: initial_state.preset: must be one of site1, site2, exciton1, exciton2, custom, got 'site3'\n",
+    ),
+    ("evolve --basis orbital", 2, "config error: output.basis: must be exciton or site, got 'orbital'\n"),
+    ("sweep --eta-lo 2 --eta-hi 1", 2, "config error: sweep.eta_lo/eta_hi: need 0 < lo < hi, got 2.0, 1.0\n"),
+    ("renorm", 2, "config error: bath.modes_file: required for the renorm subcommand\n"),
+    # refusals of the DimerParams and BathSpec constructors
+    (
+        "transform --omega1 -60 --omega2 60",
+        2, "config error: dimer: omega1 must exceed omega2 (site 1 is the higher-frequency site), got omega1=-60.0, omega2=60.0\n",
+    ),
+    ("transform --lambda1=-1", 2, "config error: dimer: lambda1 must be >= 0, got -1.0\n"),
+    ("transform --eta-abs=-1", 2, "config error: dimer: eta_abs must be >= 0, got -1.0\n"),
+    ("transform --theta 4", 2, "config error: dimer: theta must lie in [-pi, pi] (canonical range [0, pi]), got 4.0\n"),
+    ("transform --temperature 0", 2, "config error: bath: temperature must be > 0 K, got 0.0\n"),
+    ("transform --gamma-d=-1", 2, "config error: bath: gamma_d must be >= 0 fs^-1, got -1.0\n"),
+    # 1/alpha = 0 where |eta|^2 overflows: alpha would be infinite
+    ("transform --lambda1 0 --eta-abs 1e170", 2, "config error: alpha cannot be represented at j12 = -96, |eta| = 1e+170: 1/alpha = 0\n"),
     ("renorm --modes-file no/such/modes.csv", 2, "config error: bath.modes_file: file not found: no/such/modes.csv\n"),
     ("evolve --preset custom", 2, "config error: initial_state.file: required for preset = custom\n"),
     (
@@ -497,12 +521,43 @@ FILE_CASES = {
     "ini-unopenable": ("config", None, "config error: config file {path}: [Errno 13] Permission denied"),
     "state-unopenable": ("state", None, "config error: initial_state.file: [Errno 13] Permission denied"),
     "modes-unopenable": ("modes", None, "config error: bath.modes_file: [Errno 13] Permission denied"),
+    "ini-unknown-key": ("config", b"[dimer]\ncoupling = 5\n", "config error: unknown config key dimer.coupling\n"),
+    "state-unknown-basis": (
+        "state", b'{"basis": "orbital", "rho": [[0,0,0],[0,1,0],[0,0,0]]}',
+        "config error: initial_state.file: basis must be one of ('exciton', 'site'), got 'orbital'\n",
+    ),
+    "state-not-3x3": ("state", b'{"rho": [[1,0],[0,0]]}', "config error: initial_state.file: rho must be 3x3, got shape (2, 2)\n"),
+    # JSON as Python reads it admits NaN
+    "state-nan": ("state", b'{"rho": [[NaN,0,0],[0,1,0],[0,0,0]]}', "config error: initial_state.file: rho must be finite\n"),
+    "state-not-hermitian": (
+        "state", b'{"rho": [[0,1,0],[0,1,0],[0,0,0]]}', "config error: initial_state.file: rho must be Hermitian to 1e-12\n",
+    ),
+    "state-trace-two": (
+        "state", b'{"rho": [[1,0,0],[0,1,0],[0,0,0]]}',
+        "config error: initial_state.file: rho must have unit trace to 1e-12, got (2+0j)\n",
+    ),
+    # the plain pass hands these to the csv.reader loop, which refuses them
+    "modes-empty": ("modes", b"", "config error: bath.modes_file: {path}: empty modes file, header row required\n"),
+    "modes-wrong-header": (
+        "modes", b"omega,V2\n", "config error: bath.modes_file: {path}: expected header omega_k_cm1,V2_k_cm2, got omega,V2\n",
+    ),
+    "modes-three-columns": (
+        "modes", b"omega_k_cm1,V2_k_cm2\n100,1,2\n", "config error: bath.modes_file: {path}:2: expected 2 columns, got 3\n",
+    ),
+    "modes-not-a-number": (
+        "modes", b"omega_k_cm1,V2_k_cm2\nabc,1\n",
+        "config error: bath.modes_file: {path}:2: could not convert string to float: 'abc'\n",
+    ),
     # csv.reader refuses a field past its limit with csv.Error, which is not a ValueError
     "modes-field-past-limit": (
         "modes", b"omega_k_cm1,V2_k_cm2\n1" + b"0" * 131072 + b",1\n",
         "config error: bath.modes_file: {path}:2: field larger than field limit (131072)\n",
     ),
 }
+
+
+# the command line that reads each kind of input file, F standing for the file
+FILE_ARGV = {"config": "-c F evolve", "state": "evolve --preset custom --state-file F", "modes": "evolve --modes-file F"}
 
 
 def refused_input(case, tmp_path, monkeypatch):
@@ -522,11 +577,7 @@ def refused_input(case, tmp_path, monkeypatch):
         monkeypatch.setattr("builtins.open", refusing)
     else:
         path.write_bytes(content)
-    argv = {
-        "config": ["-c", str(path), "evolve"],
-        "state": ["evolve", "--preset", "custom", "--state-file", str(path)],
-        "modes": ["evolve", "--modes-file", str(path)],
-    }[kind]
+    argv = [str(path) if arg == "F" else arg for arg in FILE_ARGV[kind].split()]
     return argv + ["--output-dir", str(tmp_path)], text.replace("{path}", str(path))
 
 
@@ -1004,6 +1055,11 @@ MODE_FILE_CASES = {
     "shifted-frequency-overflows": (
         "191,3e10\n", "--omega1 0 --omega2=-1e-10 --lambda1 4.4e307 --eta-abs 0 --temperature 1e300",
         "config error: the shifted frequency omega_minus - delta_minus overflows",
+    ),
+    # omega0 of the default dimer, to the bit
+    "resonant-mode": (
+        "318.9505729247088,1\n", "",
+        "config error: mode at 318.9505729247088 cm^-1 sits exactly on the exciton resonance omega0 = 318.9505729247088 cm^-1",
     ),
     "soft-mode": (
         "5e-324,1\n", "--temperature 1e300",

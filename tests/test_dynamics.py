@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -1127,3 +1128,18 @@ def test_trajectory_csv_in_blocks_formats_every_cell():
 def test_trajectory_csv_length_mismatch():
     with pytest.raises(ValueError, match="equal length"):
         write_trajectory_csv(io.StringIO(), [0.0, 1.0], np.array([OneExcitationState.pure(0).rho]))
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [(("x",), (1500, 1)), (("x", "y"), (2000, 1)), (("x",), None), ((), (2000, 1)), (("x",), (2000,))],
+    ids=["short", "narrow", "no-rows", "no-header", "flat"],
+)
+def test_trajectory_csv_refuses_misfit_extra_columns_before_writing(header, rows):
+    # a short column used to surface past the first block, and a narrow one under a wider header not at all
+    times = np.linspace(0.0, 10.0, 2000)
+    rhos = np.broadcast_to(OneExcitationState.pure(1).rho, (2000, 3, 3))
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(f"extra_rows must have shape (2000, {len(header)})")):
+        write_trajectory_csv(fh, times, rhos, extra_header=header, extra_rows=None if rows is None else np.zeros(rows))
+    assert fh.getvalue() == ""

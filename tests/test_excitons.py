@@ -234,11 +234,6 @@ def test_lambda2_antiphase():
     assert round(v) == 11
 
 
-def test_lambda2_rejects_negative_lambda1():
-    with pytest.raises(ValueError):
-        lambda2_from_eta(-1.0, 0.5, 0.0)
-
-
 @given(st.floats(min_value=0.0, max_value=100.0), etas, thetas)
 def test_lambda2_nonnegative(lambda1, eta, theta):
     # lambda2 = lambda1 * |1 + eta e^{i theta}|^2, nonnegative up to round-off

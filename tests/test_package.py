@@ -1,31 +1,46 @@
 """The package as a whole: its documented top-level API, its dependency rule and its imports."""
 
 import ast
+import contextlib
+import functools
 import importlib
 import inspect
+import io
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_cli import EXIT_CASES, FILE_ARGV, FILE_CASES, MODE_FILE_CASES
 
 import dimerdecay
+from dimerdecay import cli
 
 ROOT = Path(__file__).parents[1]
 PACKAGE_DIR = ROOT / "src" / "dimerdecay"
 # the modules a traced benchmark run expects `import dimerdecay.cli` to have loaded
 LAYER_MODULES = {f"dimerdecay.{layer}" for layer in ("cli", "excitons", "rates", "dynamics", "analysis")}
 
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 # the "Library use" section of the README, up to the next heading
-LIBRARY_USE = re.search(
-    r"^## Library use\n(.*?)^## ", (ROOT / "README.md").read_text(encoding="utf-8"), re.S | re.M
-).group(1)
+LIBRARY_USE = re.search(r"^## Library use\n(.*?)^## ", README, re.S | re.M).group(1)
+LIBRARY_EXAMPLE = re.search(r"```python\n(.*?)```", LIBRARY_USE, re.S).group(1)
+
+
+@functools.cache
+def source_trees():
+    """The parsed source of each module of the package, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+
+
+def package_modules():
+    return [dimerdecay] + [importlib.import_module(f"dimerdecay.{path.stem}")
+                           for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"]
 
 
 def test_readme_library_example_runs(capsys):
-    example = re.search(r"```python\n(.*?)```", LIBRARY_USE, re.S).group(1)
-    exec(compile(example, "README.md", "exec"), {"__name__": "readme_example"})
+    exec(compile(LIBRARY_EXAMPLE, "README.md", "exec"), {"__name__": "readme_example"})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 6
     assert all(float(word) >= 0.0 for word in printed)
@@ -44,10 +59,8 @@ def test_top_level_names_are_the_documented_ones():
 def test_library_use_calls_only_names_the_package_has():
     # every `name(` the section shows must be a function the package still has
     called = set(re.findall(r"`([A-Za-z_]\w*)\(", LIBRARY_USE))
-    modules = [dimerdecay] + [importlib.import_module(f"dimerdecay.{path.stem}")
-                              for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"]
     assert called
-    assert {name for name in called if not any(hasattr(mod, name) for mod in modules)} == set()
+    assert {name for name in called if not any(hasattr(mod, name) for mod in package_modules())} == set()
 
 
 def foreign_imports(source):
@@ -93,22 +106,166 @@ def test_no_private_attribute_access():
         assert private_attributes(path.read_text(encoding="utf-8")) == [], path.name
 
 
-def caught_names(source):
-    """The names that the `except` clauses of `source` catch."""
+def caught_names(tree):
+    """The names that the `except` clauses of the parsed source `tree` catch."""
     return {getattr(name, "id", getattr(name, "attr", None))
-            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ExceptHandler) and node.type is not None
+            for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type is not None
             for name in ast.walk(node.type)}
 
 
 def test_every_exception_class_is_caught_by_name():
     # a refusal is a ValueError; a subclass earns its place only where a caller tells it apart
-    modules = [dimerdecay] + [importlib.import_module(f"dimerdecay.{path.stem}")
-                              for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"]
-    defined = {name for mod in modules for name, obj in vars(mod).items()
+    defined = {name for mod in package_modules() for name, obj in vars(mod).items()
                if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == mod.__name__}
-    caught = set().union(*(caught_names(path.read_text(encoding="utf-8")) for path in PACKAGE_DIR.glob("*.py")))
+    caught = set().union(*map(caught_names, source_trees().values()))
     assert defined == {"NoSolutionError", "StepSizeError"}
     assert defined <= caught
+
+
+# --------------------------------------------------------------- the refusal table
+
+REFUSAL_CLASSES = ("ValueError", "NoSolutionError", "StepSizeError")
+
+
+def message_template(node):
+    """A message as its source writes it: the literal text, and each f-string field as {expression!conversion:spec}."""
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(map(message_template, node.values))
+    if isinstance(node, ast.FormattedValue):
+        conversion = "" if node.conversion == -1 else "!" + chr(node.conversion)
+        spec = "" if node.format_spec is None else ":" + message_template(node.format_spec)
+        return "{" + ast.unparse(node.value) + conversion + spec + "}"
+    return "{" + ast.unparse(node) + "}"
+
+
+def refusals(tree):
+    """(class, message template) of each refusal the parsed source `tree` constructs."""
+    return [(node.func.id, message_template(node.args[0])) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in REFUSAL_CLASSES]
+
+
+def test_refusals_reads_each_constructor_as_its_source_writes_it():
+    source = (
+        "raise ValueError('plain')\n"
+        "raise NoSolutionError(f'x = {x:.6g}, {name!r} {a[0] + 1}')\n"
+        "error = StepSizeError(f'{p.dt} ' f'fs')\n"
+        "raise ValueError(str(exc)) from None\n"
+        "raise TypeError('not a refusal')\n"
+    )
+    assert refusals(ast.parse(source)) == [
+        ("ValueError", "plain"),
+        ("NoSolutionError", "x = {x:.6g}, {name!r} {a[0] + 1}"),
+        ("StepSizeError", "{p.dt} fs"),
+        ("ValueError", "{str(exc)}"),
+    ]
+
+
+def wraps(template):
+    """Whether the message template carries the message of the exception it caught, `exc`."""
+    return "{exc}" in template or "{str(exc)}" in template
+
+
+def source_messages():
+    """{message template: class} of every refusal in src/ but the wrappers, each key check's message spelled out."""
+    messages = {}
+    for tree in source_trees().values():
+        for kind, template in refusals(tree):
+            if "{key.check[1]}" in template:
+                messages.update({template.replace("{key.check[1]}", key.check[1]): kind for key in cli.KEYS if key.check})
+            elif not wraps(template):
+                assert messages.setdefault(template, kind) == kind, template
+    return messages
+
+
+REFUSALS_SECTION = re.search(r"^## Refusals\n(.*?)^## ", README, re.S | re.M).group(1)
+# one table row per message: `text` | `class` | exit code | example, with "|" in a cell written "\|"
+REFUSAL_TABLE = [
+    [cell.strip().replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+    for line in REFUSALS_SECTION.splitlines() if line.startswith("| `")
+]
+# the wrapper templates listed below the table
+WRAPPERS = re.findall(r"`([^`]*\{(?:exc|str\(exc\))\})`", REFUSALS_SECTION.rpartition("|\n")[2])
+
+
+def test_refusal_table_lists_every_message_once():
+    listed = [message[1:-1] for message, *_ in REFUSAL_TABLE]
+    assert len(listed) == len(set(listed)), "a message is listed twice"
+    messages = source_messages()
+    assert set(listed) - set(messages) == set(), "listed, but no longer raised"
+    assert set(messages) - set(listed) == set(), "raised, but not listed"
+    for message, kind, code, _ in REFUSAL_TABLE:
+        assert kind == f"`{messages[message[1:-1]]}`", message
+        assert code == ("4" if kind == "`NoSolutionError`" else "2"), message
+    wrappers = {template for tree in source_trees().values() for _, template in refusals(tree) if wraps(template)}
+    assert len(WRAPPERS) == len(set(WRAPPERS)) and set(WRAPPERS) == wrappers
+
+
+def fits(message, template):
+    """Whether `message` is `template` with some text in each {field}."""
+    parts = re.split(r"\{[^{}]*\}", template)
+    return re.fullmatch(".*".join(map(re.escape, parts)), message, re.S) is not None
+
+
+def unwrapped(message):
+    """`message`, and each message it carries behind one or more wrapper prefixes."""
+    yield message
+    for wrapper in WRAPPERS:
+        prefix = wrapper.rpartition("{")[0]
+        for k in range(1, len(message)):
+            if prefix and fits(message[:k], prefix):
+                yield from unwrapped(message[k:])
+
+
+def test_fits_fills_each_field_and_unwrapped_peels_prefixes():
+    assert fits("dt = 5.0 fs exceeds 0.1", "dt = {dt} fs exceeds {0.1 / fastest:.6g}")
+    assert not fits("dt = 5.0 fs exceeds", "dt = {dt} fs exceeds 0.1")
+    assert "must be > 0, got 0.0" in unwrapped("time.dt: must be > 0, got 0.0")
+    # the prefix of a mode file's line peels too, so the message carried there is found
+    peeled = list(unwrapped("bath.modes_file: /a/b:2: could not convert"))
+    assert "/a/b:2: could not convert" in peeled and "could not convert" in peeled
+    assert not fits("bath: x", "time.dt: {exc}")
+
+
+# the command lines and input files of the CLI refusal tests, F standing for the file
+CLI_INPUTS = {(cmdline, None) for cmdline, code, _ in EXIT_CASES if code}
+CLI_INPUTS |= {(FILE_ARGV[kind], content) for kind, content, _ in FILE_CASES.values() if content is not None}
+CLI_INPUTS |= {(" ".join(["renorm", "--modes-file", "F", *flags.split()]), f"omega_k_cm1,V2_k_cm2\n{rows}".encode())
+               for rows, flags, _ in MODE_FILE_CASES.values()}
+BOUNDARY = "tests/golden/boundary_state.json"
+
+
+@functools.cache
+def library_namespace():
+    """Every public name of the package's modules, then the names the Library use example binds."""
+    namespace = {name: obj for mod in package_modules() for name, obj in vars(mod).items() if not name.startswith("_")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(LIBRARY_EXAMPLE, "README.md", "exec"), namespace)
+    return namespace
+
+
+@pytest.mark.parametrize("message, kind, code, example", REFUSAL_TABLE, ids=[row[0][1:-1][:50] for row in REFUSAL_TABLE])
+def test_refusal_table_example_gives_its_message(message, kind, code, example, tmp_path, capsys):
+    message, kind = message[1:-1], kind[1:-1]
+    cli_example = re.fullmatch(r"`dimerdecay ([^`]*)`(?:, F = `([^`]*)`)?", example)
+    if cli_example is None:
+        with pytest.raises(Exception) as info:
+            eval(example[1:-1], library_namespace())
+        assert type(info.value).__name__ == kind and fits(str(info.value), message)
+        return
+    cmdline, content = cli_example.groups()
+    if content is not None:
+        content = eval(content, {"__builtins__": {}}).encode()
+        (tmp_path / "F").write_bytes(content)
+    # each command line is pinned by a row of the CLI refusal tests
+    assert (cmdline.replace(BOUNDARY, "BOUNDARY"), content) in CLI_INPUTS
+    argv = [str(tmp_path / "F") if arg == "F" else arg for arg in cmdline.replace(BOUNDARY, str(ROOT / BOUNDARY)).split()]
+    assert str(cli.main([*argv, "--output-dir", str(tmp_path / "out")])) == code
+    line = capsys.readouterr().err.splitlines()[-1]
+    lead = "no solution: " if code == "4" else "config error: "
+    assert line.startswith(lead)
+    assert any(fits(inner, message) for inner in unwrapped(line[len(lead):])), line
 
 
 def module_scope_numpy_imports(source):

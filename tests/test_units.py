@@ -84,8 +84,10 @@ def test_thermal_energy_inverse_of_constant():
 
 
 def test_thermal_energy_rejects_nonpositive():
-    for bad in (0.0, -1.0, -300.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    # a bath at T = 0 has kT = 0, which the occupations read as no occupation
+    assert thermal_energy(0.0) == 0.0
+    for bad in (-1.0, -300.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature must be >= 0 K and finite"):
             thermal_energy(bad)
 
 

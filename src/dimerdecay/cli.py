@@ -13,9 +13,7 @@ solution; the README's refusal table lists every refusal with its code.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
-import json
 import math
 import os
 import sys
@@ -201,7 +199,13 @@ def _set_eta(merged: dict[str, dict[str, str]], raw: str) -> None:
         eta = complex(raw.replace(" ", ""))
     except ValueError:
         raise ValueError(f"dimer.eta: not a complex number: {raw!r}") from None
-    merged["dimer"]["eta_abs"] = repr(abs(eta))
+    try:
+        eta_abs = abs(eta)
+    except OverflowError:  # finite parts whose modulus exceeds the float range
+        eta_abs = math.inf
+    if not math.isfinite(eta_abs):
+        raise ValueError(f"dimer.eta: must be finite, got {eta}")
+    merged["dimer"]["eta_abs"] = repr(eta_abs)
     merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
 
 
@@ -246,13 +250,17 @@ def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
         with open(path, encoding="utf-8") as fh:
             sections = _plain_sections(fh)
             if sections is None:  # configparser reads the file again from the top
+                import configparser
                 fh.seek(0)
                 # no header can name the empty section, so [DEFAULT] reads as an
                 # ordinary section and is refused below like any unknown one
                 parser = configparser.ConfigParser(default_section="")
-                parser.read_file(fh)
-                sections = {section: dict(parser.items(section)) for section in parser.sections()}
-    except (OSError, configparser.Error, ValueError) as exc:
+                try:
+                    parser.read_file(fh)
+                    sections = {section: dict(parser.items(section)) for section in parser.sections()}
+                except configparser.Error as exc:  # named with the file below, as a ValueError is
+                    raise ValueError(str(exc)) from None
+    except (OSError, ValueError) as exc:
         raise ValueError(f"config file {path}: {exc}") from None
     for section, items in sections.items():
         if section not in merged:
@@ -311,9 +319,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
     if not math.isfinite(t_max / dt):
         raise ValueError(f"time.t_max: t_max/dt must be finite, got {t_max} fs / {dt} fs")
     if not 0.0 < run["eta_lo"] < run["eta_hi"]:
-        raise ValueError(
-            f"sweep.eta_lo/eta_hi: need 0 < lo < hi, got {run['eta_lo']}, {run['eta_hi']}"
-        )
+        raise ValueError(f"sweep.eta_lo/eta_hi: need 0 < lo < hi, got {run['eta_lo']}, {run['eta_hi']}")
     return argparse.Namespace(dimer=dimer, bath=bath, gnuplot=getattr(args, "gnuplot", False), **run)
 
 
@@ -337,6 +343,7 @@ def _initial_state(cfg: argparse.Namespace, phi0: float) -> OneExcitationState:
     if cfg.preset != "custom":  # a preset names a basis and the excited level in it
         state = OneExcitationState.pure(int(cfg.preset[-1]), cfg.preset[:-1])
     else:  # JSON {"basis": ..., "rho": 3x3 of number | [re, im]}
+        import json
         try:
             with open(cfg.state_file, encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -390,6 +397,8 @@ def cmd_transform(cfg: argparse.Namespace) -> int:
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     import numpy as np
     grid = np.linspace(cfg.eta_lo, cfg.eta_hi, cfg.sweep_points)
+    if not (np.diff(grid) > 0.0).all():  # lo < hi, but the floats between them may repeat
+        raise ValueError(f"sweep.eta_lo/eta_hi: {cfg.sweep_points} points repeat a float in [{cfg.eta_lo}, {cfg.eta_hi}]")
     results = [sweep_inverse_alpha(cfg.dimer, th, grid) for th in cfg.theta_list]
     with _open_out(cfg, "sweep.csv") as fh:
         write_sweep_csv(fh, results)
@@ -466,18 +475,11 @@ def cmd_evolve(cfg: argparse.Namespace) -> int:
         analytic = trajectory_to_site(analytic, params.phi0)
         numeric = trajectory_to_site(numeric, params.phi0)
 
-    supnorm = np.abs(analytic - numeric).reshape(len(times), 9).max(axis=1)
     with _open_out(cfg, "trajectory_analytic.csv") as fh:
         write_trajectory_csv(fh, times, analytic)
     with _open_out(cfg, "trajectory_numeric.csv") as fh:
-        write_trajectory_csv(
-            fh,
-            times,
-            numeric,
-            extra_header=("supnorm_vs_analytic",),
-            extra_rows=supnorm[:, None],
-        )
-    print(f"max |analytic - numeric| over the grid: {supnorm.max():.3e}")
+        supnorm = write_trajectory_csv(fh, times, numeric, reference=analytic)
+    print(f"max |analytic - numeric| over the grid: {supnorm:.3e}")
     return 0
 
 

@@ -446,34 +446,31 @@ def write_trajectory_csv(
     fh: IO[str],
     times: Sequence[float],
     rhos: np.ndarray,
-    extra_header: Sequence[str] = (),
-    extra_rows: Sequence[Sequence[float]] | None = None,
-) -> None:
+    reference: np.ndarray | None = None,
+) -> float | None:
     """Emit a (T, 3, 3) stack of states, one row per time, as CSV.
 
     Columns: t_fs, the three populations, then Re/Im of the three
-    independent coherences (upper triangle), optionally followed by
-    extra columns supplied by the caller, one row per time and one
-    cell per extra_header name.  Values at 9 significant
-    digits, LF line endings.  Rows are built, formatted and written one
-    block of _BLOCK at a time.
+    independent coherences (upper triangle).  Given a reference stack,
+    each row ends in supnorm_vs_analytic, the largest |rhos - reference|
+    over its nine entries, and the largest of that column is returned;
+    without one, None.  Values at 9 significant digits, LF line endings.
+    Rows are built, formatted and written one block of _BLOCK at a time.
     """
     import numpy as np
-    if len(times) != len(rhos):
+    if len(times) != len(rhos) or (reference is not None and len(reference) != len(rhos)):
         raise ValueError("times and states must have equal length")
-    # checked before the header: a misfit would otherwise surface blocks into the file
-    shape = (len(times), len(extra_header))
-    if (extra_rows is not None or extra_header) and np.shape(extra_rows) != shape:
-        raise ValueError(f"extra_rows must have shape {shape}, a row per time and a cell per extra_header name, "
-                         f"got {np.shape(extra_rows)}")
     # formatted numbers hold no separator or quote, so rows need no csv quoting
-    fh.write(",".join([*TRAJECTORY_CSV_HEADER, *extra_header]) + "\n")
+    fh.write(",".join(TRAJECTORY_CSV_HEADER) + ("\n" if reference is None else ",supnorm_vs_analytic\n"))
+    worst = -math.inf
     for lo in range(0, len(rhos), _BLOCK):
         block = rhos[lo:lo + _BLOCK]
         upper = block[:, _UPPER[0], _UPPER[1]]
         # populations, then Re and Im of rho01, rho02, rho12 as interleaved pairs
         pairs = np.dstack([upper.real, upper.imag]).reshape(len(block), 6)
         cols = [times[lo:lo + _BLOCK], block.diagonal(axis1=1, axis2=2).real, pairs]
-        if extra_rows is not None:
-            cols.append(extra_rows[lo:lo + _BLOCK])
+        if reference is not None:
+            cols.append(np.abs(block - reference[lo:lo + _BLOCK]).reshape(len(block), 9).max(axis=1))
+            worst = np.maximum(worst, cols[-1].max())  # nan, as numpy's max gives it, carries through
         fh.write(_fmt_table(np.column_stack(cols)))
+    return None if reference is None else worst

@@ -359,10 +359,10 @@ EXIT_CASES = [
     ("helix --helix-j12 nan", 2, "config error: helix.j12: must be finite"),
     ("helix --helix-j12 inf", 2, "config error: helix.j12: must be finite"),
     ("sweep --eta-hi inf", 2, "config error: sweep.eta_hi: must be finite"),
-    # lo < hi, but the grid of 10 points between them repeats floats
+    # lo < hi, but the grid of 10 points between them repeats floats: refused before any phase is solved
     (
         "sweep --eta-lo 1 --eta-hi 1.0000000000000002 --sweep-points 10",
-        2, "config error: sweep points must be strictly increasing in eta_abs\n",
+        2, "config error: sweep.eta_lo/eta_hi: 10 points repeat a float in [1.0, 1.0000000000000002]\n",
     ),
     ("estimate --target-ratio inf", 2, "config error: estimate.target_ratio: must be finite"),
     ("helix --spacing inf", 2, "config error: helix.spacing_angstrom: must be finite"),
@@ -370,6 +370,9 @@ EXIT_CASES = [
     ("minimize --theta-list ,", 2, "config error: sweep.theta_list: must not be empty\n"),
     ("-c no/such/run.ini transform", 2, "config error: config file not found: no/such/run.ini\n"),
     ("transform --eta abc", 2, "config error: dimer.eta: not a complex number: 'abc'\n"),
+    # the modulus is checked where eta enters: nan, and finite parts whose modulus overflows
+    ("transform --eta nanj", 2, "config error: dimer.eta: must be finite, got nanj\n"),
+    ("transform --eta 1.7e308+1.7e308j", 2, "config error: dimer.eta: must be finite, got (1.7e+308+1.7e+308j)\n"),
     ("evolve --dt 0", 2, "config error: time.dt: must be > 0, got 0.0\n"),
     ("evolve --time-points 1", 2, "config error: time.n_points: must be >= 2, got 1\n"),
     (
@@ -522,6 +525,7 @@ FILE_CASES = {
     "state-unopenable": ("state", None, "config error: initial_state.file: [Errno 13] Permission denied"),
     "modes-unopenable": ("modes", None, "config error: bath.modes_file: [Errno 13] Permission denied"),
     "ini-unknown-key": ("config", b"[dimer]\ncoupling = 5\n", "config error: unknown config key dimer.coupling\n"),
+    "ini-eta-not-finite": ("config", b"[dimer]\neta = nanj\n", "config error: dimer.eta: must be finite, got nanj\n"),
     "state-unknown-basis": (
         "state", b'{"basis": "orbital", "rho": [[0,0,0],[0,1,0],[0,0,0]]}',
         "config error: initial_state.file: basis must be one of ('exciton', 'site'), got 'orbital'\n",
@@ -535,6 +539,10 @@ FILE_CASES = {
     "state-trace-two": (
         "state", b'{"rho": [[1,0,0],[0,1,0],[0,0,0]]}',
         "config error: initial_state.file: rho must have unit trace to 1e-12, got (2+0j)\n",
+    ),
+    "state-trace-three": (
+        "state", b'{"basis": "exciton", "rho": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+        "config error: initial_state.file: rho must have unit trace to 1e-12, got (3+0j)\n",
     ),
     # the plain pass hands these to the csv.reader loop, which refuses them
     "modes-empty": ("modes", b"", "config error: bath.modes_file: {path}: empty modes file, header row required\n"),
@@ -959,24 +967,6 @@ def test_evolve_custom_state_rejects_bad_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_evolve_custom_state_rejects_bad_trace(tmp_path, capsys):
-    state_file = tmp_path / "state.json"
-    state_file.write_text(
-        json.dumps({"basis": "exciton", "rho": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
-        encoding="utf-8",
-    )
-    code = main(
-        [
-            "evolve",
-            "--preset", "custom",
-            "--state-file", str(state_file),
-            "--output-dir", str(tmp_path),
-        ]
-    )
-    assert code == 2
-    assert "trace" in capsys.readouterr().err
-
-
 # --------------------------------------------------------------- helix
 
 def test_helix_defaults(tmp_path):
@@ -1059,7 +1049,8 @@ MODE_FILE_CASES = {
     # omega0 of the default dimer, to the bit
     "resonant-mode": (
         "318.9505729247088,1\n", "",
-        "config error: mode at 318.9505729247088 cm^-1 sits exactly on the exciton resonance omega0 = 318.9505729247088 cm^-1",
+        "config error: mode at 318.9505729247088 cm^-1 sits exactly on the exciton resonance omega0 = 318.9505729247088 cm^-1; "
+        "exclude or shift it\n",
     ),
     "soft-mode": (
         "5e-324,1\n", "--temperature 1e300",

@@ -332,13 +332,13 @@ def test_no_module_imports_numpy_at_import_time():
         assert module_scope_numpy_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 
-def loaded_modules(code):
-    """The numpy and dimerdecay modules loaded after `code` runs in a fresh interpreter, src/ on its path."""
+def loaded_modules(code, packages=("numpy", "dimerdecay")):
+    """The modules of `packages` loaded after `code` runs in a fresh interpreter, src/ on its path."""
     probe = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         f"{code}\n"
-        "print(*(m for m in sys.modules if m.split('.')[0] in ('numpy', 'dimerdecay')))\n"
+        f"print(*(m for m in sys.modules if m.split('.')[0] in {packages!r}))\n"
     )
     run = subprocess.run([sys.executable, "-c", probe, str(ROOT / "src")], capture_output=True, text=True, check=True)
     return set(run.stdout.splitlines()[-1].split())
@@ -346,6 +346,15 @@ def loaded_modules(code):
 
 def test_importing_the_cli_loads_every_layer_and_no_numpy():
     assert loaded_modules("import dimerdecay.cli") & (LAYER_MODULES | {"numpy"}) == LAYER_MODULES
+
+
+def test_importing_the_cli_and_a_plain_ini_run_load_no_json_or_configparser(tmp_path):
+    # json reads only a custom state and configparser only an INI file the plain pass hands on
+    ini = tmp_path / "run.ini"
+    ini.write_text("[dimer]\nj12 = -50\neta = 0.3+0.4j\n", encoding="utf-8")
+    run = f"from dimerdecay.cli import main\nassert main({['-c', str(ini), 'transform', '--output-dir', str(tmp_path)]!r}) == 0"
+    for code in ("import dimerdecay.cli", run):
+        assert loaded_modules(code, ("json", "configparser")) == set(), code
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import IO, Any, Callable, Sequence
 
 from .analysis import (
@@ -107,8 +106,6 @@ def _modes(raw: str) -> tuple[tuple[float, float], ...]:
     path = raw.strip()
     if not path:
         return ()
-    if not os.path.isfile(path):
-        raise ValueError(f"file not found: {path}")
     try:
         modes = load_modes_csv(path)
     except OSError as exc:
@@ -185,7 +182,7 @@ KEYS = (
         POSITIVE,
     ),
     Key("helix", "j12", _float, "7.8", "--helix-j12", "coupling, cm^-1", ("helix",)),
-    Key("output", "directory", Path, "out", "--output-dir", "output directory", tuple(SUBCOMMANDS)),
+    Key("output", "directory", os.path.normpath, "out", "--output-dir", "output directory", tuple(SUBCOMMANDS)),
     Key(
         "output", "basis", str.strip, "exciton", "--basis", "output basis: exciton or site", EVOLVE,
         (lambda v: v in ("exciton", "site"), "must be exciton or site"),
@@ -243,8 +240,6 @@ def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
         merged.setdefault(key.section, {})[key.name] = key.default
     if path is None:
         return merged
-    if not os.path.isfile(path):
-        raise ValueError(f"config file not found: {path}")
     try:
         # ConfigParser.read would skip a file that fails to open
         with open(path, encoding="utf-8") as fh:
@@ -310,11 +305,8 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError(f"bath: {exc}") from None
 
     run = {dest: value for section in values.values() for dest, value in section.items()}
-    if run["preset"] == "custom":
-        if not run["state_file"]:
-            raise ValueError("initial_state.file: required for preset = custom")
-        if not Path(run["state_file"]).is_file():
-            raise ValueError(f"initial_state.file: file not found: {run['state_file']}")
+    if run["preset"] == "custom" and not run["state_file"]:
+        raise ValueError("initial_state.file: required for preset = custom")
     t_max, dt = run["t_max"], run["dt"]
     if not math.isfinite(t_max / dt):
         raise ValueError(f"time.t_max: t_max/dt must be finite, got {t_max} fs / {dt} fs")

@@ -458,7 +458,7 @@ def write_trajectory_csv(
     Rows are built, formatted and written one block of _BLOCK at a time.
     """
     import numpy as np
-    if len(times) != len(rhos) or (reference is not None and len(reference) != len(rhos)):
+    if len(times) != len(rhos) or (reference is not None and np.shape(reference) != np.shape(rhos)):
         raise ValueError("times and states must have equal length")
     # formatted numbers hold no separator or quote, so rows need no csv quoting
     fh.write(",".join(TRAJECTORY_CSV_HEADER) + ("\n" if reference is None else ",supnorm_vs_analytic\n"))

@@ -68,11 +68,9 @@ class DimerParams:
             raise ValueError(f"lambda1 must be >= 0, got {self.lambda1}")
         if self.eta_abs < 0:
             raise ValueError(f"eta_abs must be >= 0, got {self.eta_abs}")
-        if not -math.pi <= self.theta <= math.pi:
-            raise ValueError(
-                f"theta must lie in [-pi, pi] (canonical range [0, pi]), "
-                f"got {self.theta}"
-            )
+        theta = self.theta
+        if not -math.pi <= theta <= math.pi:
+            raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
 
     @property
     def gap(self) -> float:
@@ -196,12 +194,18 @@ def exciton_frame(p: DimerParams) -> ExcitonFrame:
     Site 1 shifts by -2 lambda1, site 2 by -2 lambda2 with lambda2 tied
     to the asymmetry via :func:`lambda2_from_eta`.  phi0 and omega0 read
     the dressed gap gap + 2 lambda1 |eta| (2 cos(theta) + |eta|), formed
-    from p.gap, so a large common carrier does not cancel it.
+    from p.gap, so a large common carrier does not cancel it.  Where
+    2 lambda2 or the dressing of a finite bare gap leaves the float
+    range, the frame is refused.
     """
     lam2 = lambda2_from_eta(p.lambda1, p.eta_abs, p.theta)
+    gap = p.gap + 2.0 * p.lambda1 * p.eta_abs * (2.0 * math.cos(p.theta) + p.eta_abs)
+    if not math.isfinite(2.0 * lam2) or (math.isfinite(p.gap) and not math.isfinite(gap)):
+        raise ValueError(
+            f"the phonon dressing leaves the float range at lambda1 = {p.lambda1:.6g} cm^-1, |eta| = {p.eta_abs:.6g}"
+        )
     omega1p = p.omega1 - 2.0 * p.lambda1
     omega2p = p.omega2 - 2.0 * lam2
-    gap = p.gap + 2.0 * p.lambda1 * p.eta_abs * (2.0 * math.cos(p.theta) + p.eta_abs)
     plus, minus = exciton_frequencies(omega1p, omega2p, p.j12)
     return ExcitonFrame(
         omega1p=omega1p,

@@ -39,7 +39,7 @@ class BathSpec:
     Attributes
     ----------
     temperature : float
-        Bath temperature in K, > 0.
+        Bath temperature in K, >= 0 and finite, the rule of thermal_energy.
     gamma_d : float
         Site dephasing rate in fs^-1, >= 0.  A direct input: the
         delta-correlated bath sets no scale of its own here.
@@ -53,8 +53,7 @@ class BathSpec:
     modes: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not (self.temperature > 0.0) or not math.isfinite(self.temperature):
-            raise ValueError(f"temperature must be > 0 K, got {self.temperature}")
+        thermal_energy(self.temperature)  # refuses T outside 0 <= T < inf, as every function of T does
         if self.gamma_d < 0.0 or not math.isfinite(self.gamma_d):
             raise ValueError(f"gamma_d must be >= 0 fs^-1, got {self.gamma_d}")
         norm = tuple([(float(w), float(v2)) for w, v2 in self.modes])

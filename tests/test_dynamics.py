@@ -1133,6 +1133,14 @@ def test_trajectory_csv_length_mismatch():
         write_trajectory_csv(io.StringIO(), [0.0, 1.0], np.array([OneExcitationState.pure(0).rho]))
 
 
+def test_trajectory_csv_refuses_a_reference_of_another_shape_before_writing():
+    rhos = np.array([OneExcitationState.pure(k).rho for k in range(3)])
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match="times and states must have equal length"):
+        write_trajectory_csv(fh, [0.0, 1.0, 2.0], rhos, reference=np.zeros((3, 2, 2)))
+    assert fh.getvalue() == ""
+
+
 def test_trajectory_csv_refuses_a_reference_of_another_length_before_writing():
     times = np.linspace(0.0, 10.0, 2000)
     rhos = np.broadcast_to(OneExcitationState.pure(1).rho, (2000, 3, 3))

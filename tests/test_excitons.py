@@ -217,6 +217,22 @@ def test_exciton_frame_refuses_overflowed_fields():
         exciton_frame(DimerParams(60.0, -60.0, 1e308, 35.0, 0.71, 0.0))
 
 
+@pytest.mark.parametrize(
+    "dimer, text",
+    [
+        # lambda2 = lambda1 |1 + |eta||^2 overflows
+        ((60.0, -60.0, -96.0, 35.0, 1.4e308, 0.0), r"the phonon dressing leaves the float range at lambda1 = 35 cm\^-1, \|eta\| = 1.4e\+308"),
+        # 2 lambda2 = 8e307 stays finite; the bare gap 1.7e308 plus the dressing 6e307 does not
+        ((1.7e308, 0.0, -96.0, 1e307, 1.0, 0.0), r"the phonon dressing leaves the float range at lambda1 = 1e\+307 cm\^-1, \|eta\| = 1"),
+        # a bare gap past the float range is no dressing's: lambda1 = 0
+        ((1e308, -1e308, -96.0, 0.0, 0.71, 0.0), "omega_plus must be finite, got inf"),
+    ],
+)
+def test_exciton_frame_names_an_overflowing_dressing_by_lambda1_and_eta(dimer, text):
+    with pytest.raises(ValueError, match=text):
+        exciton_frame(DimerParams(*dimer))
+
+
 # --------------------------------------------------------------- lambda2
 
 def test_lambda2_no_asymmetry():

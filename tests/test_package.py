@@ -63,16 +63,21 @@ def test_library_use_calls_only_names_the_package_has():
     assert {name for name in called if not any(hasattr(mod, name) for mod in package_modules())} == set()
 
 
-def foreign_imports(source):
-    """Top-level modules imported by `source` that are neither stdlib, numpy nor this package."""
+def imported_modules(tree):
+    """The absolute name of each module the parsed source `tree` imports, at any depth."""
     names = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
+    return names
+
+
+def foreign_imports(source):
+    """Top-level modules imported by `source` that are neither stdlib, numpy nor this package."""
     allowed = sys.stdlib_module_names | {"numpy", "dimerdecay"}
-    return [name for name in names if name.split(".")[0] not in allowed]
+    return [name for name in imported_modules(ast.parse(source)) if name.split(".")[0] not in allowed]
 
 
 def test_foreign_imports_flags_undeclared_dependencies():
@@ -85,6 +90,13 @@ def test_numpy_is_the_only_runtime_dependency():
     assert files
     for path in files:
         assert foreign_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_no_module_imports_pathlib():
+    # os.path does the package's path work; `site` may load pathlib before any test runs, so sys.modules cannot tell
+    assert imported_modules(ast.parse("def f():\n    from pathlib import Path\n")) == ["pathlib"]
+    assert [name for name, tree in source_trees().items()
+            if any(module.split(".")[0] == "pathlib" for module in imported_modules(tree))] == []
 
 
 def private_attributes(source):

@@ -37,7 +37,7 @@ FMO = DimerParams(
 
 def test_bath_spec_validation():
     with pytest.raises(ValueError, match="temperature"):
-        BathSpec(temperature=0.0, gamma_d=0.02)
+        BathSpec(temperature=math.nan, gamma_d=0.02)
     with pytest.raises(ValueError, match="temperature"):
         BathSpec(temperature=-10.0, gamma_d=0.02)
     with pytest.raises(ValueError, match="gamma_d"):
@@ -46,6 +46,19 @@ def test_bath_spec_validation():
         BathSpec(temperature=300.0, gamma_d=0.02, modes=((0.0, 1.0),))
     with pytest.raises(ValueError, match="squared coupling"):
         BathSpec(temperature=300.0, gamma_d=0.02, modes=((100.0, -1.0),))
+
+
+@pytest.mark.parametrize("temperature", [-1.0, -0.0, 0.0, 5e-324, 300.0, 1e308, math.inf, math.nan])
+def test_bath_spec_and_thermal_energy_share_one_temperature_rule(temperature):
+    def outcome(call):
+        try:
+            call(temperature)
+        except ValueError as exc:
+            return str(exc)
+        return "accepted"
+
+    assert outcome(lambda t: BathSpec(t, 0.02)) == outcome(thermal_energy)
+    assert (outcome(thermal_energy) == "accepted") == (0.0 <= temperature < math.inf)
 
 
 # the rule 0 < omega_k < inf, 0 <= V2_k < inf, which BathSpec and frequency_renormalization share

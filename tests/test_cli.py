@@ -130,11 +130,39 @@ def test_transform_reads_ini_config(tmp_path):
 
 # --------------------------------------------------------------- exit codes
 
+def test_unordered_sites_exit_2(tmp_path, capsys):
+    code = main(
+        ["transform", "--omega1", "-60", "--omega2", "60", "--output-dir", str(tmp_path)]
+    )
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unknown_ini_key_exit_2(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[dimer]\ncoupling = 5\n", encoding="utf-8")
+    assert main(["-c", str(ini), "transform"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_unknown_ini_section_exit_2(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[lattice]\na = 1\n", encoding="utf-8")
     assert main(["-c", str(ini), "transform"]) == 2
     assert "unknown config section" in capsys.readouterr().err
+
+
+def test_missing_config_exit_2(tmp_path, capsys):
+    assert main(["-c", str(tmp_path / "nope.ini"), "transform"]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_bad_output_basis_exit_2(tmp_path, capsys):
+    code = main(
+        ["evolve", "--basis", "orbital", "--output-dir", str(tmp_path)]
+    )
+    assert code == 2
+    assert "output.basis" in capsys.readouterr().err
 
 
 def test_unwritable_output_dir_exit_3(tmp_path, capsys):
@@ -992,6 +1020,11 @@ def test_helix_overrides(tmp_path):
 
 # --------------------------------------------------------------- renorm
 
+def test_renorm_requires_modes(tmp_path, capsys):
+    assert main(["renorm", "--output-dir", str(tmp_path)]) == 2
+    assert "modes_file" in capsys.readouterr().err
+
+
 def test_renorm_single_mode(tmp_path):
     modes = tmp_path / "modes.csv"
     modes.write_text("omega_k_cm1,V2_k_cm2\n600.0,1000.0\n", encoding="utf-8")
@@ -1008,6 +1041,19 @@ def test_renorm_single_mode(tmp_path):
         frame.omega_plus - dp, rel=1e-6
     )
     assert out["n_modes"] == "1"
+
+
+def test_renorm_resonant_mode_exit_2(tmp_path, capsys):
+    frame = exciton_frame(FMO)
+    modes = tmp_path / "modes.csv"
+    modes.write_text(
+        f"omega_k_cm1,V2_k_cm2\n{frame.omega0!r},1.0\n", encoding="utf-8"
+    )
+    code = main(
+        ["renorm", "--modes-file", str(modes), "--output-dir", str(tmp_path)]
+    )
+    assert code == 2
+    assert "resonance" in capsys.readouterr().err
 
 
 # rows after the header, extra flags -> the one stderr line ({path}: the mode file)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Sequence
 
-from .excitons import DimerParams, lambda2_from_eta
+from .excitons import DimerParams, _dressing_error, lambda2_from_eta
 from .rates import _inverse_attenuation
 from .units import _fmt, _fmt_table
 
@@ -288,11 +288,14 @@ def estimate_eta(p: DimerParams, theta: float, target_ratio: float) -> EtaEstima
             raise ValueError(f"root {x} fails back-substitution: 1/alpha = {back} vs target {target_ratio}")
 
     eta_abs = roots[0]
+    lambda2 = lambda2_from_eta(p.lambda1, eta_abs, theta)
+    if not math.isfinite(2.0 * lambda2):  # exciton_frame's rule for the dressing of site 2
+        raise _dressing_error(p.lambda1, eta_abs)
     return EtaEstimate(
         target_ratio=target_ratio,
         theta=theta,
         eta_abs=eta_abs,
-        lambda2=lambda2_from_eta(p.lambda1, eta_abs, theta),
+        lambda2=lambda2,
         all_roots=tuple(roots),
     )
 

@@ -44,6 +44,7 @@ from .dynamics import (
 from .excitons import DimerParams, exciton_frame
 from .rates import (
     BathSpec,
+    Modes,
     decay_constant,
     frequency_renormalization,
     helix_attenuation,
@@ -102,7 +103,7 @@ def _thetas(raw: str) -> tuple[float, ...]:
     return thetas
 
 
-def _modes(raw: str) -> tuple[tuple[float, float], ...]:
+def _modes(raw: str) -> Modes | tuple[()]:
     path = raw.strip()
     if not path:
         return ()

@@ -188,6 +188,11 @@ def exciton_frequencies(
     return max(far, near), min(far, near)
 
 
+def _dressing_error(lambda1: float, eta_abs: float) -> ValueError:
+    """The refusal of a phonon dressing, 2 lambda2 or the dressed gap, that leaves the float range."""
+    return ValueError(f"the phonon dressing leaves the float range at lambda1 = {lambda1:.6g} cm^-1, |eta| = {eta_abs:.6g}")
+
+
 def exciton_frame(p: DimerParams) -> ExcitonFrame:
     """Dress the site frequencies and diagonalize.
 
@@ -201,9 +206,7 @@ def exciton_frame(p: DimerParams) -> ExcitonFrame:
     lam2 = lambda2_from_eta(p.lambda1, p.eta_abs, p.theta)
     gap = p.gap + 2.0 * p.lambda1 * p.eta_abs * (2.0 * math.cos(p.theta) + p.eta_abs)
     if not math.isfinite(2.0 * lam2) or (math.isfinite(p.gap) and not math.isfinite(gap)):
-        raise ValueError(
-            f"the phonon dressing leaves the float range at lambda1 = {p.lambda1:.6g} cm^-1, |eta| = {p.eta_abs:.6g}"
-        )
+        raise _dressing_error(p.lambda1, p.eta_abs)
     omega1p = p.omega1 - 2.0 * p.lambda1
     omega2p = p.omega2 - 2.0 * lam2
     plus, minus = exciton_frequencies(omega1p, omega2p, p.j12)

@@ -22,14 +22,56 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .excitons import DimerParams, ExcitonFrame, exciton_frame
 from .units import thermal_energy, wavenumber_to_angular
 
 # Required header of a phonon-mode CSV: frequency and squared coupling.
 MODES_CSV_HEADER = ("omega_k_cm1", "V2_k_cm2")
+
+
+class Modes:
+    """Discrete phonon modes held as two float columns, read-only.
+
+    omega_k (cm^-1) and V2_k (cm^-2) are read-only memoryviews of the two
+    array('d') columns given, which the Modes keeps without copying; an
+    array that exports a view can no longer change its length.  len() is
+    the mode count, iteration yields the (omega_k, V2_k) float pairs in
+    column order, and a Modes compares equal to, and hashes as, the tuple
+    of those pairs.  It takes 16 B per mode, where a tuple of float pairs
+    takes 112.
+    """
+
+    __slots__ = ("omega_k", "V2_k")
+
+    def __init__(self, omega_k: array, V2_k: array) -> None:
+        if len(omega_k) != len(V2_k):
+            raise ValueError(f"mode columns must have equal length, got {len(omega_k)} and {len(V2_k)}")
+        object.__setattr__(self, "omega_k", memoryview(omega_k).toreadonly())
+        object.__setattr__(self, "V2_k", memoryview(V2_k).toreadonly())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Modes is read-only: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Modes is read-only: cannot delete {name}")
+
+    def __len__(self) -> int:
+        return len(self.omega_k)
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self.omega_k, self.V2_k)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Modes, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -43,25 +85,33 @@ class BathSpec:
     gamma_d : float
         Site dephasing rate in fs^-1, >= 0.  A direct input: the
         delta-correlated bath sets no scale of its own here.
-    modes : tuple of (omega_k, V2_k) pairs
+    modes : Modes
         Discrete phonon modes (cm^-1, cm^-2) for the principal-value
-        frequency-shift sums.  Empty means no shift.
+        frequency-shift sums.  Empty means no shift.  A Modes, as
+        load_modes_csv returns it, is kept as it is; any other iterable of
+        (omega_k, V2_k) pairs is made one, each value through float().
     """
 
     temperature: float
     gamma_d: float
-    modes: tuple[tuple[float, float], ...] = ()
+    modes: Modes = ()
 
     def __post_init__(self) -> None:
         thermal_energy(self.temperature)  # refuses T outside 0 <= T < inf, as every function of T does
         if self.gamma_d < 0.0 or not math.isfinite(self.gamma_d):
             raise ValueError(f"gamma_d must be >= 0 fs^-1, got {self.gamma_d}")
-        norm = tuple([(float(w), float(v2)) for w, v2 in self.modes])
+        modes = self.modes
+        if not isinstance(modes, Modes):
+            omega_k, v2_k = array("d"), array("d")
+            for w, v2 in modes:
+                omega_k.append(float(w))
+                v2_k.append(float(v2))
+            modes = Modes(omega_k, v2_k)
+            object.__setattr__(self, "modes", modes)
         inf = math.inf
-        for w, v2 in norm:
+        for w, v2 in modes:
             if not (0.0 < w < inf and 0.0 <= v2 < inf):
                 _check_mode(w, v2)
-        object.__setattr__(self, "modes", norm)
 
 
 @dataclass(frozen=True)
@@ -238,35 +288,39 @@ def frequency_renormalization(
                 f"resonance omega0 = {omega0} cm^-1; exclude or shift it"
             )
         nbar_k = _occupation(omega_k, kt, "omega_k")
-        delta_plus += v2_k * (nbar_k + 1.0) / (omega_k - omega0)
-        delta_minus -= v2_k * nbar_k / (omega_k - omega0)
+        detuning = omega_k - omega0
+        delta_plus += v2_k * (nbar_k + 1.0) / detuning
+        delta_minus -= v2_k * nbar_k / detuning
     if not (math.isfinite(delta_plus) and math.isfinite(delta_minus)):
         raise ValueError(f"the frequency shifts overflow: delta_plus = {delta_plus:.6g}, delta_minus = {delta_minus:.6g}")
     return delta_plus, delta_minus
 
 
-def load_modes_csv(path: str) -> tuple[tuple[float, float], ...]:
+def load_modes_csv(path: str) -> Modes:
     """Read discrete phonon modes from a two-column CSV.
 
     The header row must be exactly ``omega_k_cm1,V2_k_cm2``; each data
     row gives one mode's frequency (cm^-1) and squared coupling (cm^-2).
+    Each float is appended to its column as it is read, and the Modes
+    returned holds the two columns, in file order.
 
     The lines stream through a plain pass: within the field limit, the matching
     header and a row of two floats, which hold no quote, split as csv.reader
     splits them.  At any other line csv.reader reads the file from the top.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        modes: list[tuple[float, float]] = []
-        append, limit = modes.append, csv.field_size_limit()
+        omega, v2, limit = array("d"), array("d"), csv.field_size_limit()
         header = fh.readline()
         if len(header) <= limit and tuple(h.strip() for h in header.split(",")) == MODES_CSV_HEADER:
+            add_omega, add_v2 = omega.append, v2.append
             try:
                 for line in fh:
                     omega_k, v2_k = line.split(",") if len(line) <= limit else ()
-                    append((float(omega_k), float(v2_k)))
-                return tuple(modes)
+                    add_omega(float(omega_k))
+                    add_v2(float(v2_k))
+                return Modes(omega, v2)
             except ValueError:  # a long line, a bad unpacking or float, or a decoding error csv.reader meets too
-                pass
+                del omega[:], v2[:]
         fh.seek(0)
         reader, i = csv.reader(fh), 0  # i: the last record read, numbered as the refusals number it
         try:
@@ -278,16 +332,17 @@ def load_modes_csv(path: str) -> tuple[tuple[float, float], ...]:
                     f"{path}: expected header {','.join(MODES_CSV_HEADER)}, "
                     f"got {','.join(header)}"
                 )
-            modes, i = [], 1
+            i = 1
             for i, row in enumerate(reader, start=2):
                 if not any(cell.strip() for cell in row):
                     continue  # a blank row
                 if len(row) != 2:
                     raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}")
                 try:
-                    modes.append((float(row[0]), float(row[1])))
+                    omega.append(float(row[0]))
+                    v2.append(float(row[1]))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{i}: {exc}") from None
         except csv.Error as exc:  # not a ValueError: a field past the limit, say, in the next record
             raise ValueError(f"{path}:{i + 1}: {exc}") from None
-    return tuple(modes)
+    return Modes(omega, v2)

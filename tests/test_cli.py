@@ -220,6 +220,11 @@ EXIT_CASES = [
         2, "config error: the phonon dressing leaves the float range at lambda1 = 35 cm^-1, |eta| = 1.41421e+308\n",
     ),
     ("sweep --eta-abs 1.4e308 --theta-list 0", 0, "theta=0: minimum 1/alpha="),
+    # the root solves 1/alpha = 1000, but lambda2 at it overflows
+    (
+        "estimate --lambda1 1.7e308 --j12 1e308 --theta-list 0 --target-ratio 1000",
+        2, "config error: the phonon dressing leaves the float range at lambda1 = 1.7e+308 cm^-1, |eta| = 0.0648643\n",
+    ),
     ("helix --helix-j12 1e308", 2, "config error: attenuation factor overflows"),
     (
         "estimate --j12 1e-308 --theta 3.141592653589793 --omega1 -1 --theta-list 3.141592653589793",

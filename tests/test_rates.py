@@ -1,8 +1,12 @@
 """Decay constants: thermal occupation, attenuation, mode shifts, CSV input."""
 
 import csv
+import dataclasses
+import gc
 import math
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import assume, given
@@ -12,6 +16,7 @@ from dimerdecay.excitons import DimerParams
 from dimerdecay.rates import (
     MODES_CSV_HEADER,
     BathSpec,
+    Modes,
     attenuation_factor,
     bose_occupation,
     decay_constant,
@@ -72,10 +77,19 @@ BAD_MODES = [
 ]
 
 
+def modes_of(pairs):
+    """The Modes of `pairs`, built from its two columns as load_modes_csv builds one."""
+    return Modes(array("d", [w for w, _ in pairs]), array("d", [v2 for _, v2 in pairs]))
+
+
 @pytest.mark.parametrize("mode, text", BAD_MODES)
 def test_modes_outside_the_rule_are_refused(mode, text):
-    with pytest.raises(ValueError, match=f"{text} must be finite"):
-        BathSpec(temperature=300.0, gamma_d=0.02, modes=(mode,))
+    with pytest.raises(ValueError, match=f"{text} must be finite") as from_pairs:
+        BathSpec(temperature=300.0, gamma_d=0.02, modes=((50.0, 1.0), mode))
+    # a Modes is checked by the same rule, with the same message
+    with pytest.raises(ValueError) as from_modes:
+        BathSpec(temperature=300.0, gamma_d=0.02, modes=modes_of(((50.0, 1.0), mode)))
+    assert str(from_modes.value) == str(from_pairs.value)
     with pytest.raises(ValueError, match=f"{text} must be finite"):
         frequency_renormalization(((50.0, 1.0), mode), 100.0, 300.0)
 
@@ -84,6 +98,62 @@ def test_bath_spec_normalizes_modes():
     bath = BathSpec(temperature=300.0, gamma_d=0.02, modes=((100, 2), (200, 3)))
     assert bath.modes == ((100.0, 2.0), (200.0, 3.0))
     assert all(isinstance(v, float) for pair in bath.modes for v in pair)
+    assert isinstance(bath.modes, Modes) and isinstance(BathSpec(300.0, 0.02).modes, Modes)
+
+
+def test_bath_spec_converts_every_value_before_it_checks_a_mode():
+    # the first mode breaks the rule, the second is no number: float() refuses first
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        BathSpec(temperature=300.0, gamma_d=0.02, modes=[(0.0, 1.0), ("x", 1.0)])
+    with pytest.raises(ValueError, match="mode frequency must be finite and > 0 cm\\^-1, got 0.0"):
+        BathSpec(temperature=300.0, gamma_d=0.02, modes=[(0.0, 1.0), (100.0, -1.0)])
+
+
+PAIRS = ((100.0, 2.5), (50.0, 0.0), (300.0, 1e-3))
+
+
+def test_modes_count_their_pairs_and_yield_them_in_column_order():
+    modes = modes_of(PAIRS)
+    assert len(modes) == 3 and list(modes) == list(PAIRS)
+    assert all(type(v) is float for pair in modes for v in pair)
+    assert len(modes_of(())) == 0 and not modes_of(())
+
+
+def test_modes_equal_and_hash_as_the_tuple_of_their_pairs():
+    modes = modes_of(PAIRS)
+    assert modes == PAIRS and PAIRS == modes and modes == modes_of(PAIRS)
+    assert hash(modes) == hash(PAIRS)
+    assert modes != PAIRS[:2] and modes != modes_of(PAIRS[::-1]) and modes != list(PAIRS)
+    assert modes_of(()) == ()
+
+
+def test_bath_spec_keeps_a_modes_and_stays_equal_by_value_and_hashable():
+    modes = modes_of(PAIRS)
+    kept, made = BathSpec(300.0, 0.02, modes=modes), BathSpec(300.0, 0.02, modes=list(PAIRS))
+    assert kept.modes is modes
+    assert kept == made and hash(kept) == hash(made)
+    assert kept != BathSpec(300.0, 0.02, modes=PAIRS[:2])
+
+
+def test_modes_cannot_be_changed_through_a_bath_spec(tmp_path):
+    path = tmp_path / "modes.csv"
+    path.write_text(HEADER + "100.0,2.5\n200.0,0.0\n", encoding="utf-8")
+    loaded = load_modes_csv(str(path))
+    bath = BathSpec(temperature=300.0, gamma_d=0.02, modes=loaded)
+    assert bath.modes is loaded
+    with pytest.raises(TypeError):
+        bath.modes.omega_k[0] = 1.0
+    with pytest.raises(TypeError):
+        bath.modes.V2_k[1] = 1.0
+    with pytest.raises(AttributeError):
+        bath.modes.omega_k = memoryview(array("d", [1.0, 2.0]))
+    with pytest.raises(AttributeError):
+        del bath.modes.V2_k
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bath.modes = ()
+    with pytest.raises(BufferError):  # a column that exports a view keeps its length
+        bath.modes.omega_k.obj.append(1.0)
+    assert bath.modes == ((100.0, 2.5), (200.0, 0.0))
 
 
 # --------------------------------------------------------------- occupation
@@ -502,7 +572,8 @@ def test_load_modes_csv_edge_rows(case, tmp_path):
     path = tmp_path / "modes.csv"
     path.write_bytes((HEADER + rows).encode("utf-8"))
     if isinstance(expected, tuple):
-        assert load_modes_csv(str(path)) == expected
+        modes = load_modes_csv(str(path))
+        assert isinstance(modes, Modes) and modes == expected
     else:
         with pytest.raises(ValueError) as exc:
             load_modes_csv(str(path))
@@ -579,3 +650,23 @@ def test_load_modes_csv_matches_the_csv_reader_loop(monkeypatch, tmp_path):
         paths.append("csv.reader" if handed else "plain")
     assert kinds.count("read") >= 50 and kinds.count("refused") >= 50
     assert paths.count("plain") >= 50 and paths.count("csv.reader") >= 50
+
+
+@pytest.mark.parametrize("last_row", ["3,4\n", '"3","4"\n'], ids=["plain-pass", "csv-reader"])
+def test_the_mode_path_peaks_at_32_bytes_per_mode_or_less(last_row, tmp_path):
+    # the two float columns take 16 B per mode; pairs held as tuples of floats peaked near 180
+    n = 20_000
+    rng = random.Random(36)
+    path = tmp_path / "modes.csv"
+    rows = "".join(f"{rng.uniform(20.0, 1500.0)!r},{rng.uniform(0.0, 50.0)!r}\n" for _ in range(n - 1))
+    path.write_text(HEADER + rows + last_row, encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bath = BathSpec(temperature=300.0, gamma_d=0.02, modes=load_modes_csv(str(path)))
+        frequency_renormalization(bath.modes, 318.95, 300.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bath.modes) == n
+    assert peak <= 32 * n, f"{peak / n:.1f} B per mode"

@@ -43,6 +43,7 @@ from .dynamics import (
 )
 from .excitons import DimerParams, exciton_frame
 from .rates import (
+    NO_MODES,
     BathSpec,
     Modes,
     decay_constant,
@@ -103,10 +104,10 @@ def _thetas(raw: str) -> tuple[float, ...]:
     return thetas
 
 
-def _modes(raw: str) -> Modes | tuple[()]:
+def _modes(raw: str) -> Modes:
     path = raw.strip()
     if not path:
-        return ()
+        return NO_MODES
     try:
         modes = load_modes_csv(path)
     except OSError as exc:

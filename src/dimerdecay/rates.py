@@ -22,12 +22,14 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .excitons import DimerParams, ExcitonFrame, exciton_frame
 from .units import thermal_energy, wavenumber_to_angular
+
+if TYPE_CHECKING:
+    from array import array
 
 # Required header of a phonon-mode CSV: frequency and squared coupling.
 MODES_CSV_HEADER = ("omega_k_cm1", "V2_k_cm2")
@@ -37,12 +39,14 @@ class Modes:
     """Discrete phonon modes held as two float columns, read-only.
 
     omega_k (cm^-1) and V2_k (cm^-2) are read-only memoryviews of the two
-    array('d') columns given, which the Modes keeps without copying; an
-    array that exports a view can no longer change its length.  len() is
+    columns given, array('d') or other buffers of C doubles, which the
+    Modes keeps without copying; an array that exports a view can no
+    longer change its length.  len() is
     the mode count, iteration yields the (omega_k, V2_k) float pairs in
     column order, and a Modes compares equal to, and hashes as, the tuple
     of those pairs.  It takes 16 B per mode, where a tuple of float pairs
-    takes 112.
+    takes 112.  Only the code that fills columns imports array, an
+    extension module of about 0.1 MB, so a run without modes never loads it.
     """
 
     __slots__ = ("omega_k", "V2_k")
@@ -74,6 +78,10 @@ class Modes:
         return hash(tuple(self))
 
 
+# no modes: two empty views of C doubles, made without the array module
+NO_MODES = Modes(memoryview(b"").cast("d"), memoryview(b"").cast("d"))
+
+
 @dataclass(frozen=True)
 class BathSpec:
     """Phonon-bath inputs.
@@ -87,14 +95,15 @@ class BathSpec:
         delta-correlated bath sets no scale of its own here.
     modes : Modes
         Discrete phonon modes (cm^-1, cm^-2) for the principal-value
-        frequency-shift sums.  Empty means no shift.  A Modes, as
-        load_modes_csv returns it, is kept as it is; any other iterable of
-        (omega_k, V2_k) pairs is made one, each value through float().
+        frequency-shift sums.  Empty, as NO_MODES, the default, means no
+        shift.  A Modes, as load_modes_csv returns it, is kept as it is;
+        any other iterable of (omega_k, V2_k) pairs is made one, each
+        value through float().
     """
 
     temperature: float
     gamma_d: float
-    modes: Modes = ()
+    modes: Modes = NO_MODES
 
     def __post_init__(self) -> None:
         thermal_energy(self.temperature)  # refuses T outside 0 <= T < inf, as every function of T does
@@ -102,6 +111,7 @@ class BathSpec:
             raise ValueError(f"gamma_d must be >= 0 fs^-1, got {self.gamma_d}")
         modes = self.modes
         if not isinstance(modes, Modes):
+            from array import array
             omega_k, v2_k = array("d"), array("d")
             for w, v2 in modes:
                 omega_k.append(float(w))
@@ -308,6 +318,7 @@ def load_modes_csv(path: str) -> Modes:
     header and a row of two floats, which hold no quote, split as csv.reader
     splits them.  At any other line csv.reader reads the file from the top.
     """
+    from array import array
     with open(path, newline="", encoding="utf-8") as fh:
         omega, v2, limit = array("d"), array("d"), csv.field_size_limit()
         header = fh.readline()

@@ -369,6 +369,16 @@ def test_importing_the_cli_and_a_plain_ini_run_load_no_json_or_configparser(tmp_
         assert loaded_modules(code, ("json", "configparser")) == set(), code
 
 
+def test_only_a_mode_file_loads_the_array_module(tmp_path):
+    # array, an extension module of about 0.1 MB, holds the mode columns and nothing else
+    def run(*argv):
+        return f"from dimerdecay.cli import main\nassert main({[*argv, '--output-dir', str(tmp_path)]!r}) == 0"
+
+    for code in ("import dimerdecay.cli", run("transform"), run("estimate"), run("evolve", "--time-points", "11")):
+        assert loaded_modules(code, ("array",)) == set(), code
+    assert loaded_modules(run("renorm", "--modes-file", str(ROOT / "tests" / "golden" / "modes.csv")), ("array",)) == {"array"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [["transform"], ["helix"], ["renorm", "--modes-file", str(ROOT / "tests" / "golden" / "modes.csv")],

@@ -208,30 +208,45 @@ def _set_eta(merged: dict[str, dict[str, str]], raw: str) -> None:
     merged["dimer"]["theta"] = repr(math.atan2(eta.imag, eta.real))
 
 
-def _plain_sections(lines) -> dict[str, dict[str, str]] | None:
-    """The sections of INI lines as configparser reads them, or None at the first line it may read otherwise.
+def _ini_sections(fh: IO[str], path: str) -> dict[str, dict[str, str]]:
+    """The sections of an INI file in its one grammar; any other line is refused with its number.
 
-    Read here: blank lines, full-line comments, `[name]` headers and unindented `key = value` lines
-    without "%" or a ":" before the "=", where no section or key repeats and a header comes first.
+    A line is blank, a full-line "#" or ";" comment, a new `[name]` header (the name lies between the
+    first "[" and the last "]") or an unindented `key = value` line with a new key under a header, split
+    at the first "=", the key rstripped and lower-cased, the value stripped.
     """
     sections: dict[str, dict[str, str]] = {}
     items = None
-    for line in lines:
+    for n, line in enumerate(fh, 1):
         text = line.strip()
         if not text or text[0] in "#;":
             continue
-        if line[0] != text[0] or "%" in text:
-            return None
-        if text[0] == "[":  # configparser's name lies between the first "[" and the last "]"
-            if text[-1] != "]" or len(text) < 3 or text[1:-1] in sections:
-                return None
-            items = sections[text[1:-1]] = {}
-            continue
-        key, eq, value = text.partition("=")
-        key = key.rstrip().lower()
-        if items is None or not eq or not key or ":" in key or key in items:
-            return None
-        items[key] = value.strip()
+        try:
+            if line[0] != text[0]:
+                raise ValueError("indented line: no value continues onto another line")
+            if text[0] == "[":
+                name = text[1:-1]
+                if text[-1] != "]" or not name:
+                    raise ValueError("expected a [section] header alone on its line")
+                if name in sections:
+                    raise ValueError(f"section [{name}] repeats")
+                items = sections[name] = {}
+                continue
+            key, eq, value = text.partition("=")
+            key = key.rstrip().lower()
+            if ":" in key:
+                raise ValueError('":" before "=": write key = value')
+            if not eq or not key:
+                raise ValueError("expected key = value")
+            if "%" in value:
+                raise ValueError('"%" in a value: no value is interpolated, and a literal "%" is refused')
+            if items is None:
+                raise ValueError("key before any [section] header")
+            if key in items:
+                raise ValueError(f"key {key} repeats")
+            items[key] = value.strip()
+        except ValueError as exc:
+            raise ValueError(f"config file {path}:{n}: {exc}") from None
     return sections
 
 
@@ -243,21 +258,9 @@ def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
     if path is None:
         return merged
     try:
-        # ConfigParser.read would skip a file that fails to open
         with open(path, encoding="utf-8") as fh:
-            sections = _plain_sections(fh)
-            if sections is None:  # configparser reads the file again from the top
-                import configparser
-                fh.seek(0)
-                # no header can name the empty section, so [DEFAULT] reads as an
-                # ordinary section and is refused below like any unknown one
-                parser = configparser.ConfigParser(default_section="")
-                try:
-                    parser.read_file(fh)
-                    sections = {section: dict(parser.items(section)) for section in parser.sections()}
-                except configparser.Error as exc:  # named with the file below, as a ValueError is
-                    raise ValueError(str(exc)) from None
-    except (OSError, ValueError) as exc:
+            sections = _ini_sections(fh, path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path}: {exc}") from None
     for section, items in sections.items():
         if section not in merged:
@@ -551,8 +554,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, error = 2, (f"config error: {exc}",)
         except OSError as exc:
             code, error = 3, (f"i/o error: {exc}",)
-    # the warnings, then the refusal; one line each: the default warning
-    # format adds the source line, and configparser's messages span several
+    # the warnings, then the refusal; one line each: the default warning format
+    # adds the source line, and a message may quote a path that holds a line break
     for line in [*(f"warning: {w.message}" for w in caught), *error]:
         print(line.replace("\n", " "), file=sys.stderr)
     return code

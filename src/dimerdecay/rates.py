@@ -19,7 +19,6 @@ sets the branching between upward and downward exciton transitions.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -309,51 +308,42 @@ def frequency_renormalization(
 def load_modes_csv(path: str) -> Modes:
     """Read discrete phonon modes from a two-column CSV.
 
-    The header row must be exactly ``omega_k_cm1,V2_k_cm2``; each data
-    row gives one mode's frequency (cm^-1) and squared coupling (cm^-2).
-    Each float is appended to its column as it is read, and the Modes
-    returned holds the two columns, in file order.
-
-    The lines stream through a plain pass: within the field limit, the matching
-    header and a row of two floats, which hold no quote, split as csv.reader
-    splits them.  At any other line csv.reader reads the file from the top.
+    The header line, split at its commas and stripped, must be
+    ``omega_k_cm1,V2_k_cm2``.  A row whose every comma-separated cell is
+    whitespace is skipped; every other row is one mode's frequency (cm^-1)
+    and squared coupling (cm^-2), two floats split at its one comma, and
+    any other is refused with its line number.  The file streams through
+    one pass, which appends each float to its column; the Modes returned
+    holds the two columns, in file order.
     """
     from array import array
     with open(path, newline="", encoding="utf-8") as fh:
-        omega, v2, limit = array("d"), array("d"), csv.field_size_limit()
         header = fh.readline()
-        if len(header) <= limit and tuple(h.strip() for h in header.split(",")) == MODES_CSV_HEADER:
-            add_omega, add_v2 = omega.append, v2.append
+        if not header:
+            raise ValueError(f"{path}: empty modes file, header row required")
+        header = header.rstrip("\r\n").split(",")
+        if tuple(h.strip() for h in header) != MODES_CSV_HEADER:
+            raise ValueError(f"{path}: expected header {','.join(MODES_CSV_HEADER)}, got {','.join(header)}")
+        omega, v2, blank = array("d"), array("d"), 0
+        add_omega, add_v2 = omega.append, v2.append
+        while True:
             try:
                 for line in fh:
-                    omega_k, v2_k = line.split(",") if len(line) <= limit else ()
+                    omega_k, v2_k = line.split(",")
                     add_omega(float(omega_k))
                     add_v2(float(v2_k))
-                return Modes(omega, v2)
-            except ValueError:  # a long line, a bad unpacking or float, or a decoding error csv.reader meets too
-                del omega[:], v2[:]
-        fh.seek(0)
-        reader, i = csv.reader(fh), 0  # i: the last record read, numbered as the refusals number it
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty modes file, header row required")
-            if tuple(h.strip() for h in header) != MODES_CSV_HEADER:
-                raise ValueError(
-                    f"{path}: expected header {','.join(MODES_CSV_HEADER)}, "
-                    f"got {','.join(header)}"
-                )
-            i = 1
-            for i, row in enumerate(reader, start=2):
-                if not any(cell.strip() for cell in row):
-                    continue  # a blank row
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}")
-                try:
-                    omega.append(float(row[0]))
-                    v2.append(float(row[1]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{i}: {exc}") from None
-        except csv.Error as exc:  # not a ValueError: a field past the limit, say, in the next record
-            raise ValueError(f"{path}:{i + 1}: {exc}") from None
+                break
+            except UnicodeDecodeError:  # the file's, not a row's
+                raise
+            except ValueError:  # off the hot path: a blank row, skipped, or a row refused by its line number
+                row = line.rstrip("\r\n").split(",")
+                if any(cell.strip() for cell in row):
+                    i = len(v2) + blank + 2  # the header, each row read, each blank row, then this one
+                    if len(row) != 2:
+                        raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}") from None
+                    try:  # again without the line end, which float() would quote
+                        float(row[0]), float(row[1])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{i}: {exc}") from None
+                blank += 1
     return Modes(omega, v2)

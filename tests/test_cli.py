@@ -525,8 +525,28 @@ FILE_CASES = {
     # id: (the file is a config, a custom state or a mode CSV, its bytes, start of the
     # stderr line); bytes None: the file exists but opening it raises PermissionError
     "ini-not-utf8": ("config", b"\xff[dimer]\n", "config error: config file"),
-    "ini-bare-percent": ("config", b"[dimer]\nj12 = 1%\n", "config error: config file"),
-    "ini-no-section-header": ("config", b"j12 = 5\n", "config error: config file"),
+    # each line the INI grammar refuses, by its number
+    "ini-bare-percent": (
+        "config", b"[dimer]\nj12 = 1%\n",
+        'config error: config file {path}:2: "%" in a value: no value is interpolated, and a literal "%" is refused\n',
+    ),
+    "ini-no-section-header": ("config", b"j12 = 5\n", "config error: config file {path}:1: key before any [section] header\n"),
+    "ini-indented-line": (
+        "config", b"[dimer]\nj12 = 5\n  6\n",
+        "config error: config file {path}:3: indented line: no value continues onto another line\n",
+    ),
+    "ini-colon-delimiter": (
+        "config", b"[dimer]\nj12: 5\n", 'config error: config file {path}:2: ":" before "=": write key = value\n',
+    ),
+    "ini-no-delimiter": ("config", b"[dimer]\n\nj12\n", "config error: config file {path}:3: expected key = value\n"),
+    "ini-empty-key": ("config", b"[dimer]\n= 5\n", "config error: config file {path}:2: expected key = value\n"),
+    "ini-repeated-key": ("config", b"[dimer]\nj12 = 5\nJ12 = 6\n", "config error: config file {path}:3: key j12 repeats\n"),
+    "ini-repeated-section": (
+        "config", b"[dimer]\n# again\n[dimer]\n", "config error: config file {path}:3: section [dimer] repeats\n",
+    ),
+    "ini-malformed-header": (
+        "config", b"[dimer] x\n", "config error: config file {path}:1: expected a [section] header alone on its line\n",
+    ),
     "ini-default-section": ("config", b"[DEFAULT]\nj12 = 5\n", "config error: unknown config section [DEFAULT]"),
     "ini-default-unknown-key": (
         "config", b"[DEFAULT]\ncoupling = 5\n", "config error: unknown config section [DEFAULT]",
@@ -574,7 +594,6 @@ FILE_CASES = {
         "state", b'{"basis": "exciton", "rho": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
         "config error: initial_state.file: rho must have unit trace to 1e-12, got (3+0j)\n",
     ),
-    # the plain pass hands these to the csv.reader loop, which refuses them
     "modes-empty": ("modes", b"", "config error: bath.modes_file: {path}: empty modes file, header row required\n"),
     "modes-wrong-header": (
         "modes", b"omega,V2\n", "config error: bath.modes_file: {path}: expected header omega_k_cm1,V2_k_cm2, got omega,V2\n",
@@ -586,10 +605,10 @@ FILE_CASES = {
         "modes", b"omega_k_cm1,V2_k_cm2\nabc,1\n",
         "config error: bath.modes_file: {path}:2: could not convert string to float: 'abc'\n",
     ),
-    # csv.reader refuses a field past its limit with csv.Error, which is not a ValueError
+    # a cell of any length reads as the float it spells, and the mode is checked as any other
     "modes-field-past-limit": (
         "modes", b"omega_k_cm1,V2_k_cm2\n1" + b"0" * 131072 + b",1\n",
-        "config error: bath.modes_file: {path}:2: field larger than field limit (131072)\n",
+        "config error: bath: mode frequency must be finite and > 0 cm^-1, got inf\n",
     ),
 }
 
@@ -655,9 +674,9 @@ def ini_text(rng):
 
 
 PLAIN_INI_VALUES = ("-96", "1e3", " 0.5 + 0.2j ", "", "a b", "a:b", "x = y", "-96 ; not a comment", "\t7\t", "[x]")
-# lines configparser reads otherwise than a plain line, or refuses: other delimiters,
+# lines outside the INI grammar, which configparser may read: other delimiters,
 # interpolation, indents, continuation lines after a blank line, look-alike headers,
-# lines without a key or a delimiter; and plain lines that may repeat a section or key
+# lines without a key or a delimiter; and grammar lines that may repeat a section or key
 INI_ODD_LINES = (
     "j12: 5", "j12 :=5", "omega1:1e3", "directory = out%%1", "j12 = %(omega1)s", "omega1 = x%(j12)sy",
     "j12 = %(missing)s", "j12 = 1%", "[dimer%]", "  x = 1", "    0.5+0.2j", "\n    1e3", "\t-96",
@@ -666,7 +685,7 @@ INI_ODD_LINES = (
 
 
 def plain_ini_text(rng):
-    """One INI text of plain lines (comments, blank lines, headers, `key = value` lines,
+    """One INI text of grammar lines (comments, blank lines, headers, `key = value` lines,
     upper-case keys) and, in about half the texts, one or two INI_ODD_LINES."""
     lines = []
     for _ in range(rng.randint(0, 3)):
@@ -727,34 +746,44 @@ def merge_outcome(merge, path):
     return "merged", [(section, list(values.items())) for section, values in merged.items()]
 
 
-def test_ini_merge_matches_a_fresh_configparser(monkeypatch, tmp_path):
-    # the plain pass reads a text alone or hands it to configparser: count which
-    plain = []
-    plain_sections = cli._plain_sections
-    monkeypatch.setattr(cli, "_plain_sections", lambda lines: plain.append(plain_sections(lines)) or plain[-1])
+def test_ini_merge_matches_a_fresh_configparser(tmp_path):
+    # a text merges as a fresh ConfigParser merges it, or the grammar refuses one of its lines by number
     rng = random.Random(25)
     path = tmp_path / "run.ini"
-    kinds, paths = [], []
+    by_line = re.compile(rf"config file {re.escape(str(path))}:\d+: ")
+    kinds, ways = [], []
     for i in range(400):
-        # half the texts as the plain pass reads them, half rich in interpolation, ":" and continuations
+        # half the texts of grammar lines, half rich in interpolation, ":" and continuations
         text = (plain_ini_text if i % 2 else ini_text)(rng)
         path.write_text(text, encoding="utf-8")
-        expected = merge_outcome(fresh_parser_merge, str(path))
-        assert merge_outcome(_merge_config, str(path)) == expected, text
+        got, expected = merge_outcome(_merge_config, str(path)), merge_outcome(fresh_parser_merge, str(path))
+        assert got == expected or got[0] == "refused" and by_line.match(got[1]), text
         kinds.append(expected[0])
-        paths.append("configparser" if plain[-1] is None else "plain")
-        # what the plain pass returns, configparser returns too, before any key is merged
-        assert plain[-1] is None or plain[-1] == configparser_sections(text), text
+        ways.append("same" if got == expected else "refused by line")
+        # what the grammar reads, before any key is merged, configparser reads too
+        with open(path, encoding="utf-8") as fh:
+            try:
+                sections = cli._ini_sections(fh, str(path))
+            except ValueError as exc:
+                assert by_line.match(str(exc)), text
+            else:
+                assert sections == configparser_sections(text), text
     assert kinds.count("merged") >= 50 and kinds.count("refused") >= 50
-    assert paths.count("plain") >= 50 and paths.count("configparser") >= 50
-    # each path both merges and refuses
-    assert len(set(zip(kinds, paths))) == 4
+    assert ways.count("same") >= 50 and ways.count("refused by line") >= 50
+    # configparser merges some texts the grammar refuses: "%%", "key: value", continuation lines
+    assert len(set(zip(kinds, ways))) == 4
 
 
-def test_an_escaped_percent_reaches_the_output_directory(monkeypatch, tmp_path):
+def test_a_percent_reaches_the_output_directory_through_the_flag_alone(monkeypatch, tmp_path, capsys):
+    # "%%" meant "%" to configparser; the grammar refuses it rather than read it otherwise
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.ini").write_text("[output]\ndirectory = out%%1\n", encoding="utf-8")
-    assert main(["-c", "run.ini", "transform"]) == 0
+    assert main(["-c", "run.ini", "transform"]) == 2
+    assert capsys.readouterr().err == (
+        'config error: config file run.ini:2: "%" in a value: no value is interpolated, and a literal "%" is refused\n'
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+    assert main(["transform", "--output-dir", "out%1"]) == 0
     assert (tmp_path / "out%1" / "transform.csv").is_file()
 
 
@@ -1204,25 +1233,6 @@ def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):
     assert build_parser() is build_parser()
 
 
-def test_plain_ini_files_build_no_configparser(monkeypatch, tmp_path):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[dimer]\nj12 = -80\n", encoding="utf-8")
-    argv = ["-c", str(ini), "transform", "--output-dir", str(tmp_path)]
-    assert main(argv) == 0
-    built = []
-    init = configparser.RawConfigParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(type(self))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(configparser.RawConfigParser, "__init__", counted)
-    assert main(argv) == 0
-    ini.write_text("[bath]\ntemperature = 77\n", encoding="utf-8")
-    assert main(argv) == 0
-    assert built == []
-
-
 def outputs(argv, outdir, capsys):
     """Run one subcommand; return its stdout and the bytes of every file it wrote."""
     assert main(argv + ["--output-dir", str(outdir)]) == 0
@@ -1281,7 +1291,8 @@ theta_list = 0.0, 0.7853981633974483, 1.5707963267948966, 2.356194490192345, 3.1
 """
 
 
-def test_plain_inputs_never_reach_configparser_or_csv_reader(monkeypatch, tmp_path):
+def test_plain_inputs_never_reach_configparser_or_csv_reader(tmp_path):
+    # no module of the package imports either (test_package.py pins that); both inputs still read
     rng = random.Random(6)
     modes = tmp_path / "modes.csv"
     modes.write_text(
@@ -1291,12 +1302,6 @@ def test_plain_inputs_never_reach_configparser_or_csv_reader(monkeypatch, tmp_pa
     readme, bench = tmp_path / "readme.ini", tmp_path / "bench.ini"
     readme.write_text(README_INI, encoding="utf-8")
     bench.write_text(BENCH_INI.format(modes=modes), encoding="utf-8")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a plain input was handed on")
-
-    monkeypatch.setattr(configparser.RawConfigParser, "read_file", refuse)
-    monkeypatch.setattr(csv, "reader", refuse)
     assert _merge_config(str(readme))["dimer"]["eta_abs"] == "0.71"
     assert main(["-c", str(bench), "renorm", "--output-dir", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "renorm.csv").read_text(encoding="utf-8").endswith("\nn_modes,3000\n")

@@ -93,10 +93,11 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 def test_no_module_imports_pathlib():
-    # os.path does the package's path work; `site` may load pathlib before any test runs, so sys.modules cannot tell
+    # os.path does the package's path work, and each input file is read in its own grammar, with neither
+    # configparser nor csv; `site` may load pathlib before any test runs, so sys.modules cannot tell
     assert imported_modules(ast.parse("def f():\n    from pathlib import Path\n")) == ["pathlib"]
     assert [name for name, tree in source_trees().items()
-            if any(module.split(".")[0] == "pathlib" for module in imported_modules(tree))] == []
+            if any(module.split(".")[0] in ("pathlib", "configparser", "csv") for module in imported_modules(tree))] == []
 
 
 def private_attributes(source):
@@ -361,12 +362,13 @@ def test_importing_the_cli_loads_every_layer_and_no_numpy():
 
 
 def test_importing_the_cli_and_a_plain_ini_run_load_no_json_or_configparser(tmp_path):
-    # json reads only a custom state and configparser only an INI file the plain pass hands on
+    # json reads only a custom state; the INI and mode files are read without configparser or csv
     ini = tmp_path / "run.ini"
-    ini.write_text("[dimer]\nj12 = -50\neta = 0.3+0.4j\n", encoding="utf-8")
+    modes = ROOT / "tests" / "golden" / "modes.csv"
+    ini.write_text(f"[dimer]\nj12 = -50\neta = 0.3+0.4j\n[bath]\nmodes_file = {modes}\n", encoding="utf-8")
     run = f"from dimerdecay.cli import main\nassert main({['-c', str(ini), 'transform', '--output-dir', str(tmp_path)]!r}) == 0"
     for code in ("import dimerdecay.cli", run):
-        assert loaded_modules(code, ("json", "configparser")) == set(), code
+        assert loaded_modules(code, ("json", "configparser", "csv")) == set(), code
 
 
 def test_only_a_mode_file_loads_the_array_module(tmp_path):

@@ -13,6 +13,7 @@ solution; the README's refusal table lists every refusal with its code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -31,21 +32,27 @@ from .analysis import (
     write_theta_table_csv,
 )
 from .dynamics import (
+    _BLOCK,
     TRAJECTORY_CSV_HEADER,
     EvolutionParams,
     OneExcitationState,
     StepSizeError,
-    analytic_trajectory,
+    _check_states,
+    _checked_times,
+    _closed_forms,
+    _csv_header,
+    _numeric_blocks,
+    _rotate,
+    _site_map,
+    _write_rows,
     from_site_basis,
-    numeric_trajectory,
-    trajectory_to_site,
-    write_trajectory_csv,
 )
 from .excitons import DimerParams, exciton_frame
 from .rates import (
     NO_MODES,
     BathSpec,
     Modes,
+    _undecodable,
     decay_constant,
     frequency_renormalization,
     helix_attenuation,
@@ -260,8 +267,11 @@ def _merge_config(path: str | None) -> dict[str, dict[str, str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             sections = _ini_sections(fh, path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ValueError(f"config file {path}: {exc}") from None
+    except UnicodeDecodeError:  # its position counts from the decoder's chunk, so the line is found again
+        n, exc = _undecodable(path)
+        raise ValueError(f"config file {path}:{n}: {exc}") from None
     for section, items in sections.items():
         if section not in merged:
             raise ValueError(f"unknown config section [{section}]")
@@ -457,27 +467,65 @@ def cmd_estimate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_evolve(cfg: argparse.Namespace) -> int:
+    """Stream both trajectories block by block into their CSVs, which appear only whole.
+
+    The grid and the step are checked before the first block.  Each block
+    of the grid is stepped on from the last numeric state, checked, paired
+    with the closed forms at its times, rotated to the site basis if asked
+    and written, so no stage holds more than one block.  The files are
+    written under temporary names and moved into place at the end; a
+    refusal removes them, and any directory the run made.
+    """
     import numpy as np
     params = EvolutionParams.for_dimer(cfg.dimer, cfg.bath)
     rho0 = _initial_state(cfg, params.phi0)
-    times = np.linspace(0.0, cfg.t_max, cfg.time_points)
-
-    analytic = analytic_trajectory(rho0, times, params)
+    times = _checked_times(np.linspace(0.0, cfg.t_max, cfg.time_points), params)
     try:
-        numeric = numeric_trajectory(rho0, times, cfg.dt, params)
+        numeric_blocks = _numeric_blocks(rho0, times, cfg.dt, params)
     except StepSizeError as exc:
         raise ValueError(f"time.dt: {exc}") from None
+    site = _site_map(params.phi0) if cfg.basis == "site" else None
 
-    if cfg.basis == "site":
-        analytic = trajectory_to_site(analytic, params.phi0)
-        numeric = trajectory_to_site(numeric, params.phi0)
-
-    with _open_out(cfg, "trajectory_analytic.csv") as fh:
-        write_trajectory_csv(fh, times, analytic)
-    with _open_out(cfg, "trajectory_numeric.csv") as fh:
-        supnorm = write_trajectory_csv(fh, times, numeric, reference=analytic)
+    made = _missing_dirs(cfg.output_dir)
+    paths = [os.path.join(cfg.output_dir, f"trajectory_{kind}.csv") for kind in ("analytic", "numeric")]
+    temps = [os.path.join(cfg.output_dir, f".{os.path.basename(path)}.{os.getpid()}.tmp") for path in paths]
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        with open(temps[0], "w", newline="", encoding="utf-8") as fa, \
+                open(temps[1], "w", newline="", encoding="utf-8") as fn:
+            fa.write(_csv_header(False))
+            fn.write(_csv_header(True))
+            supnorm = -math.inf
+            for lo, numeric in zip(range(0, len(times), _BLOCK), numeric_blocks):
+                _check_states(numeric)
+                ts = times[lo:lo + _BLOCK]
+                analytic = _closed_forms(rho0, ts, params)
+                if site is not None:
+                    analytic, numeric = _rotate(analytic, site), _rotate(numeric, site)
+                _write_rows(fa, ts, analytic, None)
+                # nan, as numpy's max gives it, carries through
+                supnorm = np.maximum(supnorm, _write_rows(fn, ts, numeric, analytic))
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:  # the run leaves no file and no directory it made, then refuses as it would
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        for path in made:  # deepest first
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     print(f"max |analytic - numeric| over the grid: {supnorm:.3e}")
     return 0
+
+
+def _missing_dirs(path: str) -> list[str]:
+    """``path`` and each of its parents that does not exist yet, deepest first."""
+    missing = []
+    while path and not os.path.isdir(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
 
 
 def cmd_helix(cfg: argparse.Namespace) -> int:

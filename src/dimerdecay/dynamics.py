@@ -35,20 +35,21 @@ populations, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the step's
 stability polynomial: four scalar powers per distinct step, found by
 binary powering, so the cost grows with log n rather than n.
 
-Of the stacks only the numeric one is checked: RK4 is not positive by
-construction.  The closed forms conjugate the upper triangle into the
-lower, set rho22 = 1 - rho00 - rho11 and turn rho02 by the product of
-the rho01 and rho12 phases, so each state is a diagonal unitary turn of
-a CPTP image of the initial state, to round-off; its smallest eigenvalue
-stays at or above minus the summed negative eigenvalues of the initial
-state.  The site rotation is real orthogonal.
+Of the states only the numeric ones are checked, one block at a time:
+RK4 is not positive by construction.  The closed forms conjugate the
+upper triangle into the lower, set rho22 = 1 - rho00 - rho11 and turn
+rho02 by the product of the rho01 and rho12 phases, so each state is a
+diagonal unitary turn of a CPTP image of the initial state, to
+round-off; its smallest eigenvalue stays at or above minus the summed
+negative eigenvalues of the initial state.  The site rotation is real
+orthogonal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, Sequence
 
 from .excitons import DimerParams, basis_map
 from .rates import BathSpec, rate_set
@@ -62,9 +63,9 @@ BASES = ("exciton", "site")
 # (row, column) indices of rho01, rho02, rho12
 _UPPER = ((0, 0, 1), (1, 2, 2))
 
-# output points per block: the per-point temporaries of the numeric path and of the
-# trajectory writer live for one block, so a run holds its stacks plus one block
-_BLOCK = 1024
+# output points per block: evolve holds each stage's states and temporaries for one block,
+# and the trajectory functions build their stacks from the same blocks
+_BLOCK = 256
 
 TRAJECTORY_CSV_HEADER = (
     "t_fs",
@@ -228,23 +229,41 @@ def analytic_trajectory(
     """Closed-form states at each of ``times`` as a (T, 3, 3) stack, unchecked.
 
     ``state``, the exciton-basis state at t = 0, was checked when built;
-    the stack keeps the rules by construction (module notes).  The real
-    decay factors come from math.exp and the complex products are written
-    out, since np.exp and numpy's vectorized complex multiply can move
-    the last bit of the scalar closed forms.
+    the stack keeps the rules by construction (module notes).  The grid
+    is checked by :func:`_checked_times`, then the states are
+    :func:`_closed_forms` over it as one block.
     """
-    import numpy as np
     if state.basis != "exciton":
         raise ValueError("analytic_trajectory requires an exciton-basis state")
+    return _closed_forms(state, _checked_times(times, p), p)
+
+
+def _checked_times(times: Sequence[float], p: EvolutionParams) -> np.ndarray:
+    """``times`` as a float array, refused unless each is >= 0 fs and every phase omega t is finite."""
+    import numpy as np
     ts = np.asarray(times, dtype=float)
     bad = ~(np.isfinite(ts) & (ts >= 0.0))
     if bad.any():
         raise ValueError(f"t must be >= 0 fs, got {ts[bad][0]}")
-    g_pop = p.gamma * (1.0 + 2.0 * p.nbar0)
     wp, wm = wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)
     t_last = float(ts.max(initial=0.0))
     if not math.isfinite(t_last * max(abs(wp), abs(wm), abs(wp - wm))):
         raise ValueError(f"the phases omega t leave the float range by t = {t_last:.6g} fs")
+    return ts
+
+
+def _closed_forms(state: OneExcitationState, ts: np.ndarray, p: EvolutionParams) -> np.ndarray:
+    """The closed-form states at the checked times ``ts``, of any block of a grid, as a stack.
+
+    Each state depends on its own time alone, so a grid evaluated block by
+    block gives the bits of the whole.  The real decay factors come from
+    math.exp and the complex products are written out, since np.exp and
+    numpy's vectorized complex multiply can move the last bit of the
+    scalar closed forms.
+    """
+    import numpy as np
+    g_pop = p.gamma * (1.0 + 2.0 * p.nbar0)
+    wp, wm = wavenumber_to_angular(p.omega_plus), wavenumber_to_angular(p.omega_minus)
     # exponents of the population and of the rho01, rho02, rho12 moduli
     rates = (-g_pop, -0.5 * p.gamma * (1.0 + p.nbar0), -0.5 * p.gamma * p.nbar0, -0.5 * g_pop)
     tl = ts.tolist()
@@ -296,11 +315,18 @@ def to_site_basis(state: OneExcitationState, phi0: float) -> OneExcitationState:
 
 
 def trajectory_to_site(rhos: np.ndarray, phi0: float) -> np.ndarray:
-    """:func:`to_site_basis` for a (T, 3, 3) stack, unchecked.
+    """:func:`to_site_basis` for a (T, 3, 3) stack, unchecked: :func:`_rotate` by the map of ``phi0``."""
+    return _rotate(rhos, _site_map(phi0))
 
-    T rho T^T as two 2-D products: T times the states side by side, then their rows times T^T.
+
+def _rotate(rhos: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """T rho T^T for a stack, or any block of one, as two 2-D products.
+
+    T times the states side by side, then their rows times T^T; each entry
+    is a sum over three terms in a fixed order, so a stack rotated block
+    by block gives the bits of the whole.
     """
-    t, n = _site_map(phi0), len(rhos)
+    n = len(rhos)
     left = (t @ rhos.transpose(1, 0, 2).reshape(3, -1)).reshape(3, n, 3).transpose(1, 0, 2)
     return (left.reshape(-1, 3) @ t.T).reshape(n, 3, 3)
 
@@ -347,24 +373,33 @@ def numeric_trajectory(
     """Checked (T, 3, 3) stack of the states at each of ``times`` by RK4.
 
     ``state`` is the state at ``times[0]``; ``times`` must be non-empty
-    and non-decreasing.
+    and non-decreasing.  The blocks of :func:`_numeric_blocks`, each
+    checked as it comes, concatenated: the first block with a bad state
+    names the refusal, before any overflow of a later one.  Serves as an
+    independent cross-check of :func:`analytic_evolve`; the step must
+    resolve the fastest timescale, dt <= 0.1 * min over the relaxation
+    time and the unitary phase periods.  The trace is kept exactly;
+    positivity is checked, not enforced.
+    """
+    import numpy as np
+    blocks = []
+    for block in _numeric_blocks(state, times, dt, p):
+        _check_states(block)
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _numeric_blocks(
+    state: OneExcitationState, times: Sequence[float], dt: float, p: EvolutionParams
+) -> Iterator[np.ndarray]:
+    """Check the grid and the step, then return :func:`_recurrence` over them: unchecked states by RK4.
+
     Each interval t is covered by n = ceil(t/dt) equal steps h = t/n, and
     the n steps are applied at once: on each eigenvector of the generator
     (module notes) they multiply by R(h lam)^n, whose increment d comes
     from :func:`_powered_factor`, once per distinct interval and
-    eigenvalue.  The state is carried as five recurrences on Python
-    complex numbers: c += d c for rho01, rho02, rho12, and, with f the
-    population increment, inc = (f dn/G) rho11 - (f up/G) rho22,
-    rho11 += inc, rho22 -= inc.  numpy's array complex multiply may fuse
-    multiply-adds, so a vectorized recurrence could round differently
-    from one CPU to another.  rho00 is copied and the lower triangle is
-    the conjugate of the upper, so every state after the first is
-    Hermitian by construction.  The recurrences run, and the stack is
-    checked, one block of _BLOCK output points at a time.  Serves
-    as an independent cross-check of :func:`analytic_evolve`; the step
-    must resolve the fastest timescale, dt <= 0.1 * min over the
-    relaxation time and the unitary phase periods.  The trace is kept
-    exactly; positivity is checked on the returned stack, not enforced.
+    eigenvalue.  All refusals but an overflow come here, before the
+    first block.
     """
     import numpy as np
     if state.basis != "exciton":
@@ -372,10 +407,14 @@ def numeric_trajectory(
     ts = np.asarray(times, dtype=float)
     if ts.size == 0:
         raise ValueError("times must not be empty: the state belongs to times[0]")
-    intervals = np.diff(ts)
-    bad = ~(np.isfinite(intervals) & (intervals >= 0.0))
-    if bad.any():
-        raise ValueError(f"t must be finite and >= 0 fs per interval, got {intervals[bad][0]}")
+    # the distinct intervals, found block by block: no array or list of them all is held
+    distinct: set[float] = set()
+    for lo in range(0, len(ts) - 1, _BLOCK):
+        intervals = np.diff(ts[lo:lo + _BLOCK + 1])
+        bad = ~(np.isfinite(intervals) & (intervals >= 0.0))
+        if bad.any():
+            raise ValueError(f"t must be finite and >= 0 fs per interval, got {intervals[bad][0]}")
+        distinct.update(intervals.tolist())
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0 fs, got {dt}")
 
@@ -388,7 +427,7 @@ def numeric_trajectory(
             f"dt = {dt} fs exceeds 0.1/max(rate) = {0.1 / fastest:.6g} fs; "
             f"the fastest timescale would be under-resolved"
         )
-    longest = float(intervals.max(initial=0.0))
+    longest = max(distinct, default=0.0)
     if not math.isfinite(longest / dt):
         raise ValueError(f"t/dt must be finite, got t = {longest} fs, dt = {dt} fs")
 
@@ -396,7 +435,7 @@ def numeric_trajectory(
     g = dn + up
     # the five factors per distinct interval; None for t = 0
     factors: dict[float, tuple[complex, ...] | None] = {}
-    for t in set(intervals.tolist()):
+    for t in distinct:
         if t == 0.0:
             factors[t] = None
             continue
@@ -404,14 +443,30 @@ def numeric_trajectory(
         h = t / n_steps
         d01, d02, d12, f = (_powered_factor(lam, h, n_steps) for lam in lams)
         factors[t] = (d01, d02, d12, f * dn / g, -f * up / g) if g else (d01, d02, d12, 0.0, 0.0)
-    r = state.rho
+    return _recurrence(state.rho, ts, factors, longest, dt)
+
+
+def _recurrence(
+    r: np.ndarray, ts: np.ndarray, factors: dict[float, tuple[complex, ...] | None], longest: float, dt: float
+) -> Iterator[np.ndarray]:
+    """The states at ``ts``, r at the first, in (<= _BLOCK, 3, 3) blocks of the grid.
+
+    The state is carried from block to block as five recurrences on Python
+    complex numbers: c += d c for rho01, rho02, rho12, and, with f the
+    population increment, inc = (f dn/G) rho11 - (f up/G) rho22,
+    rho11 += inc, rho22 -= inc.  numpy's array complex multiply may fuse
+    multiply-adds, so a vectorized recurrence could round differently
+    from one CPU to another.  rho00 is copied and the lower triangle is
+    the conjugate of the upper, so every state after the first is
+    Hermitian by construction.  A block that is not finite is refused,
+    naming the longest interval ``longest`` and the step ``dt``.
+    """
+    import numpy as np
     p11, p22, c01, c02, c12 = r[(1, 2) + _UPPER[0], (1, 2) + _UPPER[1]].tolist()
-    out = np.empty((len(ts), 3, 3), dtype=complex)
-    out[0] = r
-    out[1:, 0, 0] = r[0, 0]
-    for lo in range(0, len(intervals), _BLOCK):
+    for lo in range(0, len(ts), _BLOCK):
+        head = 0 if lo else 1  # r itself, as given, is the grid's first state
         flat: list[complex] = []
-        for t in intervals[lo:lo + _BLOCK].tolist():
+        for t in np.diff(ts[lo - 1 + head:lo + _BLOCK]).tolist():
             e = factors[t]
             if e is not None:
                 d01, d02, d12, e44, e48 = e
@@ -425,14 +480,14 @@ def numeric_trajectory(
         rows = np.fromiter(flat, complex, len(flat)).reshape(-1, 5)
         if not np.isfinite(rows).all():
             raise ValueError(f"round-off in the RK4 propagator overflows over {longest:.6g} fs at dt = {dt:.6g} fs: too little decay")
-        block = out[lo + 1:lo + 1 + len(rows)]
-        block[:, (1, 2), (1, 2)] = rows[:, :2]
-        block[:, _UPPER[0], _UPPER[1]] = rows[:, 2:]
-        block[:, _UPPER[1], _UPPER[0]] = rows[:, 2:].conj()
-    # checked only once all is finite: an overflow anywhere is refused before a bad state
-    for lo in range(0, len(out), _BLOCK):
-        _check_states(out[lo:lo + _BLOCK])
-    return out
+        block = np.empty((head + len(rows), 3, 3), dtype=complex)
+        block[:head] = r
+        body = block[head:]
+        body[:, 0, 0] = r[0, 0]
+        body[:, (1, 2), (1, 2)] = rows[:, :2]
+        body[:, _UPPER[0], _UPPER[1]] = rows[:, 2:]
+        body[:, _UPPER[1], _UPPER[0]] = rows[:, 2:].conj()
+        yield block
 
 
 def numeric_evolve(
@@ -455,22 +510,38 @@ def write_trajectory_csv(
     each row ends in supnorm_vs_analytic, the largest |rhos - reference|
     over its nine entries, and the largest of that column is returned;
     without one, None.  Values at 9 significant digits, LF line endings.
-    Rows are built, formatted and written one block of _BLOCK at a time.
+    The header, then :func:`_write_rows` over one block of _BLOCK at a time.
     """
     import numpy as np
     if len(times) != len(rhos) or (reference is not None and np.shape(reference) != np.shape(rhos)):
         raise ValueError("times and states must have equal length")
-    # formatted numbers hold no separator or quote, so rows need no csv quoting
-    fh.write(",".join(TRAJECTORY_CSV_HEADER) + ("\n" if reference is None else ",supnorm_vs_analytic\n"))
+    fh.write(_csv_header(reference is not None))
     worst = -math.inf
     for lo in range(0, len(rhos), _BLOCK):
-        block = rhos[lo:lo + _BLOCK]
-        upper = block[:, _UPPER[0], _UPPER[1]]
-        # populations, then Re and Im of rho01, rho02, rho12 as interleaved pairs
-        pairs = np.dstack([upper.real, upper.imag]).reshape(len(block), 6)
-        cols = [times[lo:lo + _BLOCK], block.diagonal(axis1=1, axis2=2).real, pairs]
-        if reference is not None:
-            cols.append(np.abs(block - reference[lo:lo + _BLOCK]).reshape(len(block), 9).max(axis=1))
-            worst = np.maximum(worst, cols[-1].max())  # nan, as numpy's max gives it, carries through
-        fh.write(_fmt_table(np.column_stack(cols)))
+        ref = None if reference is None else reference[lo:lo + _BLOCK]
+        worst = np.maximum(worst, _write_rows(fh, times[lo:lo + _BLOCK], rhos[lo:lo + _BLOCK], ref))
     return None if reference is None else worst
+
+
+def _csv_header(supnorm: bool) -> str:
+    """The header line of a trajectory CSV, with the sup-norm column or without it."""
+    return ",".join(TRAJECTORY_CSV_HEADER) + (",supnorm_vs_analytic\n" if supnorm else "\n")
+
+
+def _write_rows(fh: IO[str], times: Sequence[float], rhos: np.ndarray, reference: np.ndarray | None) -> float:
+    """Write one block of trajectory rows; return the block's largest sup-norm, -inf without a reference.
+
+    A nan in the sup-norm column is returned, as numpy's max gives it.
+    """
+    import numpy as np
+    upper = rhos[:, _UPPER[0], _UPPER[1]]
+    # populations, then Re and Im of rho01, rho02, rho12 as interleaved pairs
+    pairs = np.dstack([upper.real, upper.imag]).reshape(len(rhos), 6)
+    cols = [times, rhos.diagonal(axis1=1, axis2=2).real, pairs]
+    worst = -math.inf
+    if reference is not None:
+        cols.append(np.abs(rhos - reference).reshape(len(rhos), 9).max(axis=1))
+        worst = cols[-1].max()
+    # formatted numbers hold no separator or quote, so rows need no csv quoting
+    fh.write(_fmt_table(np.column_stack(cols)))
+    return worst

@@ -317,33 +317,56 @@ def load_modes_csv(path: str) -> Modes:
     holds the two columns, in file order.
     """
     from array import array
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError(f"{path}: empty modes file, header row required")
-        header = header.rstrip("\r\n").split(",")
-        if tuple(h.strip() for h in header) != MODES_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(MODES_CSV_HEADER)}, got {','.join(header)}")
-        omega, v2, blank = array("d"), array("d"), 0
-        add_omega, add_v2 = omega.append, v2.append
-        while True:
-            try:
-                for line in fh:
-                    omega_k, v2_k = line.split(",")
-                    add_omega(float(omega_k))
-                    add_v2(float(v2_k))
-                break
-            except UnicodeDecodeError:  # the file's, not a row's
-                raise
-            except ValueError:  # off the hot path: a blank row, skipped, or a row refused by its line number
-                row = line.rstrip("\r\n").split(",")
-                if any(cell.strip() for cell in row):
-                    i = len(v2) + blank + 2  # the header, each row read, each blank row, then this one
-                    if len(row) != 2:
-                        raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}") from None
-                    try:  # again without the line end, which float() would quote
-                        float(row[0]), float(row[1])
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{i}: {exc}") from None
-                blank += 1
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header:
+                raise ValueError(f"{path}: empty modes file, header row required")
+            header = header.rstrip("\r\n").split(",")
+            if tuple(h.strip() for h in header) != MODES_CSV_HEADER:
+                raise ValueError(f"{path}: expected header {','.join(MODES_CSV_HEADER)}, got {','.join(header)}")
+            omega, v2, blank = array("d"), array("d"), 0
+            add_omega, add_v2 = omega.append, v2.append
+            while True:
+                try:
+                    for line in fh:
+                        omega_k, v2_k = line.split(",")
+                        add_omega(float(omega_k))
+                        add_v2(float(v2_k))
+                    break
+                except UnicodeDecodeError:  # the file's, not a row's
+                    raise
+                except ValueError:  # off the hot path: a blank row, skipped, or a row refused by its line number
+                    row = line.rstrip("\r\n").split(",")
+                    if any(cell.strip() for cell in row):
+                        i = len(v2) + blank + 2  # the header, each row read, each blank row, then this one
+                        if len(row) != 2:
+                            raise ValueError(f"{path}:{i}: expected 2 columns, got {len(row)}") from None
+                        try:  # again without the line end, which float() would quote
+                            float(row[0]), float(row[1])
+                        except ValueError as exc:
+                            raise ValueError(f"{path}:{i}: {exc}") from None
+                    blank += 1
+    except UnicodeDecodeError:  # its position counts from the decoder's chunk, so the line is found again
+        i, exc = _undecodable(path)
+        raise ValueError(f"{path}:{i}: {exc}") from None
     return Modes(omega, v2)
+
+
+def _undecodable(path: str) -> tuple[int, UnicodeDecodeError]:
+    """The number of the line that holds a file's first byte that is not UTF-8, and the
+    decoder's error with its position counted within that line.
+
+    The file is read again whole, as bytes.  A line ends at "\n", "\r\n" or a lone "\r", as
+    the text readers split it; no byte of a longer UTF-8 sequence is one of those.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        lo = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return line, UnicodeDecodeError(exc.encoding, data[lo:exc.end], exc.start - lo, exc.end - lo, exc.reason)
+    raise OSError(f"{path} changed while it was read: it decodes now")

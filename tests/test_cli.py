@@ -175,6 +175,21 @@ def test_unwritable_output_dir_exit_3(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_a_refused_evolve_leaves_its_output_directory_as_it_found_it(tmp_path, capsys):
+    # the refusal comes in a block past the first, after both files have rows
+    refused = ["evolve", "--preset", "custom", "--state-file", str(COHERENT), "--gamma-d", "0", "--t-max", "1e8",
+               "--time-points", "2049"]
+    out = tmp_path / "out"
+    assert main(["evolve", "--output-dir", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main([*refused, "--output-dir", str(out)]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    # a directory the run made is removed again, with each parent it made
+    assert main([*refused, "--output-dir", str(tmp_path / "new" / "deeper")]) == 2
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out"]
+    assert "rho must be positive semidefinite" in capsys.readouterr().err
+
+
 def test_unattainable_ratio_exit_4(tmp_path, capsys):
     code = main(
         ["estimate", "--target-ratio", "1.0", "--output-dir", str(tmp_path)]
@@ -302,6 +317,12 @@ EXIT_CASES = [
     (
         "evolve --preset custom --state-file BOUNDARY --temperature 1 --t-max 20000",
         2, "config error: rho must be positive semidefinite",
+    ),
+    # undamped, the coherent pure state's RK4 phase errors pass -1e-10 from state 1221 on, blocks
+    # past the first: the files written so far are removed, and the run leaves no file
+    (
+        "evolve --preset custom --state-file COHERENT --gamma-d 0 --t-max 1e8 --time-points 2049",
+        2, "config error: rho must be positive semidefinite, eigmin=-1.0001475219170971e-10\n",
     ),
     # 1/alpha and the quartic stay within the float range: each ends in a result
     ("sweep --eta-hi 1e300", 0, ""),
@@ -444,13 +465,14 @@ EXIT_CASES = [
 ]
 MODES = Path(__file__).parent / "golden" / "modes.csv"
 BOUNDARY = Path(__file__).parent / "golden" / "boundary_state.json"
+COHERENT = Path(__file__).parent / "golden" / "coherent_state.json"
 
 
 @pytest.mark.parametrize(
     "cmdline, code, text", EXIT_CASES, ids=[case[0] for case in EXIT_CASES]
 )
 def test_inverse_and_evolve_exit_codes(cmdline, code, text, tmp_path, capsys):
-    argv = cmdline.replace("MODES", str(MODES)).replace("BOUNDARY", str(BOUNDARY)).split()
+    argv = cmdline.replace("MODES", str(MODES)).replace("BOUNDARY", str(BOUNDARY)).replace("COHERENT", str(COHERENT)).split()
     assert main(argv + ["--output-dir", str(tmp_path)]) == code
     # one line on stderr for a refusal, none for a result, whose stdout holds text; no traceback
     out, err = capsys.readouterr()
@@ -525,6 +547,11 @@ FILE_CASES = {
     # id: (the file is a config, a custom state or a mode CSV, its bytes, start of the
     # stderr line); bytes None: the file exists but opening it raises PermissionError
     "ini-not-utf8": ("config", b"\xff[dimer]\n", "config error: config file"),
+    # past the decoder's first 8-KiB chunk, a byte is named by its line and its place in that line
+    "ini-not-utf8-past-8k": (
+        "config", b"[dimer]\n" + b"# a comment line\n" * 600 + b"j12 = -96\r\neta_abs = 0.7\xff\n",
+        "config error: config file {path}:603: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n",
+    ),
     # each line the INI grammar refuses, by its number
     "ini-bare-percent": (
         "config", b"[dimer]\nj12 = 1%\n",
@@ -600,6 +627,10 @@ FILE_CASES = {
     ),
     "modes-three-columns": (
         "modes", b"omega_k_cm1,V2_k_cm2\n100,1,2\n", "config error: bath.modes_file: {path}:2: expected 2 columns, got 3\n",
+    ),
+    "modes-not-utf8-past-8k": (
+        "modes", b"omega_k_cm1,V2_k_cm2\n" + b"100,1\n" * 2499 + b"100,\xe2\x82\n",
+        "config error: bath.modes_file: {path}:2501: 'utf-8' codec can't decode bytes in position 4-5: invalid continuation byte\n",
     ),
     "modes-not-a-number": (
         "modes", b"omega_k_cm1,V2_k_cm2\nabc,1\n",

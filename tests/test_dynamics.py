@@ -11,7 +11,7 @@ import numpy as np
 import oracle
 import pytest
 
-from dimerdecay import dynamics
+from dimerdecay import cli, dynamics
 from dimerdecay.cli import _initial_state as initial_state
 from dimerdecay.cli import build_config, build_parser, main
 from dimerdecay.dynamics import (
@@ -587,18 +587,28 @@ def test_analytic_stack_keeps_the_negative_part_of_a_boundary_state():
 @pytest.mark.parametrize("basis", ["exciton", "site"])
 @pytest.mark.parametrize("preset", ["exciton1", "site2"])
 def test_evolve_checks_one_trajectory_stack(basis, preset, tmp_path, monkeypatch):
-    sizes = []
+    states, blocks = [], []
     check = dynamics._check_states
 
-    def counted(rhos):
-        sizes.append(len(rhos))
-        check(rhos)
+    def counted(into):
+        def checked(rhos):
+            into.append(rhos.copy())
+            check(rhos)
+        return checked
 
-    monkeypatch.setattr(dynamics, "_check_states", counted)
-    argv = ["evolve", "--basis", basis, "--preset", preset, "--time-points", "301", "--output-dir", str(tmp_path)]
+    monkeypatch.setattr(dynamics, "_check_states", counted(states))
+    monkeypatch.setattr(cli, "_check_states", counted(blocks))
+    n = 2 * dynamics._BLOCK + 45
+    argv = ["evolve", "--basis", basis, "--preset", preset, "--time-points", str(n), "--output-dir", str(tmp_path)]
     assert main(argv) == 0
-    # the numeric stack, and the initial state once per construction: the preset, then its exciton form
-    assert sizes == ([1, 301] if preset.startswith("exciton") else [1, 1, 301])
+    # the initial state once per construction: the preset, then its exciton form
+    assert [len(rhos) for rhos in states] == ([1] if preset.startswith("exciton") else [1, 1])
+    # then the numeric states, each once and in grid order, one block of at most _BLOCK at a time
+    assert [len(block) for block in blocks] == [dynamics._BLOCK, dynamics._BLOCK, 45]
+    cfg = build_config(build_parser().parse_args(argv))
+    p = EvolutionParams.for_dimer(cfg.dimer, cfg.bath)
+    times = np.linspace(0.0, cfg.t_max, n)
+    assert np.array_equal(np.concatenate(blocks), numeric_trajectory(initial_state(cfg, p.phi0), times, cfg.dt, p))
 
 
 def test_site_map_rejects_angle_outside_half_turn():
@@ -948,6 +958,35 @@ def test_printed_supnorm_is_the_predicted_rk4_error(tmp_path, capsys):
     assert dominated >= 4  # runs where the prediction, not round-off, sets the printed error
 
 
+@pytest.mark.parametrize("n_points", [2 * dynamics._BLOCK + 1, 3 * dynamics._BLOCK - 17])
+@pytest.mark.parametrize("basis", ["exciton", "site"])
+@pytest.mark.parametrize("preset", ["site1", "site2", "exciton1", "exciton2", "custom"])
+def test_streamed_evolve_writes_the_bytes_of_the_whole_stacks(preset, basis, n_points, tmp_path, capsys):
+    # the blocks join without a seam: the CSVs and stdout are those of write_trajectory_csv over
+    # the whole-stack functions, across block edges and a last block shorter than the rest
+    state = tmp_path / "state.json"
+    rho = random_state(np.random.default_rng(n_points)).rho.tolist()
+    state.write_text(json.dumps({"basis": "site", "rho": [[[z.real, z.imag] for z in row] for row in rho]}), encoding="utf-8")
+    argv = ["evolve", "--preset", preset, "--basis", basis, "--time-points", str(n_points), "--t-max", "5000",
+            "--state-file", str(state), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    streamed = capsys.readouterr().out
+
+    cfg = build_config(build_parser().parse_args(argv))
+    p = EvolutionParams.for_dimer(cfg.dimer, cfg.bath)
+    start, times = initial_state(cfg, p.phi0), np.linspace(0.0, cfg.t_max, n_points)
+    analytic, numeric = analytic_trajectory(start, times, p), numeric_trajectory(start, times, cfg.dt, p)
+    if basis == "site":
+        analytic, numeric = trajectory_to_site(analytic, p.phi0), trajectory_to_site(numeric, p.phi0)
+    fa, fn = io.StringIO(), io.StringIO()
+    write_trajectory_csv(fa, times, analytic)
+    supnorm = write_trajectory_csv(fn, times, numeric, reference=analytic)
+    assert streamed == f"max |analytic - numeric| over the grid: {supnorm:.3e}\n"
+    assert (tmp_path / "out" / "trajectory_analytic.csv").read_text(encoding="utf-8") == fa.getvalue()
+    assert (tmp_path / "out" / "trajectory_numeric.csv").read_text(encoding="utf-8") == fn.getvalue()
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["trajectory_analytic.csv", "trajectory_numeric.csv"]
+
+
 def test_evolve_builds_no_state_per_grid_point(tmp_path, monkeypatch):
     built = []
     post_init = OneExcitationState.__post_init__
@@ -962,21 +1001,26 @@ def test_evolve_builds_no_state_per_grid_point(tmp_path, monkeypatch):
     assert len(built) < 10
 
 
-def test_evolve_holds_its_two_stacks_and_one_block(tmp_path, capsys):
+@pytest.mark.parametrize("basis", ["exciton", "site"])
+def test_evolve_memory_is_one_block_and_the_time_grid(basis, tmp_path, capsys):
     # tracemalloc counts numpy's buffers too; a first run keeps imports and caches out of the peak
-    argv = ["evolve", "--preset", "exciton2", "--output-dir", str(tmp_path)]
+    argv = ["evolve", "--preset", "exciton2", "--basis", basis, "--output-dir", str(tmp_path)]
     assert main(argv + ["--time-points", "11"]) == 0
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert main(argv + ["--time-points", "20001"]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # two (T, 3, 3) complex stacks are 288 B per point; a whole-stack sup-norm over them took
-    # the peak to about 513 B, and full-size temporaries of the check and the writer to 1.19 KB
-    assert peak / 20001 < 480.0
+    peaks = {}
+    for n in (20001, 100001):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(argv + ["--time-points", str(n)]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # two whole (T, 3, 3) complex stacks alone are 288 B per point; holding them, the
+        # peak read 449 B per point in the exciton basis and 728 B in the site basis
+        assert peaks[n] / n < 32.0, n
+    # from one size to the next the peak grows by the held time grid, 8 B per point, alone
+    assert peaks[100001] - peaks[20001] < 9 * 80000
 
 
 def test_numeric_trajectory_is_its_two_halves_chained():
@@ -992,23 +1036,24 @@ def test_numeric_trajectory_is_its_two_halves_chained():
 
 
 def test_numeric_trajectory_checks_its_blocks_in_order(monkeypatch):
-    # undamped, the coherent state's RK4 phase errors pass -1e-10 from state 1221 on, into the last block
+    # undamped, the coherent state's RK4 phase errors pass -1e-10 from state 1221 on, past the first blocks
     p = EvolutionParams(gamma=0.0, nbar0=0.0, omega_plus=FMO_OMEGA_PLUS, omega_minus=FMO_OMEGA_MINUS)
-    state, times = coherent_state(), np.linspace(0.0, 1e8, 2 * dynamics._BLOCK + 1)
+    state, times = coherent_state(), np.linspace(0.0, 1e8, 2049)
+    first_bad = 1221 // dynamics._BLOCK
+    assert first_bad >= 1
     with pytest.raises(ValueError, match="positive semidefinite") as blocked:
         numeric_trajectory(state, times, 0.01, p)
-    # an overflow in a later block is refused before the bad states of the earlier ones
-    with pytest.raises(ValueError, match="RK4 propagator overflows"):
+    # a stream refuses the first bad block, so a bad state comes before an overflow in a later block
+    with pytest.raises(ValueError, match="positive semidefinite"):
         numeric_trajectory(state, [*times, 1e24], 0.01, p)
     seen = []
     monkeypatch.setattr(dynamics, "_check_states", lambda rhos: seen.append(rhos.copy()))
     stack = numeric_trajectory(state, times, 0.01, p)
-    assert [len(block) for block in seen] == [dynamics._BLOCK, dynamics._BLOCK, 1]
+    assert [len(block) for block in seen] == [min(dynamics._BLOCK, len(times) - lo) for lo in range(0, len(times), dynamics._BLOCK)]
     assert np.array_equal(np.concatenate(seen), stack)
     # the first bad state names the refusal, as a check of the whole stack would
-    assert str(blocked.value) == verdict(_check_states, stack)
-    assert verdict(_check_states, seen[0]) is None
-    assert verdict(_check_states, seen[2]) is not None
+    assert str(blocked.value) == verdict(_check_states, stack) == verdict(_check_states, seen[first_bad])
+    assert [verdict(_check_states, block) for block in seen[:first_bad]] == [None] * first_bad
 
 
 def test_numeric_evolve_validation():
